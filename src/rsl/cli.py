@@ -17,7 +17,7 @@ from pathlib import Path
 from . import harness
 from .capacity import CapacityQuery, capacity_csv
 from .cluster import ClusterState
-from .errors import BadQuery, RslError
+from .errors import BadQuery
 from .field import FieldSpec
 from .product_matrix import CodeParams, ProductMatrixCode
 
@@ -43,9 +43,15 @@ def _parse_epochs(text: str):
     return (low, high)
 
 
+def _parse_pair(text: str, what: str) -> tuple[int, int]:
+    values = _parse_ints(text)
+    if len(values) != 2:
+        raise ValueError(f"{what} takes two integers A,B, got {text!r}")
+    return values[0], values[1]
+
+
 def _parse_field(text: str) -> FieldSpec:
-    p, w = _parse_ints(text)
-    return FieldSpec(p, w)
+    return FieldSpec(*_parse_pair(text, "--field"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +118,7 @@ def _cmd_encode(args) -> int:
     else:
         payload = Path(args.input).read_bytes()
     params = CodeParams(n=args.n, k=args.k, d=args.d, m=args.m)
-    secure = tuple(_parse_ints(args.secure)) if args.secure else None
+    secure = _parse_pair(args.secure, "--secure") if args.secure else None
     state = ClusterState.create(args.cluster, params, _parse_field(args.field),
                                 payload, secure=secure, seed=args.seed)
     mode = state.meta["mode"]
@@ -235,10 +241,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except RslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # RslError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,9 +23,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import secrecy
-from .errors import (BadModel, IntegrityError, PayloadTooLarge, SelfRepair,
-                     UnknownNode, WrongHelperCount, WrongNodeCount)
-from .field import ExtensionSpec, FieldSpec
+from .errors import (IntegrityError, PayloadTooLarge, SelfRepair, UnknownNode,
+                     WrongHelperCount, WrongNodeCount)
+from .field import FieldSpec
 from .matrix import Matrix
 from .product_matrix import CodeParams, ProductMatrixCode, RepairFromTo, Stored
 
@@ -213,7 +213,17 @@ class ClusterState:
 
     def events(self) -> list[dict]:
         lines = (self.path / "events.jsonl").read_text().splitlines()
-        return [json.loads(line) for line in lines if line.strip()]
+        out = []
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(json.loads(line))
+            except json.JSONDecodeError:
+                raise IntegrityError(
+                    f"events.jsonl line {number} is not valid JSON "
+                    f"(torn write?)") from None
+        return out
 
     def _append_event(self, event: dict):
         with open(self.path / "events.jsonl", "a") as fh:

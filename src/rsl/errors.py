@@ -57,20 +57,12 @@ class WrongNodeCount(RslError):
     """Reconstruction called with a node count different from k."""
 
 
-class SingularSystem(RslError):
-    """Repair system unexpectedly not invertible."""
-
-
 class RankDeficient(RslError):
     """Observed rows do not determine the full message."""
 
 
 class BadSelector(RslError):
     """Observation selector references unknown nodes."""
-
-
-class MixedFields(RslError):
-    """Observation rows from different fields combined."""
 
 
 class BadModel(RslError):

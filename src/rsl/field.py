@@ -28,7 +28,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -62,32 +62,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class _Zp:
-    """Prime-field calculator used to bootstrap polynomial moduli."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, p: int):
-        self.order = p
-
-    def add(self, a, b):
-        return (a + b) % self.order
-
-    def sub(self, a, b):
-        return (a - b) % self.order
-
-    def neg(self, a):
-        return (-a) % self.order
-
-    def mul(self, a, b):
-        return a * b % self.order
-
-    def inv(self, a):
-        if a == 0:
-            raise DivideByZero("inverse of zero")
-        return pow(a, self.order - 2, self.order)
-
-
 # -- polynomials as coefficient lists (ascending degree) over a calculator K
 
 
@@ -95,16 +69,6 @@ def _ptrim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _padd(K, a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = K.add(out[i], c)
-    return _ptrim(out)
 
 
 def _psub(K, a, b):
@@ -160,7 +124,7 @@ def _pgcd(K, a, b):
 
 def _psquare(K, a):
     """a**2, using the freshman's-dream shortcut in characteristic 2."""
-    if getattr(K, "char", K.order) != 2 or not a:
+    if K.char != 2 or not a:
         return _pmul(K, a, a)
     out = [0] * (2 * len(a) - 1)
     for i, c in enumerate(a):
@@ -181,32 +145,14 @@ def _ppowmod(K, base, e: int, m):
     return result
 
 
-def _rabin_irreducible(K, f) -> bool:
-    """Deterministic irreducibility of monic f over the field K."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    q = K.order
-    x = [0, 1]
-    if _ppowmod(K, x, q**n, f) != _pmod(K, x, f):
-        return False
-    for r in _prime_factors(n):
-        h = _psub(K, _ppowmod(K, x, q ** (n // r), f), x)
-        if _pgcd(K, h, f) != [1]:
-            return False
-    return True
-
-
 def _sieve_irreducible(K, f) -> bool:
     """Irreducibility of monic f by hunting for factors of small degree.
 
     gcd(x**(q**i) - x, f) collects exactly the irreducible factors of f
     whose degree divides i, and any reducible f of degree n has a factor
     of degree at most n // 2, so checking i = 1 .. n // 2 is complete.
-    Equivalent verdict to _rabin_irreducible, but cheap on the reducible
-    candidates that dominate a modulus search.
+    Reducible candidates, which dominate a modulus search, usually fail
+    at small i.
     """
     n = len(f) - 1
     if n < 1:
@@ -233,7 +179,7 @@ def _search_modulus(K, degree: int) -> tuple[int, ...]:
     in base |K|, so the result is a deterministic function of (K, degree).
     """
     q = K.order
-    key = (q, getattr(K, "modulus", None), degree)
+    key = (q, K.modulus, degree)
     hit = _MODULUS_CACHE.get(key)
     if hit is not None:
         return hit
@@ -265,9 +211,6 @@ class Field:
     def elements(self):
         return range(self.order)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent; use inv() first")
@@ -281,8 +224,16 @@ class Field:
             e >>= 1
         return result
 
-    def render(self, a: int) -> str:
-        return format(a, "#x") if self.char == 2 else str(a)
+    def generator(self) -> int:
+        """Smallest (by encoding) generator of the multiplicative group."""
+        if self._gen is None:
+            n = self.order - 1
+            radicals = _prime_factors(n)
+            # 1 generates only GF(2)'s group, where radicals is empty
+            self._gen = next(c for c in range(1, self.order)
+                             if all(self.pow(c, n // r) != 1
+                                    for r in radicals))
+        return self._gen
 
 
 class FieldSpec(Field):
@@ -296,7 +247,7 @@ class FieldSpec(Field):
             raise NotPrime(f"characteristic {p} is not prime")
         if w < 1:
             raise ValueError("extension degree must be >= 1")
-        zp = _Zp(p)
+        zp = None if w == 1 else FieldSpec(p, 1)
         if modulus is None:
             modulus = (0, 1) if w == 1 else _search_modulus(zp, w)
         else:
@@ -306,7 +257,7 @@ class FieldSpec(Field):
                     f"modulus needs {w + 1} coefficients, got {len(modulus)}")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if w >= 2 and not _rabin_irreducible(zp, list(modulus)):
+            if w >= 2 and not _sieve_irreducible(zp, list(modulus)):
                 raise Reducible(f"modulus {list(modulus)} factors over GF({p})")
         self.p = p
         self.w = w
@@ -413,30 +364,7 @@ class FieldSpec(Field):
         prod += [0] * (self.w - len(prod))
         return self.from_coeffs(prod)
 
-    def _raw_pow(self, a: int, e: int) -> int:
-        result, acc = 1, a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, acc)
-            acc = self._raw_mul(acc, acc)
-            e >>= 1
-        return result
-
     # -- structure
-
-    def generator(self) -> int:
-        """Smallest (by encoding) generator of the multiplicative group."""
-        if self._gen is None:
-            n = self.order - 1
-            if n == 1:
-                self._gen = 1
-            else:
-                radicals = _prime_factors(n)
-                for cand in range(2, self.order):
-                    if all(self._raw_pow(cand, n // r) != 1 for r in radicals):
-                        self._gen = cand
-                        break
-        return self._gen
 
     def _build_tables(self):
         g = self.generator()
@@ -484,7 +412,7 @@ class ExtensionSpec(Field):
                     f"modulus needs {t + 1} coefficients, got {len(modulus)}")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if t >= 2 and not _rabin_irreducible(base, list(modulus)):
+            if t >= 2 and not _sieve_irreducible(base, list(modulus)):
                 raise Reducible(f"modulus factors over {base!r}")
         self.base = base
         self.t = t
@@ -583,20 +511,6 @@ class ExtensionSpec(Field):
         self.element(a)
         i %= self.t
         return self.pow(a, self.base.order**i) if i else a
-
-    def generator(self) -> int:
-        """Smallest (by encoding) generator of the multiplicative group."""
-        if self._gen is None:
-            n = self.order - 1
-            if n == 1:
-                self._gen = 1
-            else:
-                radicals = _prime_factors(n)
-                for cand in range(2, self.order):
-                    if all(self.pow(cand, n // r) != 1 for r in radicals):
-                        self._gen = cand
-                        break
-        return self._gen
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionSpec)

@@ -79,22 +79,19 @@ def _shape_pairs(k: int):
             yield l1, l2
 
 
-def _models(code, budget: Budget, label: str):
-    """Deterministic (possibly sampled) models across all (l1, l2) shapes."""
-    seed_used = None
-    out = []
-    nodes = list(code.nodes)
-    for l1, l2 in _shape_pairs(code.params.k):
-        stored_sets, s1 = _subsets(nodes, l1, budget, f"{label}:E{l1},{l2}")
-        for stored in stored_sets:
-            rest = [x for x in nodes if x not in stored]
-            repaired_sets, s2 = _subsets(rest, l2, budget,
-                                         f"{label}:F{l1},{l2}:{stored}")
-            for repaired in repaired_sets:
-                out.append(secrecy.EavesdropperModel(stored, repaired))
-            seed_used = seed_used or s2
-        seed_used = seed_used or s1
-    return out, seed_used
+def _sampled_models(code, shapes, budget: Budget, label: str):
+    """secrecy.enumerate_models over the (l1, l2) shapes, with E and F
+    subsets sampled deterministically when the budget calls for it."""
+    seeds = set()
+
+    def choose(pool, size, draw):
+        subsets, seed = _subsets(pool, size, budget, f"{label}:{draw}")
+        seeds.add(seed)
+        return subsets
+
+    models = [model for l1, l2 in shapes
+              for model in secrecy.enumerate_models(code, l1, l2, choose)]
+    return models, (budget.seed if budget.seed in seeds else None)
 
 
 def check_node_entropy(code, budget: Budget) -> PropertyResult:
@@ -190,23 +187,22 @@ def check_secure_size(code, budget: Budget) -> PropertyResult:
     checks = 0
     for l1, l2 in _shape_pairs(k):
         g = k - l1 - l2
-        for stored in itertools.combinations(nodes, l1):
-            rest = [x for x in nodes if x not in stored]
-            for repaired in itertools.combinations(rest, l2):
-                rest2 = [x for x in rest if x not in repaired]
-                for group in itertools.combinations(rest2, g):
-                    lhs = conditional_entropy(
-                        t.observe(RepairTo(repaired)),
-                        t.observe(Stored(stored + repaired)))
-                    rhs = _entropy(t, RepairFromTo(group, repaired))
-                    checks += 1
-                    if lhs != rhs:
-                        return PropertyResult(
-                            "lemma.secure_size", _describe(code), False,
-                            checks, {"stored": list(stored),
-                                     "repaired": list(repaired),
-                                     "fresh": list(group),
-                                     "conditional": lhs, "direct": rhs})
+        for model in secrecy.enumerate_models(t, l1, l2):
+            stored, repaired = model.stored, model.repaired
+            rest = [x for x in nodes if x not in stored + repaired]
+            for group in itertools.combinations(rest, g):
+                lhs = conditional_entropy(
+                    t.observe(RepairTo(repaired)),
+                    t.observe(Stored(stored + repaired)))
+                rhs = _entropy(t, RepairFromTo(group, repaired))
+                checks += 1
+                if lhs != rhs:
+                    return PropertyResult(
+                        "lemma.secure_size", _describe(code), False,
+                        checks, {"stored": list(stored),
+                                 "repaired": list(repaired),
+                                 "fresh": list(group),
+                                 "conditional": lhs, "direct": rhs})
     return PropertyResult("lemma.secure_size", _describe(code), True, checks)
 
 
@@ -285,7 +281,8 @@ def check_scalar_repair_rank(code, budget: Budget) -> PropertyResult:
 def check_simple_bound(code, budget: Budget) -> PropertyResult:
     """Achieved secure size never exceeds (k-l1-l2)(alpha - H(one helper's view))."""
     p = code.params
-    models, seed = _models(code, budget, "simple_bound")
+    models, seed = _sampled_models(code, _shape_pairs(p.k), budget,
+                                   "simple_bound")
     checks = 0
     for model in models:
         achieved = secrecy.achieved_secure_size(code, model)
@@ -310,7 +307,8 @@ def check_simple_bound(code, budget: Budget) -> PropertyResult:
 def check_capacity_exact(code, budget: Budget) -> PropertyResult:
     """Exact-regime models achieve (k-l1-l2)(alpha - l2*beta) exactly."""
     p = code.params
-    models, seed = _models(code, budget, "capacity_exact")
+    models, seed = _sampled_models(code, _shape_pairs(p.k), budget,
+                                   "capacity_exact")
     checks = 0
     for model in models:
         if p.beta * (model.l2 - 1) >= p.d - p.k + 1:
@@ -386,7 +384,7 @@ def check_perfect_secrecy(code, budget: Budget) -> PropertyResult:
             scheme = secrecy.scheme_make(code, l1, l2)
         except CapacityZero:
             continue  # nothing can be stored at this shape
-        models, seed = _models_of_shape(code, l1, l2, budget)
+        models, seed = _sampled_models(code, [(l1, l2)], budget, "shape")
         seed_used = seed_used or seed
         for model in models:
             ok = secrecy.verify_perfect(scheme, model)
@@ -398,22 +396,6 @@ def check_perfect_secrecy(code, budget: Budget) -> PropertyResult:
                      "repaired": list(model.repaired)}, seed_used)
     return PropertyResult("scheme.perfect_secrecy", _describe(code), True,
                           checks, None, seed_used)
-
-
-def _models_of_shape(code, l1: int, l2: int, budget: Budget):
-    nodes = list(code.nodes)
-    seed_used = None
-    out = []
-    stored_sets, s1 = _subsets(nodes, l1, budget, f"shape:E{l1},{l2}")
-    seed_used = seed_used or s1
-    for stored in stored_sets:
-        rest = [x for x in nodes if x not in stored]
-        repaired_sets, s2 = _subsets(rest, l2, budget,
-                                     f"shape:F{l1},{l2}:{stored}")
-        seed_used = seed_used or s2
-        for repaired in repaired_sets:
-            out.append(secrecy.EavesdropperModel(stored, repaired))
-    return out, seed_used
 
 
 REGISTRY: list[tuple[str, object]] = [

@@ -26,14 +26,12 @@ entropy oracle.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 from .entropy import ObsSet
 from .errors import (BadSelector, DegenerateLambda, FieldTooSmall,
-                     Inconsistent, LengthMismatch, RankDeficient, SelfRepair,
-                     Singular, SingularSystem, UnknownNode, WrongHelperCount,
-                     WrongNodeCount)
+                     LengthMismatch, RankDeficient, SelfRepair, UnknownNode,
+                     WrongHelperCount, WrongNodeCount)
 from .matrix import Matrix
 
 
@@ -120,7 +118,6 @@ class RepairSymbol:
     helper: int
     failed: int
     slot: int
-    epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,6 @@ class ProductMatrixCode:
         self.psi = tuple(
             phi + tuple(field.mul(lam, c) for c in phi)
             for phi, lam in zip(self.phi, self.lam))
-        if params.n <= 8:
-            self._check_submatrices()
 
     @staticmethod
     def _pick_points(field, n: int, a0: int):
@@ -184,17 +179,6 @@ class ProductMatrixCode:
         for _ in range(count - 1):
             out.append(self.field.mul(out[-1], x))
         return tuple(out[:count])
-
-    def _check_submatrices(self):
-        a0, d = self.params.base_alpha, self.params.d
-        phi_m = Matrix(self.field, self.phi)
-        psi_m = Matrix(self.field, self.psi)
-        for rows in itertools.combinations(range(self.params.n), a0):
-            sub = Matrix(self.field, [phi_m.rows[i] for i in rows])
-            assert sub.rank() == a0, "degenerate phi rows"
-        for rows in itertools.combinations(range(self.params.n), d):
-            sub = Matrix(self.field, [psi_m.rows[i] for i in rows])
-            assert sub.rank() == d, "degenerate psi rows"
 
     # -- node bookkeeping
 
@@ -307,10 +291,8 @@ class ProductMatrixCode:
                     f"helper {h} sent {len(sym)} symbols, expected {p.beta}")
             columns.append(sym)
         rhs = Matrix(self.field, columns)  # d x m, copy per column
-        try:
-            sol = system.solve(rhs)  # rows of M phi_f, per copy
-        except (Inconsistent, Singular) as exc:  # pragma: no cover - guarded
-            raise SingularSystem(str(exc)) from exc
+        # d distinct Vandermonde rows: the system is always invertible
+        sol = system.solve(rhs)  # rows of M phi_f, per copy
         add, mul = self.field.add, self.field.mul
         lam_f = self.lam[fi]
         share = []
@@ -397,22 +379,14 @@ class ProductMatrixCode:
     def observation_rows(self, selector) -> list[Observation]:
         p = self.params
         out = []
+        if isinstance(selector, RepairTo):
+            selector = RepairFromTo(self.nodes, selector.failed)
         if isinstance(selector, Stored):
             for node in selector.nodes:
                 self._node_index(node, BadSelector)
                 for slot in range(p.alpha):
                     out.append(Observation(StoredSymbol(node, slot),
                                            self.stored_row(node, slot)))
-        elif isinstance(selector, RepairTo):
-            helpers = tuple(self.nodes)
-            for f in selector.failed:
-                self._node_index(f, BadSelector)
-                for h in helpers:
-                    if h == f:
-                        continue
-                    for copy in range(p.m):
-                        out.append(Observation(RepairSymbol(h, f, copy),
-                                               self.repair_row(h, f, copy)))
         elif isinstance(selector, RepairFromTo):
             for f in selector.failed:
                 self._node_index(f, BadSelector)

@@ -80,14 +80,25 @@ def achieved_secure_size(code: ProductMatrixCode,
     return code.params.message_length - leakage(code, model)
 
 
-def enumerate_models(code: ProductMatrixCode, l1: int, l2: int):
-    """All (E, F) with |E|=l1, |F|=l2, disjoint, over the code's nodes."""
+def _all_subsets(pool, size: int, label: str):
+    return itertools.combinations(pool, size)
+
+
+def enumerate_models(code: ProductMatrixCode, l1: int, l2: int,
+                     choose=_all_subsets):
+    """All (E, F) with |E|=l1, |F|=l2, disjoint, over the code's nodes.
+
+    choose(pool, size, label) picks the E sets from all nodes, then the F
+    sets from the nodes outside each E.  The default takes every subset;
+    the harness passes a sampler, which seeds itself on the label
+    ("E{l1},{l2}", or "F{l1},{l2}:{E}" with E as a tuple).
+    """
     if l1 < 0 or l2 < 0 or l1 + l2 > code.params.k - 1:
         raise BadModel(f"(l1={l1}, l2={l2}) out of range for k={code.params.k}")
     nodes = list(code.nodes)
-    for stored in itertools.combinations(nodes, l1):
+    for stored in choose(nodes, l1, f"E{l1},{l2}"):
         rest = [x for x in nodes if x not in stored]
-        for repaired in itertools.combinations(rest, l2):
+        for repaired in choose(rest, l2, f"F{l1},{l2}:{stored}"):
             yield EavesdropperModel(stored, repaired)
 
 

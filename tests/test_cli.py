@@ -193,6 +193,27 @@ def test_error_exit_codes(tmp_path, capsys):
                "--k", "3", "--d", "4", str(big)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # malformed arguments: exit 1 with a message, never a traceback
+    small = str(tmp_path / "payload.bin")
+    fresh = ["encode", "--cluster", str(tmp_path / "c8")]
+    for argv in (fresh + ["--n", "6", "--k", "1", "--d", "0", small],
+                 fresh + ["--n", "6", "--k", "3", "--d", "4",
+                          "--secure", "1", small],
+                 fresh + ["--n", "6", "--k", "3", "--d", "4",
+                          "--field", "2", small],
+                 ["attack", "--cluster", cluster, "--repair", "a"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    # a torn last line in the event log names the line
+    assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    with open(tmp_path / "c" / "events.jsonl", "a") as fh:
+        fh.write('{"epoch":2,"eve')
+    capsys.readouterr()
+    for argv in (["fail-repair", "--cluster", cluster, "--node", "2"],
+                 ["attack", "--cluster", cluster, "--repair", "1"],
+                 ["verify", "--cluster", cluster]):
+        assert main(argv) == 1, argv
+        assert "events.jsonl line 2" in capsys.readouterr().err, argv
 
 
 def test_bad_subcommand_exits_via_argparse():

@@ -1,9 +1,11 @@
 """Field construction and arithmetic against naive polynomial oracles."""
 
+import itertools
+
 import pytest
 
 from rsl.errors import DivideByZero, LengthMismatch, NotPrime, Reducible
-from rsl.field import ExtensionSpec, FieldSpec
+from rsl.field import ExtensionSpec, FieldSpec, _sieve_irreducible
 
 from oracles import NaiveField, irreducible_over_prime, smallest_irreducible
 
@@ -40,6 +42,25 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 4, modulus=(1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4
     with pytest.raises(Reducible):
         FieldSpec(5, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+2)(x+3) mod 5
+    with pytest.raises(Reducible):
+        ExtensionSpec(GF16, 2, modulus=(2, 3, 1))  # (x+1)(x+2) over GF(16)
+    # the square of an irreducible quadratic has no root in GF(16)
+    quad = ExtensionSpec(GF16, 2).modulus
+    square = [0] * 5
+    for i, a in enumerate(quad):
+        for j, b in enumerate(quad):
+            square[i + j] ^= GF16.mul(a, b)
+    with pytest.raises(Reducible):
+        ExtensionSpec(GF16, 4, modulus=square)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 4), (5, 3)])
+def test_sieve_irreducible_matches_trial_division(p, max_degree):
+    zp = FieldSpec(p, 1)
+    for degree in range(max_degree + 1):
+        for tail in itertools.product(range(p), repeat=degree):
+            f = list(tail) + [1]
+            assert _sieve_irreducible(zp, f) == irreducible_over_prime(f, p), f
 
 
 def test_alternative_modulus_accepted():

@@ -126,3 +126,43 @@ def test_check_all_handles_zero_capacity_shapes():
     r = run_property("scheme.perfect_secrecy", _code())
     assert r.passed
     assert r.checks == 41  # 1 + 5 + 5 + 20 + 10 models across viable shapes
+
+
+# report_jsonl of check_all on GF(16) n=7 k=3 d=4 under a sampling budget,
+# frozen byte for byte; checks and seeds pin which models were sampled
+GOLDEN_SAMPLED = (
+    '{"checks":7,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"msr.node_entropy","seed":null,"witness":null}\n'
+    '{"checks":42,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"msr.link_entropy","seed":null,"witness":null}\n'
+    '{"checks":6,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"msr.reconstruction","seed":11,"witness":null}\n'
+    '{"checks":7,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"lemma.repair_independence","seed":null,"witness":null}\n'
+    '{"checks":30,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"lemma.repair_determinism","seed":null,"witness":null}\n'
+    '{"checks":190,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"lemma.secure_size","seed":null,"witness":null}\n'
+    '{"checks":50,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"lemma.helper_symmetry","seed":null,"witness":null}\n'
+    '{"checks":85,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"lemma.express","seed":null,"witness":null}\n'
+    '{"checks":50,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"thm.scalar_repair_rank","seed":null,"witness":null}\n'
+    '{"checks":266,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"thm.simple_bound","seed":11,"witness":null}\n'
+    '{"checks":50,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"cor.capacity_exact","seed":11,"witness":null}\n'
+    '{"checks":37,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"def.stability","seed":11,"witness":null}\n'
+    '{"checks":51,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"lemma.truncation","seed":null,"witness":null}\n'
+    '{"checks":44,"instance":"n=7 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"scheme.perfect_secrecy","seed":11,"witness":null}\n'
+)
+
+
+def test_sampled_report_golden():
+    # n=7 > exhaustive_n forces sampling in the five seeded properties
+    budget = Budget(exhaustive_n=4, samples=6, seed=11)
+    assert report_jsonl(check_all(_code(n=7), budget)) == GOLDEN_SAMPLED

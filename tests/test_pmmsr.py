@@ -10,6 +10,7 @@ from rsl.errors import (BadSelector, DegenerateLambda, FieldTooSmall,
                         LengthMismatch, SelfRepair, UnknownNode,
                         WrongHelperCount, WrongNodeCount)
 from rsl.field import FieldSpec
+from rsl.matrix import Matrix
 from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
                                 RepairTo, Stored)
 
@@ -84,6 +85,25 @@ def test_supplied_points_validation():
     with pytest.raises(DegenerateLambda):
         ProductMatrixCode(CodeParams(n=5, k=3, d=4), f25,
                           points=(1, 4, 2, 3, 6))  # 1^2 == 4^2 == 1 mod 5
+
+
+@pytest.mark.parametrize("code", [
+    _code(n=12, k=4, d=6, field=GF256),
+    _code(n=7, points=(3, 5, 6, 7, 9, 11, 13)),
+    ProductMatrixCode(CodeParams(n=6, k=3, d=4), FieldSpec(5, 2),
+                      points=(1, 2, 5, 6, 10, 11)),
+], ids=["gf256-n12-k4", "gf16-supplied", "gf25-supplied"])
+def test_construction_rows_are_vandermonde(code):
+    # psi_i = (1, x_i, ..., x_i^(d-1)) over distinct points and phi_i is its
+    # alpha0-prefix, so every alpha0 phi rows and every d psi rows are
+    # independent; the codec relies on this without checking it at run time
+    f, a0, d = code.field, code.params.base_alpha, code.params.d
+    for x, phi, psi in zip(code.points, code.phi, code.psi):
+        assert psi == tuple(f.pow(x, e) for e in range(d))
+        assert phi == psi[:a0]
+    for rows, size in ((code.phi, a0), (code.psi, d)):
+        for pick in itertools.combinations(rows, size):
+            assert Matrix(f, pick).rank() == size
 
 
 def test_encode_matches_naive_layout():
