@@ -10,8 +10,7 @@ simulation (cluster) driven by the rsl command (cli).
 
 from .capacity import (CapacityQuery, CapacityValue, bounds_table,
                        capacity_csv, cutset_bound, pi, secrecy_capacity)
-from .entropy import (ObsSet, conditional_entropy, joint_entropy,
-                      mutual_information)
+from .entropy import conditional_entropy, joint_entropy, mutual_information
 from .errors import RslError
 from .field import ExtensionSpec, FieldSpec
 from .harness import PROPERTY_IDS, Budget, check_all, report_jsonl, run_property
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "CapacityQuery", "CapacityValue", "CodeParams",
-    "EavesdropperModel", "ExtensionSpec", "FieldSpec", "Matrix", "ObsSet",
+    "EavesdropperModel", "ExtensionSpec", "FieldSpec", "Matrix",
     "PROPERTY_IDS", "ProductMatrixCode", "RepairFromTo", "RepairTo",
     "RslError", "SecureScheme", "Stored", "achieved_secure_size",
     "attack_report", "bounds_table", "capacity_csv", "check_all",

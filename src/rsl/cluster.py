@@ -30,6 +30,7 @@ from .matrix import Matrix
 from .product_matrix import CodeParams, ProductMatrixCode, RepairFromTo, Stored
 
 LAYOUT_VERSION = 1
+_EVENT_KEYS = ("epoch", "event", "failed", "helpers", "symbols")
 
 
 def bits_per_symbol(field) -> int:
@@ -78,6 +79,17 @@ def unframe_payload(stream: bytes) -> bytes:
         raise IntegrityError(
             f"framed length {length} exceeds {len(stream) - 4} stored bytes")
     return stream[4:4 + length]
+
+
+def _require(record, keys, where: str) -> dict:
+    """record itself, once it is a JSON object holding every key."""
+    if not isinstance(record, dict):
+        raise IntegrityError(f"{where} is not a JSON object")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise IntegrityError(
+            f"{where} lacks {', '.join(repr(key) for key in missing)}")
+    return record
 
 
 @contextmanager
@@ -164,13 +176,19 @@ class ClusterState:
             meta = json.loads((path / "meta.json").read_text())
         except FileNotFoundError:
             raise IntegrityError(f"no cluster at {path}")
-        if meta.get("layout") != LAYOUT_VERSION:
-            raise IntegrityError(f"unknown layout {meta.get('layout')}")
-        params = CodeParams(**meta["params"])
-        field = FieldSpec.from_json(meta["field"])
+        _require(meta, ("layout",), "meta.json")
+        if meta["layout"] != LAYOUT_VERSION:
+            raise IntegrityError(f"unknown layout {meta['layout']}")
+        _require(meta, ("params", "field", "points", "mode"), "meta.json")
+        shape = _require(meta["params"], ("n", "k", "d", "m"),
+                         "meta.json params")
+        params = CodeParams(shape["n"], shape["k"], shape["d"], shape["m"])
+        field = FieldSpec.from_json(
+            _require(meta["field"], ("p", "w", "modulus"), "meta.json field"))
         base = ProductMatrixCode(params, field, meta["points"])
         if meta["mode"] == "secure":
-            sec = meta["secure"]
+            sec = _require(meta.get("secure"), ("l1", "l2", "ell", "extension"),
+                           "meta.json secure")
             scheme = secrecy.SecureScheme(base, sec["l1"], sec["l2"],
                                           sec["ell"])
             if scheme.ext.to_json() != sec["extension"]:
@@ -218,11 +236,13 @@ class ClusterState:
             if not line.strip():
                 continue
             try:
-                out.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError:
                 raise IntegrityError(
                     f"events.jsonl line {number} is not valid JSON "
                     f"(torn write?)") from None
+            out.append(_require(event, _EVENT_KEYS,
+                                f"events.jsonl line {number}"))
         return out
 
     def _append_event(self, event: dict):
@@ -243,6 +263,7 @@ class ClusterState:
         if failed in helpers:
             raise SelfRepair(f"node {failed} cannot help repair itself")
         with _lock(self.path):
+            events = self.events()
             before = self.read_share(failed)
             symbols = {h: codec.repair_symbol(h, failed, self.read_share(h))
                        for h in helpers}
@@ -254,7 +275,6 @@ class ClusterState:
                     f"repair of node {failed} did not reproduce its share; "
                     f"a helper share is corrupt")
             self.write_share(failed, rebuilt)
-            events = self.events()
             epoch = events[-1]["epoch"] + 1 if events else 1
             event = {"epoch": epoch, "event": "repair", "failed": failed,
                      "helpers": helpers,
@@ -287,14 +307,13 @@ class ClusterState:
         picked = [e for e in self.events()
                   if e["event"] == "repair" and e["failed"] in model.repaired
                   and e["epoch"] >= lo and (hi is None or e["epoch"] <= hi)]
-        stored_rows = [o.row for o in
-                       self.codec.observation_rows(Stored(model.stored))]
+        stored_rows = self.codec.observation_rows(Stored(model.stored))
         first_rows = dict.fromkeys(model.repaired)
         event_rows = []
         for e in picked:
             rows = []
             for h in e["helpers"]:
-                rows.extend(o.row for o in self.codec.observation_rows(
+                rows.extend(self.codec.observation_rows(
                     RepairFromTo((h,), (e["failed"],))))
             event_rows.extend(rows)
             if first_rows[e["failed"]] is None:

@@ -3,74 +3,29 @@
 Every symbol the system emits is a known linear functional of the
 uniformly random message vector, so the joint entropy of any set of
 observations (in units of field symbols) is exactly the rank of their
-stacked coefficient rows.  That makes entropies integers and every
-identity here checkable by elimination alone.
+stacked coefficient rows.  A set of observations is the Matrix of those
+rows, one column per message symbol, as ProductMatrixCode.observe()
+returns it.  That makes entropies integers and every identity here
+checkable by elimination alone.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatch, LengthMismatch
 from .matrix import Matrix
 
 
-class ObsSet:
-    """A set of observation rows of one width over one field."""
-
-    __slots__ = ("field", "width", "rows")
-
-    def __init__(self, field, width: int, rows=()):
-        self.field = field
-        self.width = width
-        checked = []
-        for row in rows:
-            row = tuple(field.element(x) for x in row)
-            if len(row) != width:
-                raise LengthMismatch(
-                    f"row of length {len(row)} in a width-{width} set")
-            checked.append(row)
-        self.rows = tuple(checked)
-
-    @classmethod
-    def from_observations(cls, field, width: int, observations) -> "ObsSet":
-        return cls(field, width, [o.row for o in observations])
-
-    def __or__(self, other):
-        if not isinstance(other, ObsSet):
-            return NotImplemented
-        _compatible(self, other)
-        out = ObsSet.__new__(ObsSet)
-        out.field = self.field
-        out.width = self.width
-        out.rows = self.rows + other.rows
-        return out
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __repr__(self):
-        return f"ObsSet({len(self.rows)} rows, width {self.width})"
+def joint_entropy(a: Matrix) -> int:
+    return a.rank()
 
 
-def _compatible(a: ObsSet, b: ObsSet):
-    if a.field != b.field:
-        raise FieldMismatch("observation sets over different fields")
-    if a.width != b.width:
-        raise LengthMismatch("observation sets of different widths")
-
-
-def joint_entropy(a: ObsSet) -> int:
-    return Matrix(a.field, a.rows, ncols=a.width).rank()
-
-
-def conditional_entropy(a: ObsSet, given: ObsSet) -> int:
+def conditional_entropy(a: Matrix, given: Matrix) -> int:
     """H(a | given) = H(a, given) - H(given)."""
-    _compatible(a, given)
-    return joint_entropy(a | given) - joint_entropy(given)
+    return joint_entropy(Matrix.vstack((a, given))) - joint_entropy(given)
 
 
-def mutual_information(a: ObsSet, b: ObsSet, given: ObsSet | None = None) -> int:
+def mutual_information(a: Matrix, b: Matrix, given: Matrix | None = None) -> int:
     """I(a; b) or I(a; b | given); nonnegative and symmetric."""
     if given is None:
-        given = ObsSet(a.field, a.width)
-    _compatible(a, b)
-    return conditional_entropy(a, given) - conditional_entropy(a, b | given)
+        given = Matrix(a.field, (), ncols=a.ncols)
+    return (conditional_entropy(a, given)
+            - conditional_entropy(a, Matrix.vstack((b, given))))

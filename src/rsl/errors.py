@@ -57,12 +57,8 @@ class WrongNodeCount(RslError):
     """Reconstruction called with a node count different from k."""
 
 
-class RankDeficient(RslError):
-    """Observed rows do not determine the full message."""
-
-
 class BadSelector(RslError):
-    """Observation selector references unknown nodes."""
+    """Row selector references unknown nodes or slots."""
 
 
 class BadModel(RslError):

@@ -19,8 +19,9 @@ Wider codes concatenate m independent copies over the same evaluation
 points: per-node storage alpha = m*alpha0, per-link repair beta = m.
 
 Every stored or transmitted symbol is a linear functional of the message,
-exposed through observation_rows()/observe() as coefficient rows for the
-entropy oracle.
+exposed as its coefficient row: observation_rows() lists the rows one
+selector picks, and observe() stacks the rows of several selectors into
+the Matrix the entropy oracle takes the rank of.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .entropy import ObsSet
 from .errors import (BadSelector, DegenerateLambda, FieldTooSmall,
-                     LengthMismatch, RankDeficient, SelfRepair, UnknownNode,
+                     LengthMismatch, SelfRepair, UnknownNode,
                      WrongHelperCount, WrongNodeCount)
 from .matrix import Matrix
 
@@ -105,27 +105,6 @@ class RepairFromTo:
     def __init__(self, helpers, failed):
         object.__setattr__(self, "helpers", tuple(sorted(set(helpers))))
         object.__setattr__(self, "failed", tuple(sorted(set(failed))))
-
-
-@dataclass(frozen=True)
-class StoredSymbol:
-    node: int
-    slot: int
-
-
-@dataclass(frozen=True)
-class RepairSymbol:
-    helper: int
-    failed: int
-    slot: int
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One emitted symbol: its provenance tag and its coefficient row."""
-
-    tag: StoredSymbol | RepairSymbol
-    row: tuple[int, ...]
 
 
 class ProductMatrixCode:
@@ -322,9 +301,7 @@ class ProductMatrixCode:
                 rows.append(self.stored_row(node, slot))
                 values.append([share[slot]])
         system = Matrix(self.field, rows, ncols=p.message_length)
-        if system.rank() != p.message_length:
-            raise RankDeficient(
-                f"{len(rows)} rows span only rank {system.rank()}")
+        # k distinct nodes always give rank B, so solve() finds the one solution
         sol = system.solve(Matrix(self.field, values, ncols=1))
         return [row[0] for row in sol.rows]
 
@@ -376,7 +353,12 @@ class ProductMatrixCode:
                 row[i2] = add(row[i2], mul(lam_h, c))
         return tuple(row)
 
-    def observation_rows(self, selector) -> list[Observation]:
+    def observation_rows(self, selector) -> list[tuple[int, ...]]:
+        """Coefficient rows of the symbols one selector picks.
+
+        Stored rows come node by node in slot order; repair rows come per
+        failed node, then helper, then copy.
+        """
         p = self.params
         out = []
         if isinstance(selector, RepairTo):
@@ -385,8 +367,7 @@ class ProductMatrixCode:
             for node in selector.nodes:
                 self._node_index(node, BadSelector)
                 for slot in range(p.alpha):
-                    out.append(Observation(StoredSymbol(node, slot),
-                                           self.stored_row(node, slot)))
+                    out.append(self.stored_row(node, slot))
         elif isinstance(selector, RepairFromTo):
             for f in selector.failed:
                 self._node_index(f, BadSelector)
@@ -395,17 +376,17 @@ class ProductMatrixCode:
                     if h == f:
                         continue
                     for copy in range(p.m):
-                        out.append(Observation(RepairSymbol(h, f, copy),
-                                               self.repair_row(h, f, copy)))
+                        out.append(self.repair_row(h, f, copy))
         else:
             raise BadSelector(f"unknown selector {type(selector).__name__}")
         return out
 
-    def observe(self, *selectors) -> ObsSet:
+    def observe(self, *selectors) -> Matrix:
+        """The selectors' rows stacked in order, B columns wide."""
         rows = []
         for sel in selectors:
-            rows.extend(o.row for o in self.observation_rows(sel))
-        return ObsSet(self.field, self.params.message_length, rows)
+            rows.extend(self.observation_rows(sel))
+        return Matrix(self.field, rows, ncols=self.params.message_length)
 
     def truncate(self) -> "ProductMatrixCode":
         """The same code restricted to nodes 1..d+1."""

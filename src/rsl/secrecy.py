@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import capacity as cap
-from .entropy import ObsSet, joint_entropy
+from .entropy import joint_entropy
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
                      LengthMismatch)
 from .field import ExtensionSpec
@@ -66,7 +66,7 @@ def check_model(code: ProductMatrixCode, model: EavesdropperModel):
 
 
 def eavesdropped_rows(code: ProductMatrixCode,
-                      model: EavesdropperModel) -> ObsSet:
+                      model: EavesdropperModel) -> Matrix:
     check_model(code, model)
     return code.observe(Stored(model.stored), RepairTo(model.repaired))
 
@@ -137,7 +137,6 @@ class SecureScheme:
                 v = self.ext.frobenius(v)
             rows.append(row)
         self.moore = Matrix(self.ext, rows)
-        self._moore_inv = self.moore.inverse()  # construction guarantees this
 
     @property
     def secret_size(self) -> int:
@@ -167,8 +166,8 @@ class SecureScheme:
             raise LengthMismatch(
                 f"message needs {B} symbols, got {len(message)}")
         c = Matrix(ext, [[x] for x in message], ncols=1)
-        u = [row[0] for row in (self._moore_inv @ c).rows]
-        return u[self.ell:]
+        # the y^j are a basis of L over F, so the Moore matrix is invertible
+        return [row[0] for row in self.moore.solve(c).rows[self.ell:]]
 
 
 def scheme_make(code: ProductMatrixCode, l1: int, l2: int) -> SecureScheme:

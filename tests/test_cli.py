@@ -1,5 +1,6 @@
 """Command-line flows end to end, in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -214,8 +215,112 @@ def test_error_exit_codes(tmp_path, capsys):
                  ["verify", "--cluster", cluster]):
         assert main(argv) == 1, argv
         assert "events.jsonl line 2" in capsys.readouterr().err, argv
+    # valid JSON that lacks keys: meta.json, then an event line
+    _encode(tmp_path, name="m")
+    meta = str(tmp_path / "m")
+    (tmp_path / "m" / "meta.json").write_text('{"layout": 1}\n')
+    _encode(tmp_path, name="e")
+    log = str(tmp_path / "e")
+    assert main(["fail-repair", "--cluster", log, "--node", "1"]) == 0
+    with open(tmp_path / "e" / "events.jsonl", "a") as fh:
+        fh.write('{"epoch": 1}\n')
+    capsys.readouterr()
+    for argv, where in (
+            (["reconstruct", "--cluster", meta], "meta.json lacks 'params'"),
+            (["fail-repair", "--cluster", meta, "--node", "1"], "meta.json"),
+            (["attack", "--cluster", meta, "--repair", "1"], "meta.json"),
+            (["verify", "--cluster", meta], "meta.json"),
+            (["fail-repair", "--cluster", log, "--node", "2"],
+             "events.jsonl line 2 lacks 'event'"),
+            (["attack", "--cluster", log, "--repair", "1"],
+             "events.jsonl line 2"),
+            (["verify", "--cluster", log], "events.jsonl line 2")):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err, argv
+    assert (tmp_path / "e" / "events.jsonl").read_text().count("\n") == 2
 
 
 def test_bad_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# sha256 of every cluster file after encode and one fail-repair, and the
+# attack --json line, frozen from the implementation before observe()
+# returned a Matrix; a change to the codec, the framing, the wrapping or
+# the event log format shows here as a changed digest
+GOLDEN_CLUSTERS = {
+    "plain": {
+        "encode": ["--n", "6", "--k", "3", "--d", "4"],
+        "payload": b"xy",
+        "node": "1",
+        "files": {
+            "events.jsonl": "f5a8ca6a232af87812454af9584acc90"
+                            "309ff710d4b41ec49cd72ce0e74977fb",
+            "meta.json": "82d239bb85b65071f9305436cfc3e9fc"
+                         "f66f1df070c21d96bb767d14bc310c4a",
+            "share_1.bin": "925f0a0871fd0fec7761ff83f8e684c8"
+                           "4c464db824059816e1138e96806bc8a0",
+            "share_2.bin": "0e815e9ef44babc943f1e4dc88e11c7f"
+                           "64a7ab7b5f1731879c7a6e1964520862",
+            "share_3.bin": "00cc90312f156a7f6525915b33ba687e"
+                           "140626462a1fa7f0abb6843cdbc8d567",
+            "share_4.bin": "b8eb7736978a95ebde7113007502d45c"
+                           "b9c89e6a83b1eee61b384de61c4f2fdc",
+            "share_5.bin": "9ab37c470ef0491d721d8b164abbfcd3"
+                           "8b0ebc8fddc58d1c3d960da9027d6778",
+            "share_6.bin": "b2b79717f4225259153284e6477c05e2"
+                           "cb9244b5a144ce38102f2222c065a5ad",
+        },
+        "attack": '{"epochs": [1], "formula_kind": "exact", '
+                  '"formula_value": "2", "leakage": 4, "match": true, '
+                  '"model": {"repaired": [1], "stored": []}, '
+                  '"perfect": null, "rank_growth": 0, "secure_size": 2}\n',
+    },
+    "secure": {
+        "encode": ["--n", "5", "--k", "3", "--d", "4", "--field", "2,4",
+                   "--secure", "0,1", "--seed", "42"],
+        "payload": b"s!",
+        "node": "4",
+        "files": {
+            "events.jsonl": "eab6681dea0af6b90bd59546d8a5e9f2"
+                            "a18817b0f5e5c7f2c8b77967647181c5",
+            "meta.json": "219e8cbd814a175e834705692b9d859f"
+                         "5156a61df11f66443dc945729d9dfd95",
+            "share_1.bin": "2f5149c2d62bd01a680c0f0385da5908"
+                           "67440d4c142b065f9669f21d1559b132",
+            "share_2.bin": "7fe948999105feaa4c180cf1a8e3becc"
+                           "3eb55b3f6a25b0a488f7661e8de5baf7",
+            "share_3.bin": "ecf70fa4a82dc6b50f9a5cf9737ee0b4"
+                           "9295cf84d117ccc272705b7ad945a787",
+            "share_4.bin": "fe2093d0deb1f5fc76c17a974540a824"
+                           "b692142b64a8ef062de23f42b7961f14",
+            "share_5.bin": "44e443804e573fefc1af909fcc4379ab"
+                           "c36485aea3eafa1b6311bd2bc12f606a",
+        },
+        "attack": '{"epochs": [1], "formula_kind": "exact", '
+                  '"formula_value": "2", "leakage": 4, "match": true, '
+                  '"model": {"repaired": [4], "stored": []}, '
+                  '"perfect": true, "rank_growth": 0, "secure_size": 2}\n',
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLUSTERS))
+def test_cluster_bytes_golden(tmp_path, capsys, name):
+    want = GOLDEN_CLUSTERS[name]
+    src = tmp_path / "payload.bin"
+    src.write_bytes(want["payload"])
+    cluster = tmp_path / name
+    assert main(["encode", "--cluster", str(cluster), *want["encode"],
+                 str(src)]) == 0
+    assert main(["fail-repair", "--cluster", str(cluster),
+                 "--node", want["node"]]) == 0
+    capsys.readouterr()
+    assert main(["attack", "--cluster", str(cluster), "--repair",
+                 want["node"], "--json"]) == 0
+    assert capsys.readouterr().out == want["attack"]
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in cluster.iterdir()}
+    assert got == want["files"]

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from rsl.entropy import (ObsSet, conditional_entropy, joint_entropy,
-                         mutual_information)
+from rsl.entropy import conditional_entropy, joint_entropy, mutual_information
 from rsl.errors import FieldMismatch, LengthMismatch
 from rsl.field import FieldSpec
+from rsl.matrix import Matrix
 
 from oracles import NaiveField, naive_rank
 
@@ -19,7 +19,7 @@ def _random_obs(field, nrows, width, seed):
     rng = random.Random(seed)
     rows = [[rng.randrange(field.order) for _ in range(width)]
             for _ in range(nrows)]
-    return ObsSet(field, width, rows)
+    return Matrix(field, rows, ncols=width)
 
 
 def test_joint_entropy_is_rank():
@@ -31,14 +31,14 @@ def test_joint_entropy_is_rank():
 
 
 def test_empty_set_has_zero_entropy():
-    assert joint_entropy(ObsSet(GF16, 6)) == 0
+    assert joint_entropy(Matrix(GF16, [], ncols=6)) == 0
 
 
 def test_union_and_len():
     a = _random_obs(GF16, 3, 6, 1)
     b = _random_obs(GF16, 2, 6, 2)
-    u = a | b
-    assert len(u) == 5
+    u = Matrix.vstack((a, b))
+    assert u.nrows == 5
     assert joint_entropy(u) >= joint_entropy(a)
     assert joint_entropy(u) <= joint_entropy(a) + joint_entropy(b)
 
@@ -47,7 +47,7 @@ def test_chain_rule():
     for seed in range(8):
         a = _random_obs(GF16, 3, 6, f"{seed}:a")
         b = _random_obs(GF16, 3, 6, f"{seed}:b")
-        assert (joint_entropy(a | b)
+        assert (joint_entropy(Matrix.vstack((a, b)))
                 == joint_entropy(b) + conditional_entropy(a, b))
 
 
@@ -82,28 +82,18 @@ def test_identical_sets_share_all_information():
 
 
 def test_disjoint_coordinates_are_independent():
-    a = ObsSet(GF16, 4, [[1, 2, 0, 0]])
-    b = ObsSet(GF16, 4, [[0, 0, 3, 1]])
+    a = Matrix(GF16, [[1, 2, 0, 0]], ncols=4)
+    b = Matrix(GF16, [[0, 0, 3, 1]], ncols=4)
     assert mutual_information(a, b) == 0
 
 
 def test_validation():
     with pytest.raises(LengthMismatch):
-        ObsSet(GF16, 3, [[1, 2]])
+        Matrix(GF16, [[1, 2]], ncols=3)
     with pytest.raises(ValueError):
-        ObsSet(GF16, 2, [[1, 99]])
-    a = ObsSet(GF16, 3, [[1, 2, 3]])
+        Matrix(GF16, [[1, 99]], ncols=2)
+    a = Matrix(GF16, [[1, 2, 3]], ncols=3)
     with pytest.raises(FieldMismatch):
-        a | ObsSet(GF4, 3, [[1, 2, 3]])
+        conditional_entropy(a, Matrix(GF4, [[1, 2, 3]], ncols=3))
     with pytest.raises(LengthMismatch):
-        a | ObsSet(GF16, 4, [[1, 2, 3, 4]])
-
-
-def test_from_observations():
-    class Obs:
-        def __init__(self, row):
-            self.row = row
-
-    obs = ObsSet.from_observations(GF16, 3, [Obs((1, 2, 3)), Obs((0, 1, 0))])
-    assert len(obs) == 2
-    assert joint_entropy(obs) == 2
+        conditional_entropy(a, Matrix(GF16, [[1, 2, 3, 4]], ncols=4))

@@ -244,23 +244,22 @@ def test_observation_rows_match_actual_symbols():
             return acc
 
         for node in code.nodes:
-            for obs in code.observation_rows(Stored((node,))):
-                assert dot(obs.row) == shares[node - 1][obs.tag.slot]
+            rows = code.observation_rows(Stored((node,)))
+            assert [dot(row) for row in rows] == shares[node - 1]
         for helper in (1, 2, 6):
             for failed in (3, 5):
                 if helper == failed:
                     continue
                 sent = code.repair_symbol(helper, failed, shares[helper - 1])
-                sel = RepairFromTo((helper,), (failed,))
-                for obs in code.observation_rows(sel):
-                    assert dot(obs.row) == sent[obs.tag.slot]
+                rows = code.observation_rows(
+                    RepairFromTo((helper,), (failed,)))
+                assert [dot(row) for row in rows] == sent
 
 
 def test_repair_to_covers_all_helpers():
     code = _code(n=6)
     rows = code.observation_rows(RepairTo((2,)))
-    helpers = {obs.tag.helper for obs in rows}
-    assert helpers == {1, 3, 4, 5, 6}
+    assert rows == code.observation_rows(RepairFromTo((1, 3, 4, 5, 6), (2,)))
     assert len(rows) == 5 * code.params.beta
 
 

@@ -15,7 +15,8 @@ import pytest
 from rsl.errors import (AsymmetricLeakage, BadModel, CapacityZero,
                         LengthMismatch)
 from rsl.field import FieldSpec
-from rsl.product_matrix import CodeParams, ProductMatrixCode, RepairTo
+from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
+                                RepairTo)
 from rsl.secrecy import (EavesdropperModel, SecureScheme,
                          achieved_secure_size, attack_report, check_model,
                          enumerate_models, leakage, scheme_make,
@@ -98,10 +99,9 @@ def test_asymmetric_leakage_detected():
         """Drops one helper's traffic toward node 1 only."""
 
         def observation_rows(self, selector):
-            rows = super().observation_rows(selector)
             if isinstance(selector, RepairTo) and selector.failed == (1,):
-                rows = [o for o in rows if o.tag.helper != 5]
-            return rows
+                selector = RepairFromTo((2, 3, 4), (1,))
+            return super().observation_rows(selector)
 
     code = Lopsided(CodeParams(n=5, k=3, d=4), GF16)
     with pytest.raises(AsymmetricLeakage):
