@@ -25,12 +25,17 @@ from pathlib import Path
 from . import secrecy
 from .errors import (IntegrityError, PayloadTooLarge, SelfRepair, UnknownNode,
                      WrongHelperCount, WrongNodeCount)
-from .field import FieldSpec
+from .field import ExtensionSpec, FieldSpec
 from .matrix import Matrix
 from .product_matrix import CodeParams, ProductMatrixCode, RepairFromTo, Stored
 
 LAYOUT_VERSION = 1
-_EVENT_KEYS = ("epoch", "event", "failed", "helpers", "symbols")
+
+# what _require checks a key's value to be; None accepts any value
+_INT, _INTS = "an integer", "a list of integers"
+_FIELD_KEYS = {"p": _INT, "w": _INT, "modulus": _INTS}
+_EVENT_KEYS = {"epoch": _INT, "event": None, "failed": _INT,
+               "helpers": _INTS, "symbols": None}
 
 
 def bits_per_symbol(field) -> int:
@@ -81,15 +86,38 @@ def unframe_payload(stream: bytes) -> bytes:
     return stream[4:4 + length]
 
 
-def _require(record, keys, where: str) -> dict:
-    """record itself, once it is a JSON object holding every key."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(record, keys: dict, where: str) -> dict:
+    """record itself, once it is a JSON object holding every key of keys
+    with a value of the kind keys maps it to (_INT, _INTS or None)."""
     if not isinstance(record, dict):
         raise IntegrityError(f"{where} is not a JSON object")
     missing = [key for key in keys if key not in record]
     if missing:
         raise IntegrityError(
             f"{where} lacks {', '.join(repr(key) for key in missing)}")
+    for key, kind in keys.items():
+        value = record[key]
+        if (kind == _INT and not _is_int(value)
+                or kind == _INTS and not (isinstance(value, list)
+                                          and all(map(_is_int, value)))):
+            raise IntegrityError(f"{where} {key!r} must be {kind}, "
+                                 f"got {json.dumps(value)}")
     return record
+
+
+def _replace_bytes(path: Path, blob: bytes):
+    """Write blob to path through a temporary file and os.replace, so
+    that path holds either its old bytes or all of the new ones."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @contextmanager
@@ -162,8 +190,8 @@ class ClusterState:
         shares = codec.encode(message)
         state = cls(path, meta, base, codec, scheme)
         with _lock(path):
-            (path / "meta.json").write_text(
-                json.dumps(meta, sort_keys=True, indent=1) + "\n")
+            _replace_bytes(path / "meta.json", (json.dumps(
+                meta, sort_keys=True, indent=1) + "\n").encode())
             (path / "events.jsonl").write_text("")
             for node in codec.nodes:
                 state.write_share(node, shares[node - 1])
@@ -176,24 +204,34 @@ class ClusterState:
             meta = json.loads((path / "meta.json").read_text())
         except FileNotFoundError:
             raise IntegrityError(f"no cluster at {path}")
-        _require(meta, ("layout",), "meta.json")
+        _require(meta, {"layout": None}, "meta.json")
         if meta["layout"] != LAYOUT_VERSION:
             raise IntegrityError(f"unknown layout {meta['layout']}")
-        _require(meta, ("params", "field", "points", "mode"), "meta.json")
-        shape = _require(meta["params"], ("n", "k", "d", "m"),
+        _require(meta, {"params": None, "field": None, "points": _INTS,
+                        "mode": None}, "meta.json")
+        shape = _require(meta["params"], dict.fromkeys("nkdm", _INT),
                          "meta.json params")
         params = CodeParams(shape["n"], shape["k"], shape["d"], shape["m"])
         field = FieldSpec.from_json(
-            _require(meta["field"], ("p", "w", "modulus"), "meta.json field"))
+            _require(meta["field"], _FIELD_KEYS, "meta.json field"))
         base = ProductMatrixCode(params, field, meta["points"])
         if meta["mode"] == "secure":
-            sec = _require(meta.get("secure"), ("l1", "l2", "ell", "extension"),
-                           "meta.json secure")
-            scheme = secrecy.SecureScheme(base, sec["l1"], sec["l2"],
-                                          sec["ell"])
-            if scheme.ext.to_json() != sec["extension"]:
-                raise IntegrityError("stored extension disagrees with "
-                                     "the derived one")
+            sec = _require(meta.get("secure"),
+                           {"l1": _INT, "l2": _INT, "ell": _INT,
+                            "extension": None}, "meta.json secure")
+            ext = _require(sec["extension"],
+                           {"base": None, "t": _INT, "modulus": _INTS},
+                           "meta.json secure extension")
+            _require(ext["base"], _FIELD_KEYS,
+                     "meta.json secure extension base")
+            # the stored modulus is checked irreducible here, not searched
+            # for again; verify_cluster() checks that it is the canonical one
+            try:
+                scheme = secrecy.SecureScheme(base, sec["l1"], sec["l2"],
+                                              sec["ell"],
+                                              ExtensionSpec.from_json(ext))
+            except ValueError as exc:
+                raise IntegrityError(f"meta.json secure: {exc}") from None
             codec = ProductMatrixCode(params, scheme.ext, base.points)
         else:
             scheme, codec = None, base
@@ -208,7 +246,7 @@ class ClusterState:
     def write_share(self, node: int, symbols):
         width = element_width(self.codec.field)
         blob = b"".join(s.to_bytes(width, "little") for s in symbols)
-        self.share_path(node).write_bytes(blob)
+        _replace_bytes(self.share_path(node), blob)
 
     def read_share(self, node: int) -> list[int]:
         width = element_width(self.codec.field)
@@ -267,10 +305,8 @@ class ClusterState:
             before = self.read_share(failed)
             symbols = {h: codec.repair_symbol(h, failed, self.read_share(h))
                        for h in helpers}
-            self.share_path(failed).unlink()
             rebuilt = codec.repair(failed, symbols)
             if rebuilt != before:
-                self.write_share(failed, before)
                 raise IntegrityError(
                     f"repair of node {failed} did not reproduce its share; "
                     f"a helper share is corrupt")
@@ -338,6 +374,14 @@ class ClusterState:
         def record(name, passed, detail=""):
             checks.append({"check": name, "passed": bool(passed),
                            "detail": detail})
+
+        if self.scheme is not None:
+            ext = self.scheme.ext
+            canonical = ExtensionSpec(ext.base, ext.t)  # the modulus search
+            record("extension", canonical == ext,
+                   f"{ext!r} modulus is the canonical one" if canonical == ext
+                   else f"{ext!r} modulus {list(ext.modulus)} is not the "
+                        f"canonical {list(canonical.modulus)}")
 
         codec = self.codec
         try:

@@ -496,9 +496,24 @@ class ExtensionSpec(Field):
         return sum(c * q**i for i, c in enumerate(prod[:self.t]))
 
     def inv(self, a: int) -> int:
+        """Extended Euclid over the base field against the modulus."""
         if a == 0:
             raise DivideByZero("inverse of zero")
-        return self.pow(a, self.order - 2)
+        base = self.base
+        # invariant: r == s * a modulo the modulus, for both (r0, s0), (r1, s1)
+        r0, s0 = list(self.modulus), []
+        r1, s1 = _ptrim(list(self.coeffs(a))), [1]
+        while len(r1) > 1:
+            lead_inv = base.inv(r1[-1])
+            while len(r0) >= len(r1):
+                term = [0] * (len(r0) - len(r1)) + [base.mul(r0[-1], lead_inv)]
+                r0 = _psub(base, r0, _pmul(base, term, r1))
+                s0 = _psub(base, s0, _pmul(base, term, s1))
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        # the modulus is irreducible, so the last remainder is a nonzero unit
+        scale = base.inv(r1[0])
+        q = base.order
+        return sum(base.mul(c, scale) * q**i for i, c in enumerate(s1))
 
     # -- structure
 

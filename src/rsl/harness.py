@@ -339,7 +339,8 @@ def check_stability(code, budget: Budget) -> PropertyResult:
     for f in code.nodes:
         others = [x for x in code.nodes if x != f]
         groups, seed = _subsets(others, p.d, budget, f"stability:{f}")
-        seed_used = seed_used or seed
+        if seed is not None:
+            seed_used = seed
         for helpers in groups:
             symbols = {h: code.repair_symbol(h, f, shares[h - 1])
                        for h in helpers}
@@ -385,7 +386,8 @@ def check_perfect_secrecy(code, budget: Budget) -> PropertyResult:
         except CapacityZero:
             continue  # nothing can be stored at this shape
         models, seed = _sampled_models(code, [(l1, l2)], budget, "shape")
-        seed_used = seed_used or seed
+        if seed is not None:
+            seed_used = seed
         for model in models:
             ok = secrecy.verify_perfect(scheme, model)
             checks += 1

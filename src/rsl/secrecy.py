@@ -20,13 +20,14 @@ restriction to the randomness columns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from . import capacity as cap
 from .entropy import joint_entropy
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
-                     LengthMismatch)
+                     FieldMismatch, LengthMismatch)
 from .field import ExtensionSpec
 from .matrix import Matrix
 from .product_matrix import ProductMatrixCode, RepairTo, Stored
@@ -116,27 +117,47 @@ def worst_case_leakage(code: ProductMatrixCode, l1: int, l2: int) -> int:
 
 
 class SecureScheme:
-    """Moore-matrix pre-coding sized for one eavesdropper shape."""
+    """Moore-matrix pre-coding sized for one eavesdropper shape.
 
-    def __init__(self, code: ProductMatrixCode, l1: int, l2: int, ell: int):
+    ext is the degree-B extension L of the code's field that the message
+    symbols live in; scheme_make() builds it, ClusterState.load() reads
+    it back from meta.json.
+    """
+
+    def __init__(self, code: ProductMatrixCode, l1: int, l2: int, ell: int,
+                 ext: ExtensionSpec):
         B = code.params.message_length
         if not 0 <= ell <= B:
             raise ValueError(f"ell must be in 0..{B}")
+        if ext.base != code.field or ext.t != B:
+            raise FieldMismatch(
+                f"wrapping needs an extension of degree {B} over "
+                f"{code.field!r}, got {ext!r}")
         self.code = code
         self.l1 = l1
         self.l2 = l2
         self.ell = ell
-        self.ext = ExtensionSpec(code.field, B)
-        q = code.field.order
-        self.points = tuple(q**j for j in range(B))  # y^j, a basis of L over F
-        rows = []
-        for g in self.points:
-            row, v = [], g
+        self.ext = ext
+
+    @functools.cached_property
+    def moore(self) -> Matrix:
+        """Row j, column i: (y^j)^(q^i) = z_i^j with z_i = y^(q^i).
+
+        The y^j are a basis of L over F, so the matrix is invertible.
+        Each column is the powers of its z_i; z_{i+1} is frobenius(z_i).
+        """
+        ext = self.ext
+        B = ext.t
+        z = ext.base.order if B > 1 else 0  # y, the class of x
+        columns = []
+        for _ in range(B):
+            column, v = [], 1
             for _ in range(B):
-                row.append(v)
-                v = self.ext.frobenius(v)
-            rows.append(row)
-        self.moore = Matrix(self.ext, rows)
+                column.append(v)
+                v = ext.mul(v, z)
+            columns.append(column)
+            z = ext.frobenius(z)
+        return Matrix(ext, zip(*columns))
 
     @property
     def secret_size(self) -> int:
@@ -166,7 +187,6 @@ class SecureScheme:
             raise LengthMismatch(
                 f"message needs {B} symbols, got {len(message)}")
         c = Matrix(ext, [[x] for x in message], ncols=1)
-        # the y^j are a basis of L over F, so the Moore matrix is invertible
         return [row[0] for row in self.moore.solve(c).rows[self.ell:]]
 
 
@@ -176,7 +196,8 @@ def scheme_make(code: ProductMatrixCode, l1: int, l2: int) -> SecureScheme:
     if ell >= code.params.message_length:
         raise CapacityZero(
             f"worst-case leakage {ell} swallows the whole message")
-    return SecureScheme(code, l1, l2, ell)
+    return SecureScheme(code, l1, l2, ell,
+                        ExtensionSpec(code.field, code.params.message_length))
 
 
 def verify_perfect(scheme: SecureScheme, model: EavesdropperModel,

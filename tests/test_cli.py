@@ -7,6 +7,9 @@ import pytest
 
 from rsl.capacity import CapacityQuery, capacity_csv
 from rsl.cli import main
+from rsl.field import ExtensionSpec, FieldSpec
+
+GF16 = FieldSpec(2, 4)
 
 
 def _encode(tmp_path, name="c", payload=b"xy", extra=()):
@@ -153,6 +156,7 @@ def test_verify_cluster_ok(tmp_path, capsys):
     assert "FAIL" not in out
     assert "PASS cluster.replay" in out
     assert "PASS scheme.perfect_secrecy" in out
+    assert "cluster.extension" not in out  # a plain cluster has none
 
 
 def test_verify_cluster_fails_on_corruption(tmp_path, capsys):
@@ -239,6 +243,68 @@ def test_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err, argv
     assert (tmp_path / "e" / "events.jsonl").read_text().count("\n") == 2
+    # values of the wrong type: a parameter, then an event line's epoch
+    _encode(tmp_path, name="n")
+    _edit_meta(tmp_path / "n", lambda meta: meta["params"].update(n="6"))
+    _encode(tmp_path, name="t")
+    typed = str(tmp_path / "t")
+    assert main(["fail-repair", "--cluster", typed, "--node", "1"]) == 0
+    first = json.loads((tmp_path / "t" / "events.jsonl").read_text())
+    with open(tmp_path / "t" / "events.jsonl", "a") as fh:
+        fh.write(json.dumps(dict(first, epoch="1")) + "\n")
+    # a stored extension that is reducible, of the wrong degree, or over
+    # another base field
+    secure = ["--field", "2,4", "--secure", "0,1", "--seed", "42"]
+    edits = {
+        "reducible": {"modulus": [0, 0, 0, 0, 0, 0, 1]},
+        "degree": {"t": 2, "modulus": list(ExtensionSpec(GF16, 2).modulus)},
+        "base": {"base": {"p": 2, "w": 1, "modulus": [0, 1]},
+                 "modulus": [1, 1, 0, 0, 0, 0, 1]},
+    }
+    for name, edit in edits.items():
+        _encode(tmp_path, name=name, extra=secure)
+        _edit_meta(tmp_path / name,
+                   lambda meta: meta["secure"]["extension"].update(edit))
+    capsys.readouterr()
+    for argv, where in (
+            (["reconstruct", "--cluster", str(tmp_path / "n")],
+             "meta.json params 'n' must be an integer"),
+            (["fail-repair", "--cluster", typed, "--node", "2"],
+             "events.jsonl line 2 'epoch' must be an integer"),
+            (["attack", "--cluster", typed, "--repair", "1"],
+             "events.jsonl line 2"),
+            (["verify", "--cluster", typed], "events.jsonl line 2"),
+            *((["reconstruct", "--cluster", str(tmp_path / name)],
+               "meta.json secure") for name in edits)):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err, argv
+    assert (tmp_path / "t" / "events.jsonl").read_text().count("\n") == 2
+
+
+def _edit_meta(cluster, edit):
+    path = cluster / "meta.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
+def test_verify_cluster_checks_extension(tmp_path, capsys):
+    assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
+                                    "--seed", "42"]) == 0
+    cluster = tmp_path / "c"
+    capsys.readouterr()
+    assert main(["verify", "--cluster", str(cluster)]) == 0
+    assert capsys.readouterr().out.count("cluster.extension") == 1
+    # the reciprocal of the canonical modulus, made monic: irreducible,
+    # so load accepts it, but not the one the modulus search picks
+    canonical = ExtensionSpec(GF16, 6).modulus
+    scale = GF16.inv(canonical[0])
+    other = [GF16.mul(scale, c) for c in reversed(canonical)]
+    _edit_meta(cluster,
+               lambda meta: meta["secure"]["extension"].update(modulus=other))
+    assert main(["verify", "--cluster", str(cluster)]) == 1
+    assert "FAIL cluster.extension" in capsys.readouterr().out
 
 
 def test_bad_subcommand_exits_via_argparse():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rsl import field
 from rsl.cluster import (ClusterState, bits_per_symbol, bytes_to_symbols,
                          element_width, frame_payload, symbols_to_bytes,
                          unframe_payload)
@@ -154,6 +155,18 @@ def test_secure_roundtrip_and_meta(tmp_path):
     assert loaded.reconstruct_payload() == b"s"
 
 
+def test_secure_load_runs_no_search(tmp_path, monkeypatch):
+    _secure(tmp_path, payload=b"s")
+
+    def no_search(*args):
+        raise AssertionError("modulus search during load")
+    monkeypatch.setattr(field, "_search_modulus", no_search)
+    state = ClusterState.load(tmp_path / "c")
+    assert state.reconstruct_payload() == b"s"
+    state.fail_repair(3)
+    assert state.attack([], [3])["perfect"] is True
+
+
 def test_secure_seed_reproducible(tmp_path):
     a = ClusterState.create(tmp_path / "a", PARAMS, GF16, b"z",
                             secure=(0, 1), seed=5)
@@ -226,6 +239,20 @@ def test_fail_repair_detects_corrupt_helper(tmp_path):
     with pytest.raises(IntegrityError):
         state.fail_repair(1)  # helper 3 lies, rebuilt share mismatches
     assert not (tmp_path / "c" / ".lock").exists()  # lock released
+
+
+def test_fail_repair_keeps_share_when_repair_raises(tmp_path, monkeypatch):
+    state = _plain(tmp_path)
+    root = tmp_path / "c"
+    files = {path.name: path.read_bytes() for path in root.iterdir()}
+
+    def crash(*args):
+        raise RuntimeError("repair crashed")
+    monkeypatch.setattr(state.codec, "repair", crash)
+    with pytest.raises(RuntimeError):
+        state.fail_repair(1)
+    # the share is untouched, and no lock or temporary file is left
+    assert {path.name: path.read_bytes() for path in root.iterdir()} == files
 
 
 def test_lock_blocks_writers(tmp_path):

@@ -1,6 +1,7 @@
 """Field construction and arithmetic against naive polynomial oracles."""
 
 import itertools
+import random
 
 import pytest
 
@@ -235,6 +236,27 @@ def test_extension_arithmetic():
                     == L.add(L.frobenius(a), L.frobenius(b)))
             assert (L.frobenius(L.mul(a, b))
                     == L.mul(L.frobenius(a), L.frobenius(b)))
+
+
+# stored moduli, as meta.json carries them (the first two are the
+# canonical ones, whose search takes seconds)
+EXTENSIONS = {
+    "GF(16)^20": ((2, 4), 20, (9, 8, 0, 1) + (0,) * 16 + (1,)),
+    "GF(256)^6": ((2, 8), 6, (49, 1, 1, 0, 0, 0, 1)),
+    "GF(5)^3": ((5, 1), 3, (1, 1, 0, 1)),
+    "GF(25)^2": ((5, 2), 2, (5, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_extension_inverse_matches_pow(name):
+    (p, w), t, modulus = EXTENSIONS[name]
+    L = ExtensionSpec(FieldSpec(p, w), t, modulus)
+    rng = random.Random(name)
+    samples = [1, L.base.order - 1, L.base.order, L.order - 1]
+    samples += [rng.randrange(1, L.order) for _ in range(12)]
+    for a in samples:
+        assert L.inv(a) == L.pow(a, L.order - 2), (name, a)
 
 
 def test_extension_coeffs_and_json():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rsl import harness
 from rsl.field import FieldSpec
 from rsl.harness import (PROPERTY_IDS, Budget, check_all, report_jsonl,
                          run_property)
@@ -101,6 +102,22 @@ def test_sampling_records_seed_and_is_deterministic():
                          Budget(exhaustive_n=7, samples=100))
     assert wider.seed is None
     assert wider.checks == 35
+
+
+def test_seed_zero_is_recorded(monkeypatch):
+    budget = Budget(exhaustive_n=4, samples=6, seed=0)
+    code = _code(n=7)  # C(6,4) = 15 helper sets per node > 6 samples
+    for pid in ("def.stability", "scheme.perfect_secrecy"):
+        result = run_property(pid, code, budget)
+        assert result.passed and result.seed == 0, pid
+    # a sampled draw followed by exhaustive ones still records the seed
+    subsets = harness._subsets
+
+    def first_node_sampled(pool, size, budget, label):
+        groups, seed = subsets(pool, size, budget, label)
+        return groups, budget.seed if label == "stability:1" else seed
+    monkeypatch.setattr(harness, "_subsets", first_node_sampled)
+    assert run_property("def.stability", _code(), budget).seed == 0
 
 
 def test_forced_failure_has_witness():

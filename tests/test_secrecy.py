@@ -13,8 +13,9 @@ import random
 import pytest
 
 from rsl.errors import (AsymmetricLeakage, BadModel, CapacityZero,
-                        LengthMismatch)
-from rsl.field import FieldSpec
+                        FieldMismatch, LengthMismatch)
+from rsl.field import ExtensionSpec, FieldSpec
+from rsl.matrix import Matrix
 from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
                                 RepairTo)
 from rsl.secrecy import (EavesdropperModel, SecureScheme,
@@ -185,13 +186,44 @@ def test_verify_perfect_weaker_models_too():
             assert verify_perfect(scheme, model)
 
 
+# B = 6 and B = 20, over the canonical moduli
+@pytest.mark.parametrize("n,k,modulus", [
+    (5, 3, (13, 2, 1, 0, 0, 0, 1)),
+    (9, 5, (9, 8, 0, 1) + (0,) * 16 + (1,)),
+])
+def test_moore_from_powers_matches_frobenius(n, k, modulus):
+    code = ProductMatrixCode(CodeParams(n=n, k=k, d=2 * k - 2), GF16)
+    B = code.params.message_length
+    ext = ExtensionSpec(GF16, B, modulus)
+    scheme = SecureScheme(code, 0, 0, 0, ext)
+    # row j, column i: (y^j)^(16^i), each entry one frobenius step on
+    # the one to its left
+    slow = []
+    for j in range(B):
+        row, v = [], 16**j
+        for _ in range(B):
+            row.append(v)
+            v = ext.frobenius(v)
+        slow.append(row)
+    assert scheme.moore == Matrix(ext, slow)
+
+
+def test_scheme_rejects_wrong_extension():
+    code = _code()
+    with pytest.raises(FieldMismatch):
+        SecureScheme(code, 0, 0, 0, ExtensionSpec(GF16, 2))
+    with pytest.raises(FieldMismatch):
+        SecureScheme(code, 0, 0, 0, ExtensionSpec(FieldSpec(2, 1), 6))
+
+
 def test_verify_perfect_negative():
     code = _code()
-    bare = SecureScheme(code, 0, 0, 0)  # no randomness at all
+    ext = ExtensionSpec(GF16, code.params.message_length)
+    bare = SecureScheme(code, 0, 0, 0, ext)  # no randomness at all
     assert verify_perfect(bare, EavesdropperModel((), ()))
     assert not verify_perfect(bare, EavesdropperModel((1,), ()))
     # undersized randomness against a stronger eavesdropper leaks
-    small = SecureScheme(code, 1, 0, 2)
+    small = SecureScheme(code, 1, 0, 2, ext)
     assert not verify_perfect(small, EavesdropperModel((), (1,)))
 
 
