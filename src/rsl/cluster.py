@@ -10,7 +10,8 @@ a corrupted share.
 
 Payloads are framed with a 4-byte big-endian length prefix, then packed
 big-endian-bit-first into field symbols; whatever capacity is left is
-zero padding.  Mutating operations take an advisory lock file.
+zero padding.  Mutating operations take an advisory lock file that holds
+the writer's pid.
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ def _require(record, keys: dict, where: str) -> dict:
     return record
 
 
+def _hex_below(text, order: int) -> bool:
+    try:
+        return isinstance(text, str) and 0 <= int(text, 16) < order
+    except ValueError:
+        return False
+
+
 def _replace_bytes(path: Path, blob: bytes):
     """Write blob to path through a temporary file and os.replace, so
     that path holds either its old bytes or all of the new ones."""
@@ -126,9 +134,15 @@ def _lock(path: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise IntegrityError(f"cluster {path} is locked by another writer")
+        try:
+            holder = f"pid {int(lock.read_text())}"
+        except (OSError, ValueError):
+            holder = "holder unknown"
+        raise IntegrityError(
+            f"cluster {path} is locked by another writer ({holder})") from None
     try:
-        os.close(fd)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(str(os.getpid()))
         yield
     finally:
         os.unlink(lock)
@@ -279,9 +293,37 @@ class ClusterState:
                 raise IntegrityError(
                     f"events.jsonl line {number} is not valid JSON "
                     f"(torn write?)") from None
-            out.append(_require(event, _EVENT_KEYS,
-                                f"events.jsonl line {number}"))
+            where = f"events.jsonl line {number}"
+            out.append(self._check_event(_require(event, _EVENT_KEYS, where),
+                                         where))
         return out
+
+    def _check_event(self, event: dict, where: str) -> dict:
+        """event, once its nodes and symbols fit this cluster's code."""
+        p, nodes = self.codec.params, self.codec.nodes
+        failed, helpers = event["failed"], event["helpers"]
+        if failed not in nodes:
+            raise IntegrityError(
+                f"{where} failed node {failed} not in 1..{p.n}")
+        distinct = set(helpers)
+        if (len(helpers) != p.d or len(distinct) != p.d or failed in distinct
+                or not all(h in nodes for h in distinct)):
+            raise IntegrityError(
+                f"{where} helpers {helpers} are not d={p.d} distinct nodes "
+                f"of 1..{p.n} other than {failed}")
+        symbols = event["symbols"]
+        if (not isinstance(symbols, dict)
+                or sorted(symbols) != sorted(map(str, helpers))):
+            raise IntegrityError(
+                f"{where} 'symbols' must have exactly the helpers as keys")
+        order = self.codec.field.order
+        for h, sent in symbols.items():
+            if not (isinstance(sent, list) and len(sent) == p.beta
+                    and all(_hex_below(s, order) for s in sent)):
+                raise IntegrityError(
+                    f"{where} symbols of helper {h} must be {p.beta} hex "
+                    f"strings of field elements")
+        return event
 
     def _append_event(self, event: dict):
         with open(self.path / "events.jsonl", "a") as fh:

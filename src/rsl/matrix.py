@@ -15,9 +15,12 @@ def _echelon(field, rows, pivot_cols):
     """Reduce rows in place to reduced row echelon form.
 
     Pivots are searched only in the first pivot_cols columns; returns the
-    list of pivot column indices.
+    list of pivot column indices.  Each pivot row's nonzero (column, value)
+    pairs are listed once, and every other row with a nonzero entry in the
+    pivot column is updated in place at those columns only, so sparse and
+    block-diagonal systems pay for their nonzeros, not their width.
     """
-    add, sub, mul, inv = field.add, field.sub, field.mul, field.inv
+    sub, mul, inv = field.sub, field.mul, field.inv
     nrows = len(rows)
     pivots = []
     r = 0
@@ -30,17 +33,22 @@ def _echelon(field, rows, pivot_cols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
+        top = rows[r]
+        # columns left of c are zero in every row from r down
+        support = [(j, top[j]) for j in range(c, len(top)) if top[j]]
+        lead = top[c]
         if lead != 1:
             f = inv(lead)
-            rows[r] = [mul(f, x) for x in rows[r]]
-        top = rows[r]
+            support = [(j, mul(f, y)) for j, y in support]
+            for j, y in support:
+                top[j] = y
         for i in range(nrows):
-            if i == r:
+            row = rows[i]
+            f = row[c]
+            if f == 0 or i == r:
                 continue
-            f = rows[i][c]
-            if f != 0:
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], top)]
+            for j, y in support:
+                row[j] = sub(row[j], mul(f, y))
         pivots.append(c)
         r += 1
         if r == nrows:

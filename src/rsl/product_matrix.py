@@ -17,6 +17,9 @@ repeated repairs leak nothing new to an eavesdropper.
 
 Wider codes concatenate m independent copies over the same evaluation
 points: per-node storage alpha = m*alpha0, per-link repair beta = m.
+Every stored and repair row touches one copy's block of the message, so
+repair solves one d x d system and reconstruct one k*alpha0 x k*alpha0
+system of copy 0, each with m right-hand columns, one per copy.
 
 Every stored or transmitted symbol is a linear functional of the message,
 exposed as its coefficient row: observation_rows() lists the rows one
@@ -283,13 +286,19 @@ class ProductMatrixCode:
         return share
 
     def reconstruct(self, shares) -> list[int]:
-        """Recover the message from any k complete shares."""
+        """Recover the message from any k complete shares.
+
+        The m copies share one decode system: row (node, a) is the node's
+        stored row for slot a of copy 0, cut to copy 0's B0 = k*alpha0
+        message columns, and right-hand column c holds slot c*alpha0 + a.
+        """
         p = self.params
         nodes = sorted(shares)
         if len(nodes) != p.k:
             raise WrongNodeCount(f"need exactly k={p.k} shares, got {len(nodes)}")
         for node in nodes:
             self._node_index(node)
+        a0, b0 = p.base_alpha, p.base_message_length
         rows, values = [], []
         for node in nodes:
             share = [self.field.element(x) for x in shares[node]]
@@ -297,13 +306,14 @@ class ProductMatrixCode:
                 raise LengthMismatch(
                     f"share of node {node} has {len(share)} symbols, "
                     f"expected {p.alpha}")
-            for slot in range(p.alpha):
-                rows.append(self.stored_row(node, slot))
-                values.append([share[slot]])
-        system = Matrix(self.field, rows, ncols=p.message_length)
-        # k distinct nodes always give rank B, so solve() finds the one solution
-        sol = system.solve(Matrix(self.field, values, ncols=1))
-        return [row[0] for row in sol.rows]
+            for a in range(a0):
+                rows.append(self.stored_row(node, a)[:b0])
+                values.append(share[a::a0])
+        system = Matrix(self.field, rows, ncols=b0)
+        # k distinct nodes always give rank B0, so solve() finds the one
+        # solution; column c is copy c's block of the message_index layout
+        sol = system.solve(Matrix(self.field, values, ncols=p.m))
+        return [row[c] for c in range(p.m) for row in sol.rows]
 
     # -- observation rows
 

@@ -6,6 +6,7 @@ dot products straight off the code's documented layout.  Slow but
 obviously correct, and sharing no code with the package under test.
 """
 
+import functools
 import itertools
 
 
@@ -102,6 +103,9 @@ class NaiveField:
         prod = poly_mul(self.to_poly(a), self.to_poly(b), self.p)
         return self.to_int(poly_mod(prod, self.modulus, self.p))
 
+    def neg(self, a):
+        return self.to_int([(-c) % self.p for c in self.to_poly(a)])
+
     def inv(self, a):
         for b in range(1, self.order):
             if self.mul(a, b) == 1:
@@ -115,16 +119,60 @@ class NaiveField:
         return tuple(self.add(x, y) for x, y in zip(u, v))
 
 
+class NaiveExtension(NaiveField):
+    """GF(q^t) over a NaiveField base by raw polynomial work, on the
+    packed encoding: the element is the base-q number of its digits."""
+
+    def __init__(self, base: NaiveField, modulus):
+        self.base = base
+        self.t = len(modulus) - 1
+        self.modulus = list(modulus)
+        self.order = base.order ** self.t
+
+    def to_poly(self, a):
+        digits = []
+        for _ in range(self.t):
+            digits.append(a % self.base.order)
+            a //= self.base.order
+        return digits
+
+    def to_int(self, cs):
+        out = 0
+        for c in reversed(list(cs) + [0] * (self.t - len(cs))):
+            out = out * self.base.order + c
+        return out
+
+    def add(self, a, b):
+        pa, pb = self.to_poly(a), self.to_poly(b)
+        return self.to_int([self.base.add(x, y) for x, y in zip(pa, pb)])
+
+    def mul(self, a, b):
+        K = self.base
+        prod = [0] * (2 * self.t - 1)
+        for i, x in enumerate(self.to_poly(a)):
+            for j, y in enumerate(self.to_poly(b)):
+                prod[i + j] = K.add(prod[i + j], K.mul(x, y))
+        # the modulus is monic: cancel the top coefficient, highest first
+        for top in range(len(prod) - 1, self.t - 1, -1):
+            c = prod[top]
+            for j, m in enumerate(self.modulus):
+                i = top - self.t + j
+                prod[i] = K.add(prod[i], K.neg(K.mul(c, m)))
+        return self.to_int(prod[:self.t])
+
+
 def span_size(nf: NaiveField, rows) -> int:
     """|span of rows| by exhaustive closure; equals order**rank."""
     width = len(rows[0]) if rows else 0
+    # memoized for this call only: the field has at most order**2 sums
+    add = functools.lru_cache(maxsize=None)(nf.add)
     span = {(0,) * width}
     for row in rows:
         row = tuple(row)
         if row in span:
             continue
         additions = [nf.scale(c, row) for c in range(1, nf.order)]
-        span |= {nf.add_vec(s, a) for s in span for a in additions}
+        span |= {tuple(map(add, s, a)) for s in span for a in additions}
     return len(span)
 
 

@@ -280,6 +280,28 @@ def test_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err, argv
     assert (tmp_path / "t" / "events.jsonl").read_text().count("\n") == 2
+    # event lines whose symbols lack a helper, or with fewer than d helpers
+    for name, edit in (("s", {"symbols": {}}),
+                       ("h", {"helpers": [2], "symbols": {"2": ["0x1"]}})):
+        _encode(tmp_path, name=name)
+        assert main(["fail-repair", "--cluster", str(tmp_path / name),
+                     "--node", "1"]) == 0
+        log = tmp_path / name / "events.jsonl"
+        first = json.loads(log.read_text())
+        with open(log, "a") as fh:
+            fh.write(json.dumps(dict(first, epoch=2, **edit)) + "\n")
+        before = log.read_bytes()
+        capsys.readouterr()
+        for argv in (["fail-repair", "--cluster", str(tmp_path / name),
+                      "--node", "2"],
+                     ["attack", "--cluster", str(tmp_path / name),
+                      "--repair", "1"],
+                     ["verify", "--cluster", str(tmp_path / name)]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:"), argv
+            assert "events.jsonl line 2" in err, argv
+        assert log.read_bytes() == before
 
 
 def _edit_meta(cluster, edit):

@@ -1,6 +1,7 @@
 """On-disk cluster behavior: framing, event log, attack, integrity."""
 
 import json
+import os
 
 import pytest
 
@@ -257,9 +258,30 @@ def test_fail_repair_keeps_share_when_repair_raises(tmp_path, monkeypatch):
 
 def test_lock_blocks_writers(tmp_path):
     state = _plain(tmp_path)
-    (tmp_path / "c" / ".lock").touch()
-    with pytest.raises(IntegrityError):
+    lock = tmp_path / "c" / ".lock"
+    lock.touch()
+    with pytest.raises(IntegrityError, match=r"\(holder unknown\)"):
         state.fail_repair(1)
+    lock.write_text("4242")
+    with pytest.raises(IntegrityError,
+                       match=r"locked by another writer \(pid 4242\)"):
+        state.fail_repair(1)
+    lock.unlink()
+    lock.mkdir()  # present but unreadable as a file
+    with pytest.raises(IntegrityError, match=r"\(holder unknown\)"):
+        state.fail_repair(1)
+    lock.rmdir()
+    # the writer's own pid while it holds the lock; no lock once it is done
+    seen = []
+    repair = state.codec.repair
+
+    def spy(*args):
+        seen.append(lock.read_text())
+        return repair(*args)
+    state.codec.repair = spy
+    state.fail_repair(1)
+    assert seen == [str(os.getpid())]
+    assert not lock.exists()
 
 
 def test_reconstruct_subsets(tmp_path):

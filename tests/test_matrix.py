@@ -6,10 +6,10 @@ import pytest
 
 from rsl.errors import (FieldMismatch, Inconsistent, LengthMismatch,
                         Singular)
-from rsl.field import FieldSpec
+from rsl.field import ExtensionSpec, FieldSpec
 from rsl.matrix import Matrix
 
-from oracles import NaiveField, naive_rank
+from oracles import NaiveExtension, NaiveField, naive_rank
 
 GF2 = FieldSpec(2, 1)
 GF4 = FieldSpec(2, 2)
@@ -156,3 +156,129 @@ def test_rref_idempotent_and_rank_consistent():
         r = a.rref()
         assert r.rref() == r
         assert r.rank() == a.rank()
+
+
+# -- sparse and block-diagonal systems, the shapes the codec and the
+# leakage ranks eliminate: rank against the span oracle, then round trips
+
+GF7 = FieldSpec(7, 1)
+GF9 = FieldSpec(3, 2)
+GF256 = FieldSpec(2, 8)
+GF2_3 = ExtensionSpec(GF2, 3)
+GF16_3 = ExtensionSpec(GF16, 3)
+
+
+def _naive(field):
+    if isinstance(field, ExtensionSpec):
+        base = field.base
+        return NaiveExtension(NaiveField(base.p, base.w, base.modulus),
+                              field.modulus)
+    return NaiveField(field.p, field.w, field.modulus)
+
+
+def _block_diagonal(field, rng, blocks):
+    """Block (r, c, k) is the product of random r x k and k x c factors,
+    so its rank is at most k; the rows come out shuffled."""
+    width = sum(c for _, c, _ in blocks)
+    rows, col = [], 0
+    for r, c, k in blocks:
+        if k:
+            left = Matrix(field, _random_rows(field, r, k, rng.random()))
+            right = Matrix(field, _random_rows(field, k, c, rng.random()))
+            block = (left @ right).rows
+        else:
+            block = [[0] * c for _ in range(r)]
+        for row in block:
+            rows.append([0] * col + list(row) + [0] * (width - col - c))
+        col += c
+    rng.shuffle(rows)
+    return rows
+
+
+def _sparse(field, rng, rank, nrows, ncols):
+    """rank sparse rows, then sparse combinations of them, so the rank is
+    at most rank."""
+    def entry():
+        return rng.randrange(1, field.order) if rng.random() < 0.3 else 0
+    basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = [list(row) for row in basis]
+    for _ in range(nrows - rank):
+        row = [0] * ncols
+        for b in rng.sample(basis, 2):
+            f = entry()
+            row = [field.add(x, field.mul(f, y)) for x, y in zip(row, b)]
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+# (field, the largest rank whose span the oracle counts in about a second)
+@pytest.mark.parametrize("field,most", [(GF256, 2), (GF9, 4), (GF7, 4),
+                                        (GF2_3, 3)], ids=repr)
+def test_sparse_rank_matches_span_oracle(field, most):
+    nf = _naive(field)
+    rng = random.Random(f"sparse rank {field!r}")
+    shapes = {2: [[(2, 2, 1), (1, 1, 0), (2, 3, 1)]],
+              3: [[(3, 2, 1), (2, 3, 2)], [(1, 2, 1), (2, 1, 1), (2, 3, 1)]],
+              4: [[(3, 3, 2), (2, 1, 1), (1, 2, 0), (2, 2, 1)],
+                  [(4, 4, 3), (3, 2, 1)]]}[most]
+    for blocks in shapes:
+        rows = _block_diagonal(field, rng, blocks)
+        assert Matrix(field, rows).rank() == naive_rank(nf, rows), blocks
+    for _ in range(2):
+        rows = _sparse(field, rng, most, most + 2, 6)
+        assert Matrix(field, rows).rank() == naive_rank(nf, rows)
+
+
+def _is_rref(m):
+    lead_cols = []
+    for row in m.rows:
+        nonzero = [j for j, x in enumerate(row) if x]
+        if not nonzero:
+            continue
+        lead_cols.append(nonzero[0])
+        if row[nonzero[0]] != 1:
+            return False
+    zero_rows_last = all(not any(row) for row in m.rows[len(lead_cols):])
+    cleared = all(sum(1 for row in m.rows if row[c]) == 1 for c in lead_cols)
+    return (zero_rows_last and cleared
+            and lead_cols == sorted(set(lead_cols)))
+
+
+def _invertible_sparse(field, rng, n):
+    """Upper triangular with a nonzero diagonal, sparse above it, then
+    rows and columns shuffled: invertible and sparse."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randrange(1, field.order)
+        for j in range(i + 1, n):
+            if rng.random() < 0.25:
+                rows[i][j] = rng.randrange(1, field.order)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    rng.shuffle(rows)
+    return [[row[j] for j in cols] for row in rows]
+
+
+@pytest.mark.parametrize("field", [GF256, GF9, GF7, GF16_3], ids=repr)
+def test_sparse_solve_inverse_rref_round_trip(field):
+    rng = random.Random(f"sparse round trip {field!r}")
+    n = 12
+    for _ in range(3):
+        a = Matrix(field, _invertible_sparse(field, rng, n))
+        ident = Matrix.identity(field, n)
+        inv = a.inverse()
+        assert a @ inv == ident and inv @ a == ident
+        assert a.rref() == ident
+        x = Matrix(field, _random_rows(field, n, 3, rng.random()))
+        assert a.solve(a @ x) == x
+    for blocks in ([(4, 5, 3), (3, 3, 3), (5, 4, 2)],
+                   [(6, 6, 6), (2, 4, 1), (3, 2, 0), (4, 3, 3)]):
+        a = Matrix(field, _block_diagonal(field, rng, blocks))
+        r = a.rref()
+        assert _is_rref(r)
+        # same rank and r inside a's row space: r is a's reduced form
+        assert r.rank() == a.rank() == Matrix.vstack([a, r]).rank()
+        x = Matrix(field, _random_rows(field, a.ncols, 2, rng.random()))
+        b = a @ x
+        assert a @ a.solve(b) == b

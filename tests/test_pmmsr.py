@@ -18,6 +18,7 @@ from oracles import naive_repair_symbol, naive_share
 
 GF16 = FieldSpec(2, 4)
 GF256 = FieldSpec(2, 8)
+GF25 = FieldSpec(5, 2)
 
 
 def _code(n=5, k=3, d=4, m=1, field=GF16, points=None):
@@ -199,6 +200,32 @@ def test_reconstruct_all_subsets():
         for group in itertools.combinations(code.nodes, code.params.k):
             picked = {i: shares[i - 1] for i in group}
             assert code.reconstruct(picked) == msg
+
+
+def _reconstruct_full_system(code, shares):
+    """The slow path: every stored row against all B message columns."""
+    p = code.params
+    rows, values = [], []
+    for node in sorted(shares):
+        for slot in range(p.alpha):
+            rows.append(code.stored_row(node, slot))
+            values.append([shares[node][slot]])
+    system = Matrix(code.field, rows, ncols=p.message_length)
+    sol = system.solve(Matrix(code.field, values, ncols=1))
+    return [row[0] for row in sol.rows]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("field,n,k", [(GF256, 17, 9), (GF25, 7, 4)],
+                         ids=["GF(2^8)", "GF(5^2)"])
+def test_reconstruct_shared_system_matches_full_system(field, n, k, m):
+    code = _code(n=n, k=k, d=2 * k - 2, m=m, field=field)
+    msg = _message(code, seed=m)
+    shares = code.encode(msg)
+    group = sorted(random.Random(f"{field!r} {m}").sample(list(code.nodes), k))
+    picked = {i: shares[i - 1] for i in group}
+    assert code.reconstruct(picked) == msg
+    assert _reconstruct_full_system(code, picked) == msg
 
 
 def test_reconstruct_validation():
