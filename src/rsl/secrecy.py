@@ -12,10 +12,10 @@ distance code over the extension L of degree B: the message becomes
 c_j = sum_i u_i * g_j^(|F|^i) with g_j = y^(j-1), i.e. Moore-matrix
 evaluations of u = (R || D), where R is ell fresh random symbols and ell
 is the worst-case leakage enumerated over all models of shape (l1, l2).
-verify_perfect() then checks mechanically, per model, that what the
-eavesdropper sees is statistically independent of D: the seen rows,
-composed with the Moore matrix, must have the same rank as their
-restriction to the randomness columns.
+The eavesdropper's rows A have entries in F, so A @ Moore is the Moore
+matrix of the h_s = sum_j a_sj y^j, whose first ell columns have rank
+min(rank_F A, ell): the view is independent of D iff rank_F A <= ell,
+which verify_perfect() checks over F alone.
 """
 
 from __future__ import annotations
@@ -200,23 +200,14 @@ def scheme_make(code: ProductMatrixCode, l1: int, l2: int) -> SecureScheme:
                         ExtensionSpec(code.field, code.params.message_length))
 
 
-def verify_perfect(scheme: SecureScheme, model: EavesdropperModel,
-                   code: ProductMatrixCode | None = None) -> bool:
+def verify_perfect(scheme: SecureScheme, model: EavesdropperModel) -> bool:
     """True iff the model's view is independent of the wrapped secret.
 
-    The eavesdropper sees A @ Moore @ u for its coefficient rows A.
-    Splitting the composed map into randomness columns (first ell) and
-    data columns, independence of the data is exactly
-    rank(full) == rank(randomness part).
+    The view A @ Moore @ u is independent of the data iff its first ell
+    (randomness) columns have the rank of the whole, which for A over F
+    is min(rank_F A, ell) against rank_F A: the F-rank must not exceed ell.
     """
-    code = code or scheme.code
-    rows = eavesdropped_rows(code, model).rows
-    ext = scheme.ext
-    seen = Matrix(ext, rows, ncols=scheme.code.params.message_length)
-    composed = seen @ scheme.moore
-    left = Matrix(ext, [row[:scheme.ell] for row in composed.rows],
-                  ncols=scheme.ell)
-    return composed.rank() == left.rank()
+    return leakage(scheme.code, model) <= scheme.ell
 
 
 def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
@@ -243,7 +234,7 @@ def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
                   "repaired": list(model.repaired)},
         "leakage": leak,
         "secure_size": B - leak,
-        "perfect": (verify_perfect(scheme, model, code)
+        "perfect": (verify_perfect(scheme, model)
                     if scheme is not None else None),
         "formula_value": cap.render_value(formula.value),
         "formula_kind": formula.kind,

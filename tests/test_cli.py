@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from rsl import field
 from rsl.capacity import CapacityQuery, capacity_csv
 from rsl.cli import main
+from rsl.cluster import ClusterState
 from rsl.field import ExtensionSpec, FieldSpec
 
 GF16 = FieldSpec(2, 4)
@@ -157,6 +159,39 @@ def test_verify_cluster_ok(tmp_path, capsys):
     assert "PASS cluster.replay" in out
     assert "PASS scheme.perfect_secrecy" in out
     assert "cluster.extension" not in out  # a plain cluster has none
+
+
+def test_verify_cluster_agreement_fails_on_bad_frame(tmp_path, capsys):
+    # every share consistently encodes a message whose length prefix
+    # claims far more bytes than the cluster stores
+    _encode(tmp_path)
+    state = ClusterState.load(tmp_path / "c")
+    shares = state.codec.encode([0xff, 0xff, 0xff, 0xff, 0, 0])
+    for node in state.codec.nodes:
+        state.write_share(node, shares[node - 1])
+    checks = {c["check"]: c for c in state.verify_cluster()}
+    assert checks["replay"]["passed"] is True
+    assert checks["agreement"]["passed"] is False
+    assert checks["agreement"]["detail"] == \
+        "framed length 4294967295 exceeds 2 stored bytes"
+    capsys.readouterr()
+    assert main(["verify", "--cluster", str(tmp_path / "c")]) == 1
+    assert "FAIL cluster.agreement" in capsys.readouterr().out
+
+
+def test_verify_params_builds_no_extension(monkeypatch, capsys):
+    # B = 12: a search for GF(256^12) would run for over ten minutes;
+    # only GF(256) itself may be searched for, over GF(2)
+    search = field._search_modulus
+
+    def prime_base_only(K, degree):
+        if K.order != K.char:
+            raise AssertionError(f"modulus search over {K!r}")
+        return search(K, degree)
+    monkeypatch.setattr(field, "_search_modulus", prime_base_only)
+    rc = main(["verify", "--n", "8", "--k", "3", "--d", "4", "--m", "2"])
+    assert rc == 0
+    assert "PASS scheme.perfect_secrecy" in capsys.readouterr().out
 
 
 def test_verify_cluster_fails_on_corruption(tmp_path, capsys):

@@ -13,7 +13,7 @@ from rsl.errors import (BadModel, IntegrityError, PayloadTooLarge, SelfRepair,
                         UnknownNode, WrongHelperCount, WrongNodeCount)
 from rsl.field import FieldSpec
 from rsl.product_matrix import CodeParams, ProductMatrixCode
-from rsl.secrecy import EavesdropperModel, leakage
+from rsl.secrecy import EavesdropperModel, SecureScheme, leakage
 
 GF16 = FieldSpec(2, 4)
 GF256 = FieldSpec(2, 8)
@@ -166,6 +166,19 @@ def test_secure_load_runs_no_search(tmp_path, monkeypatch):
     assert state.reconstruct_payload() == b"s"
     state.fail_repair(3)
     assert state.attack([], [3])["perfect"] is True
+
+
+def test_secure_attack_builds_no_moore(tmp_path, monkeypatch):
+    _secure(tmp_path)
+
+    def no_moore(self):
+        raise AssertionError("Moore matrix built during attack")
+    monkeypatch.setattr(SecureScheme, "moore", property(no_moore))
+    state = ClusterState.load(tmp_path / "c")
+    state.fail_repair(3)
+    report = state.attack([], [3])
+    assert report["perfect"] is True
+    assert report["leakage"] == 4
 
 
 def test_secure_seed_reproducible(tmp_path):

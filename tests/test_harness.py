@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rsl import harness
+from rsl import field, harness
 from rsl.field import FieldSpec
 from rsl.harness import (PROPERTY_IDS, Budget, check_all, report_jsonl,
                          run_property)
@@ -183,3 +183,13 @@ def test_sampled_report_golden():
     # n=7 > exhaustive_n forces sampling in the five seeded properties
     budget = Budget(exhaustive_n=4, samples=6, seed=11)
     assert report_jsonl(check_all(_code(n=7), budget)) == GOLDEN_SAMPLED
+
+
+def test_check_all_builds_no_extension(monkeypatch):
+    code = _code(n=6, field=GF256)
+
+    def no_search(*args):
+        raise AssertionError("modulus search during check_all")
+    monkeypatch.setattr(field, "_search_modulus", no_search)
+    for r in check_all(code):
+        assert r.passed, (r.property, r.witness)

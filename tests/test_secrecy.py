@@ -20,8 +20,8 @@ from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
                                 RepairTo)
 from rsl.secrecy import (EavesdropperModel, SecureScheme,
                          achieved_secure_size, attack_report, check_model,
-                         enumerate_models, leakage, scheme_make,
-                         verify_perfect, worst_case_leakage)
+                         eavesdropped_rows, enumerate_models, leakage,
+                         scheme_make, verify_perfect, worst_case_leakage)
 
 GF16 = FieldSpec(2, 4)
 
@@ -225,6 +225,41 @@ def test_verify_perfect_negative():
     # undersized randomness against a stronger eavesdropper leaks
     small = SecureScheme(code, 1, 0, 2, ext)
     assert not verify_perfect(small, EavesdropperModel((), (1,)))
+
+
+def _moore_verdicts(code):
+    """(F-rank verdict, Moore-composition verdict) for every model and
+    every randomness length ell in 0..B-1.
+
+    The composition is the slow path: with u = (R || D), the view
+    A @ Moore @ u is independent of D iff the composed matrix has the
+    rank of its first ell (randomness) columns.
+    """
+    B = code.params.message_length
+    ext = ExtensionSpec(code.field, B)
+    moore = SecureScheme(code, 0, 0, 0, ext).moore
+    models = [model for l1 in range(code.params.k)
+              for l2 in range(code.params.k - l1)
+              for model in enumerate_models(code, l1, l2)]
+    for model in models:
+        rows = eavesdropped_rows(code, model).rows
+        composed = Matrix(ext, rows, ncols=B) @ moore
+        full = composed.rank()
+        for ell in range(B):
+            left = Matrix(ext, [row[:ell] for row in composed.rows],
+                          ncols=ell)
+            scheme = SecureScheme(code, 0, 0, ell, ext)
+            yield verify_perfect(scheme, model), full == left.rank()
+
+
+@pytest.mark.parametrize("field", [GF16, FieldSpec(11, 1)],
+                         ids=["GF(16)", "GF(11)"])
+def test_verify_perfect_matches_moore_composition(field):
+    code = ProductMatrixCode(CodeParams(n=5, k=3, d=4), field)
+    verdicts = list(_moore_verdicts(code))
+    for fast, slow in verdicts:
+        assert fast == slow
+    assert {fast for fast, _ in verdicts} == {True, False}
 
 
 def test_attack_report_exact_shape():
