@@ -6,7 +6,8 @@ observations (in units of field symbols) is exactly the rank of their
 stacked coefficient rows.  A set of observations is the Matrix of those
 rows, one column per message symbol, as ProductMatrixCode.observe()
 returns it.  That makes entropies integers and every identity here
-checkable by elimination alone.
+checkable by elimination alone.  observed_entropy() ranks the rows that
+selectors pick from a code, once per code and selector tuple.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ from .matrix import Matrix
 
 def joint_entropy(a: Matrix) -> int:
     return a.rank()
+
+
+def observed_entropy(code, *selectors) -> int:
+    """joint_entropy(code.observe(*selectors)), memoized in code.ranks."""
+    ranks = code.ranks
+    if selectors not in ranks:
+        ranks[selectors] = joint_entropy(code.observe(*selectors))
+    return ranks[selectors]
 
 
 def conditional_entropy(a: Matrix, given: Matrix) -> int:

@@ -139,6 +139,7 @@ class ProductMatrixCode:
         self.psi = tuple(
             phi + tuple(field.mul(lam, c) for c in phi)
             for phi, lam in zip(self.phi, self.lam))
+        self.ranks = {}  # selector tuple -> rank, see entropy.observed_entropy
 
     @staticmethod
     def _pick_points(field, n: int, a0: int):

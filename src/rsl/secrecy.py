@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import capacity as cap
-from .entropy import joint_entropy
+from .entropy import observed_entropy
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
                      FieldMismatch, LengthMismatch)
 from .field import ExtensionSpec
@@ -73,7 +73,9 @@ def eavesdropped_rows(code: ProductMatrixCode,
 
 
 def leakage(code: ProductMatrixCode, model: EavesdropperModel) -> int:
-    return joint_entropy(eavesdropped_rows(code, model))
+    check_model(code, model)
+    return observed_entropy(code, Stored(model.stored),
+                            RepairTo(model.repaired))
 
 
 def achieved_secure_size(code: ProductMatrixCode,

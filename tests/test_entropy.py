@@ -4,10 +4,14 @@ import random
 
 import pytest
 
-from rsl.entropy import conditional_entropy, joint_entropy, mutual_information
+from rsl import entropy
+from rsl.entropy import (conditional_entropy, joint_entropy,
+                         mutual_information, observed_entropy)
 from rsl.errors import FieldMismatch, LengthMismatch
 from rsl.field import FieldSpec
 from rsl.matrix import Matrix
+from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
+                                RepairTo, Stored)
 
 from oracles import NaiveField, naive_rank
 
@@ -97,3 +101,21 @@ def test_validation():
         conditional_entropy(a, Matrix(GF4, [[1, 2, 3]], ncols=3))
     with pytest.raises(LengthMismatch):
         conditional_entropy(a, Matrix(GF16, [[1, 2, 3, 4]], ncols=4))
+
+
+def test_observed_entropy_ranks_each_selector_tuple_once(monkeypatch):
+    code = ProductMatrixCode(CodeParams(n=6, k=3, d=4, m=2), GF16)
+    queries = [(Stored((1,)),), (Stored((1, 2)), RepairTo((3,))),
+               (RepairTo((3,)), Stored((1, 2))), (RepairFromTo((4,), (1, 2)),),
+               (Stored(()), RepairTo(())), (RepairTo((1, 2, 3)),)]
+    expected = [joint_entropy(code.observe(*q)) for q in queries]
+    ranked = []
+    rank = entropy.joint_entropy
+    # the memo ranks through the module attribute a tracer would patch
+    monkeypatch.setattr(entropy, "joint_entropy",
+                        lambda a: ranked.append(a) or rank(a))
+    assert [observed_entropy(code, *q) for q in queries * 2] == expected * 2
+    assert len(ranked) == len(queries)
+    other = ProductMatrixCode(CodeParams(n=6, k=3, d=4, m=2), GF16)
+    assert observed_entropy(other, *queries[1]) == expected[1]
+    assert len(ranked) == len(queries) + 1

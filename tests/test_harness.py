@@ -193,3 +193,126 @@ def test_check_all_builds_no_extension(monkeypatch):
     monkeypatch.setattr(field, "_search_modulus", no_search)
     for r in check_all(code):
         assert r.passed, (r.property, r.witness)
+
+
+class Faulty(ProductMatrixCode):
+    """Three injected faults: a zero repair row from 2 to 1, a lying
+    helper 4, and node 5 storing slot 1's row in slot 0 as well."""
+
+    def repair_row(self, helper, failed, copy):
+        if (helper, failed) == (2, 1):
+            return (0,) * self.params.message_length
+        return super().repair_row(helper, failed, copy)
+
+    def repair_symbol(self, helper, failed, helper_share):
+        out = super().repair_symbol(helper, failed, helper_share)
+        if helper == 4:
+            out = [self.field.add(x, 1) for x in out]
+        return out
+
+    def stored_row(self, node, slot):
+        return super().stored_row(node, 1 if (node, slot) == (5, 0) else slot)
+
+
+# report_jsonl of check_all on Faulty at n = d+1, where truncate() is the
+# code itself, so every property sees the faults; checks and witnesses pin
+# where each property stops
+GOLDEN_FAULTS = (
+    '{"checks":5,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"msr.node_entropy","seed":null,"witness":{"expected":2,'
+    '"node":5,"observed":1}}\n'
+    '{"checks":5,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"msr.link_entropy","seed":null,"witness":{"expected":1,'
+    '"failed":1,"helper":2,"observed":0}}\n'
+    '{"checks":3,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"msr.reconstruction","seed":null,"witness":{"expected":6,'
+    '"nodes":[1,2,5],"observed":5}}\n'
+    '{"checks":1,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"lemma.repair_independence","seed":null,'
+    '"witness":{"expected":4,"failed":1,"observed":3}}\n'
+    '{"checks":1,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"lemma.repair_determinism","seed":null,'
+    '"witness":{"first_helpers":[2,3],"node":1,"with_all":4,'
+    '"with_first":3}}\n'
+    '{"checks":11,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"lemma.secure_size","seed":null,"witness":{"conditional":2,'
+    '"direct":1,"fresh":[2,3],"repaired":[1],"stored":[]}}\n'
+    '{"checks":4,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"lemma.helper_symmetry","seed":null,'
+    '"witness":{"repaired":[1],"values":{"2":0,"3":1,"4":1,"5":1}}}\n'
+    '{"checks":8,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"lemma.express","seed":null,"witness":{"full":6,"order":[1,'
+    '3],"triangular":5}}\n'
+    '{"checks":1,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"thm.scalar_repair_rank","seed":null,'
+    '"witness":{"expected":1,"helper":2,"observed":0,"repaired":[1]}}\n'
+    '{"checks":7,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"thm.simple_bound","seed":null,"witness":{"achieved":3,'
+    '"bound":2,"fresh":3,"repaired":[1],"stored":[]}}\n'
+    '{"checks":2,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"cor.capacity_exact","seed":null,"witness":{"achieved":3,'
+    '"expected":2,"repaired":[1],"stored":[]}}\n'
+    '{"checks":1,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"def.stability","seed":null,"witness":{"failed":1,'
+    '"helpers":[2,3,4,5]}}\n'
+    '{"checks":0,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":true,'
+    '"property":"lemma.truncation","seed":null,"witness":{"note":"n == d+1,'
+    ' nothing to truncate"}}\n'
+    '{"checks":2,"instance":"n=5 k=3 d=4 m=1 field=GF(2^4)","passed":false,'
+    '"property":"scheme.perfect_secrecy","seed":null,"witness":{"highest":4,'
+    '"l1":0,"l2":1,"lowest":3}}\n'
+)
+
+
+def _faulty():
+    return Faulty(CodeParams(n=5, k=3, d=4), GF16)
+
+
+def test_fault_witnesses_golden():
+    results = [run_property(pid, _faulty()) for pid in PROPERTY_IDS[:-1]]
+    golden = GOLDEN_FAULTS.splitlines(keepends=True)
+    assert report_jsonl(results) == "".join(golden[:-1])
+
+
+def test_asymmetric_leakage_is_a_failure_not_an_abort():
+    # (0,1) models leak 3 or 4 on Faulty: perfect secrecy reports the
+    # shape and range, and check_all still returns every other result
+    assert report_jsonl(check_all(_faulty())) == GOLDEN_FAULTS
+
+
+# report_jsonl of check_all on GF(16) n=6 k=3 d=4 m=2: a spare node, beta=2,
+# every property exhaustive
+GOLDEN_SPARE_M2 = (
+    '{"checks":6,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"msr.node_entropy","seed":null,"witness":null}\n'
+    '{"checks":30,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"msr.link_entropy","seed":null,"witness":null}\n'
+    '{"checks":20,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"msr.reconstruction","seed":null,"witness":null}\n'
+    '{"checks":6,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"lemma.repair_independence","seed":null,"witness":null}\n'
+    '{"checks":30,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"lemma.repair_determinism","seed":null,"witness":null}\n'
+    '{"checks":190,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"lemma.secure_size","seed":null,"witness":null}\n'
+    '{"checks":50,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"lemma.helper_symmetry","seed":null,"witness":null}\n'
+    '{"checks":85,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"lemma.express","seed":null,"witness":null}\n'
+    '{"checks":20,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"thm.scalar_repair_rank","seed":null,"witness":null}\n'
+    '{"checks":306,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"thm.simple_bound","seed":null,"witness":null}\n'
+    '{"checks":58,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"cor.capacity_exact","seed":null,"witness":null}\n'
+    '{"checks":30,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"def.stability","seed":null,"witness":null}\n'
+    '{"checks":51,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"lemma.truncation","seed":null,"witness":null}\n'
+    '{"checks":58,"instance":"n=6 k=3 d=4 m=2 field=GF(2^4)","passed":true,'
+    '"property":"scheme.perfect_secrecy","seed":null,"witness":null}\n'
+)
+
+
+def test_spare_node_report_golden():
+    assert report_jsonl(check_all(_code(n=6, m=2))) == GOLDEN_SPARE_M2

@@ -6,21 +6,44 @@ namespace (vars(cls)[name]), so moving one of them (mul, inv, __init__,
 recorders in a fresh process catches that here.
 """
 
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from rsl.harness import PROPERTY_IDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_on_current_tree():
+def _run(script: str):
     path = [str(ROOT / "src"), str(ROOT / "perfbench")]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    script = ("import tracer; tracer.install_spans(tracer.Recorder()); "
-              "tracer.install_counts()")
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_tracer_installs_on_current_tree():
+    done = _run("import tracer; tracer.install_spans(tracer.Recorder()); "
+                "tracer.install_counts()")
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_verify_spans_every_property_and_the_rank(tmp_path):
+    # `--trace 1` must still see each harness property and the entropy
+    # rank beneath them, however the harness drives and memoizes them
+    out = tmp_path / "spans.jsonl"
+    argv = ["verify", "--n", "5", "--k", "3", "--d", "4", "--field", "2,4"]
+    done = _run(f"import sys, tracer; "
+                f"sys.exit(tracer.run('spans', {str(out)!r}, 0.0, {argv!r}))")
+    assert done.returncode == 0, done.stderr
+    names = Counter(json.loads(line)[0]
+                    for line in out.read_text().splitlines()[1:])
+    assert len(PROPERTY_IDS) == 14
+    for pid in PROPERTY_IDS:
+        assert names[f"harness.{pid}"] == 1, pid
+    assert names["entropy.joint_entropy"] >= 1
