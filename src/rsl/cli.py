@@ -194,6 +194,9 @@ def _cmd_capacity_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    given = {"samples": args.samples, "seed": args.seed}
+    budget = harness.Budget(**{k: v for k, v in given.items()
+                               if v is not None})
     ok = True
     if args.cluster:
         state = ClusterState.load(args.cluster)
@@ -209,13 +212,6 @@ def _cmd_verify(args) -> int:
             return 2
         params = CodeParams(n=args.n, k=args.k, d=args.d, m=args.m)
         code = ProductMatrixCode(params, _parse_field(args.field))
-    budget = harness.Budget()
-    if args.samples is not None:
-        budget = harness.Budget(samples=args.samples,
-                                seed=budget.seed if args.seed is None
-                                else args.seed)
-    elif args.seed is not None:
-        budget = harness.Budget(seed=args.seed)
     results = harness.check_all(code, budget)
     for res in results:
         ok &= res.passed

@@ -13,6 +13,15 @@ the same way in base q, so the base field embeds as the integers below q.
 
 Fields with order <= 2^16 get eager log/exp tables over a deterministic
 primitive element; everything larger falls back to polynomial arithmetic.
+
+Polynomials over a field run on coefficient lists, except over GF(2^w)
+with w in {1, 2, 4, 8}, where a byte holds whole coefficients.  There
+the packed kernel (_Packed, built on first use by FieldSpec.packed())
+works on the integer of w-bit digits itself: scaling is a 256-byte
+bytes.translate, addition is XOR.  The irreducibility sieve, the
+canonical modulus search and ExtensionSpec.mul take that path; every
+other (p, w), such as GF(8), GF(2^12), GF(25) or GF(11), keeps the list
+path, which is also the reference the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -145,6 +154,161 @@ def _ppowmod(K, base, e: int, m):
     return result
 
 
+# -- packed polynomials over GF(2^w) for w in {1, 2, 4, 8}
+
+
+class _Packed:
+    """Polynomials over K = GF(2^w), w dividing 8, as packed integers.
+
+    Coefficient i sits in bits [i*w, (i+1)*w): the base-q digits that
+    ExtensionSpec elements already use.  A byte holds whole coefficients,
+    so scaling by a constant is one bytes.translate through a 256-byte
+    table, and squaring (coefficient-wise in characteristic 2) is two
+    translates and a byte interleave (Plank, Greenan and Miller,
+    "Screaming Fast Galois Field Arithmetic", FAST 2013).
+    """
+
+    __slots__ = ("w", "tables", "sq_lo", "sq_hi", "inv")
+
+    def __init__(self, K):
+        w = K.w
+        # bit i of a byte is digit i // w with value 2^(i % w); every
+        # table is GF(2)-linear in the byte, so eight images fill it
+        bits = [(i // w * w, 1 << i % w) for i in range(8)]
+
+        def table(images):
+            out = [0]
+            for image in images:
+                out += [x ^ image for x in out]
+            return out
+
+        self.w = w
+        self.tables = [bytes(table([K.mul(c, d) << s for s, d in bits]))
+                       for c in range(K.order)]
+        squares = table([K.mul(d, d) << 2 * s for s, d in bits])
+        self.sq_lo = bytes(x & 0xFF for x in squares)
+        self.sq_hi = bytes(x >> 8 for x in squares)
+        self.inv = [0] + [K.inv(c) for c in range(1, K.order)]
+
+    def scale(self, a: int, c: int) -> int:
+        data = a.to_bytes((a.bit_length() + 7) >> 3, "little")
+        return int.from_bytes(data.translate(self.tables[c]), "little")
+
+    def square(self, a: int) -> int:
+        data = a.to_bytes((a.bit_length() + 7) >> 3, "little")
+        out = bytearray(2 * len(data))
+        out[0::2] = data.translate(self.sq_lo)
+        out[1::2] = data.translate(self.sq_hi)
+        return int.from_bytes(out, "little")
+
+    def product(self, a: int, b: int) -> int:
+        """a*b unreduced: one translate of a per nonzero digit of b."""
+        w, tables = self.w, self.tables
+        data = a.to_bytes((a.bit_length() + 7) >> 3, "little")
+        mask = (1 << w) - 1
+        acc = shift = 0
+        while b:
+            c = b & mask
+            if c:
+                acc ^= int.from_bytes(data.translate(tables[c]),
+                                      "little") << shift
+            b >>= w
+            shift += w
+        return acc
+
+    def _rem_terms(self, a: int, monic: bytes, n: int) -> int:
+        """a modulo the monic degree-n polynomial whose bytes are given,
+        cancelling the leading term of a one at a time."""
+        w, tables = self.w, self.tables
+        top = a.bit_length()
+        while top > n * w:
+            d = (top - 1) // w
+            a ^= int.from_bytes(monic.translate(tables[a >> d * w]),
+                                "little") << (d - n) * w
+            top = a.bit_length()
+        return a
+
+    def reducer(self, f: int):
+        """Remainder modulo the monic packed f, as a one-argument function.
+
+        When f's tail has degree below half of f's, x^n = tail folds every
+        coefficient at or above x^n down at once, a translate per nonzero
+        tail term; otherwise leading terms are cancelled one by one.
+        """
+        w = self.w
+        n = (f.bit_length() - 1) // w
+        nbits = n * w
+        low = (1 << nbits) - 1
+        tail = f & low
+        if 2 * ((tail.bit_length() - 1) // w) >= n:
+            monic = f.to_bytes((f.bit_length() + 7) >> 3, "little")
+            return lambda a: self._rem_terms(a, monic, n)
+        digits = [(j * w, tail >> j * w & ((1 << w) - 1)) for j in range(n)]
+        terms = [(shift, self.tables[c]) for shift, c in digits if c]
+
+        def fold(a):
+            while a >> nbits:
+                high = a >> nbits
+                data = high.to_bytes((high.bit_length() + 7) >> 3, "little")
+                a &= low
+                for shift, table in terms:
+                    a ^= int.from_bytes(data.translate(table),
+                                        "little") << shift
+            return a
+        return fold
+
+    def coprime(self, a: int, b: int) -> bool:
+        """True iff gcd(a, b) is a nonzero constant (Euclid)."""
+        w = self.w
+        while b:
+            d = (b.bit_length() - 1) // w
+            if d == 0:
+                return True
+            lead_inv = self.tables[self.inv[b >> d * w]]
+            monic = b.to_bytes((b.bit_length() + 7) >> 3,
+                               "little").translate(lead_inv)
+            a, b = b, self._rem_terms(a, monic, d)
+        return 0 < a.bit_length() <= w
+
+    def rootless(self, K, n: int):
+        """Ascending candidates v (packed) for an irreducible x^n + v:
+        those with no root in K, or every v when n = 1.
+
+        The q candidates that differ only in the constant term c0 are
+        f = c0 + g, so one evaluation of g over all of K, a translate per
+        term of the region (r^j for r in K), rules out each c0 = g(r).
+        """
+        q, w = K.order, self.w
+        if n == 1:
+            yield from range(q)
+            return
+        powers = [int.from_bytes(bytes(K.pow(r, j) for r in K.elements()),
+                                 "little") for j in range(n + 1)]
+        for high in range(q ** (n - 1)):
+            g = powers[n]
+            for j in range(1, n):
+                c = high >> (j - 1) * w & (q - 1)
+                if c:
+                    g ^= self.scale(powers[j], c)
+            roots = set(g.to_bytes(q, "little"))
+            for c0 in range(q):
+                if c0 not in roots:
+                    yield high << w | c0
+
+    def irreducible(self, f: int) -> bool:
+        """Ben-Or on monic packed f of degree n >= 1 with f(0) != 0:
+        x^(q^i) by w squarings each, then gcd(x^(q^i) - x, f), i <= n/2."""
+        w = self.w
+        rem = self.reducer(f)
+        x = h = 1 << w
+        for _ in range((f.bit_length() - 1) // w // 2):
+            for _ in range(w):
+                h = rem(self.square(h))
+            if not self.coprime(f, h ^ x):
+                return False
+        return True
+
+
 def _sieve_irreducible(K, f) -> bool:
     """Irreducibility of monic f by hunting for factors of small degree.
 
@@ -152,17 +316,26 @@ def _sieve_irreducible(K, f) -> bool:
     whose degree divides i, and any reducible f of degree n has a factor
     of degree at most n // 2, so checking i = 1 .. n // 2 is complete.
     Reducible candidates, which dominate a modulus search, usually fail
-    at small i.
+    at small i.  Over GF(2^w) with w dividing 8 the steps run packed.
     """
     n = len(f) - 1
     if n < 1:
         return False
     if f[0] == 0:
         return n == 1  # divisible by x
+    packed = K.packed()
+    if packed is not None:
+        return packed.irreducible(
+            sum(c << i * packed.w for i, c in enumerate(f)))
+    return _sieve_lists(K, f)
+
+
+def _sieve_lists(K, f) -> bool:
+    """The Ben-Or steps on coefficient lists; any K, f as in the caller."""
     q = K.order
     x = [0, 1]
     h = x
-    for _ in range(n // 2):
+    for _ in range((len(f) - 1) // 2):
         h = _ppowmod(K, h, q, f)
         if _pgcd(K, _psub(K, h, x), f) != [1]:
             return False
@@ -183,16 +356,24 @@ def _search_modulus(K, degree: int) -> tuple[int, ...]:
     hit = _MODULUS_CACHE.get(key)
     if hit is not None:
         return hit
-    for v in range(q**degree):
-        coeffs, rest = [], v
+
+    def poly(v):
+        coeffs = []
         for _ in range(degree):
-            rest, c = divmod(rest, q)
+            v, c = divmod(v, q)
             coeffs.append(c)
-        poly = coeffs + [1]
-        if _sieve_irreducible(K, poly):
-            _MODULUS_CACHE[key] = tuple(poly)
-            return _MODULUS_CACHE[key]
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+        return coeffs + [1]
+
+    packed = K.packed()
+    if packed is None:
+        v = next(v for v in range(q**degree)
+                 if _sieve_irreducible(K, poly(v)))
+    else:  # v is already the packed low coefficients
+        top = 1 << degree * packed.w
+        v = next(v for v in packed.rootless(K, degree)
+                 if packed.irreducible(top | v))
+    _MODULUS_CACHE[key] = tuple(poly(v))
+    return _MODULUS_CACHE[key]
 
 
 class Field:
@@ -240,7 +421,7 @@ class FieldSpec(Field):
     """GF(p^w) with modulus coefficients ascending, monic, over GF(p)."""
 
     __slots__ = ("p", "w", "modulus", "order", "char", "_zp", "_mod_int",
-                 "_exp", "_log", "_gen")
+                 "_exp", "_log", "_gen", "_packed")
 
     def __init__(self, p: int, w: int, modulus=None):
         if not _is_prime(p):
@@ -268,6 +449,7 @@ class FieldSpec(Field):
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else 0
         self._gen = None
         self._exp = self._log = None
+        self._packed = None
         if w > 1 and self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -294,6 +476,13 @@ class FieldSpec(Field):
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
         return cls(data["p"], data["w"], data["modulus"])
+
+    def packed(self) -> _Packed | None:
+        """The packed-polynomial kernel, built on first use, when whole
+        coefficients fit in a byte: p = 2 and w in {1, 2, 4, 8}."""
+        if self._packed is None and self.p == 2 and 8 % self.w == 0:
+            self._packed = _Packed(self)
+        return self._packed
 
     # -- arithmetic
 
@@ -396,7 +585,8 @@ class ExtensionSpec(Field):
     element is the identity on its integer encoding.
     """
 
-    __slots__ = ("base", "t", "modulus", "order", "char", "_gen")
+    __slots__ = ("base", "t", "modulus", "order", "char", "_gen",
+                 "_packed", "_rem")
 
     def __init__(self, base: FieldSpec, t: int, modulus=None):
         if not isinstance(base, FieldSpec):
@@ -420,6 +610,9 @@ class ExtensionSpec(Field):
         self.order = base.order**t
         self.char = base.p
         self._gen = None
+        packed = self._packed = base.packed()
+        self._rem = None if packed is None else packed.reducer(
+            sum(c << i * base.w for i, c in enumerate(modulus)))
 
     # -- representation
 
@@ -473,6 +666,10 @@ class ExtensionSpec(Field):
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
+        if self._packed is not None:
+            self.element(a)
+            self.element(b)
+            return self._rem(self._packed.product(a, b))
         base = self.base
         da, db = self.coeffs(a), self.coeffs(b)
         prod = [0] * (2 * self.t - 1)

@@ -37,6 +37,14 @@ class Budget:
     samples: int = 80
     seed: int = 7
 
+    def __post_init__(self):
+        # a property with no draws would pass on zero checks
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.exhaustive_n < 0:
+            raise ValueError(
+                f"exhaustive_n must be at least 0, got {self.exhaustive_n}")
+
 
 @dataclass
 class PropertyResult:

@@ -140,6 +140,7 @@ class ProductMatrixCode:
             phi + tuple(field.mul(lam, c) for c in phi)
             for phi, lam in zip(self.phi, self.lam))
         self.ranks = {}  # selector tuple -> rank, see entropy.observed_entropy
+        self._truncated = None
 
     @staticmethod
     def _pick_points(field, n: int, a0: int):
@@ -400,13 +401,18 @@ class ProductMatrixCode:
         return Matrix(self.field, rows, ncols=self.params.message_length)
 
     def truncate(self) -> "ProductMatrixCode":
-        """The same code restricted to nodes 1..d+1."""
+        """The same code restricted to nodes 1..d+1.
+
+        Repeat calls return one instance, so its rank memo is shared.
+        """
         p = self.params
         if p.n == p.d + 1:
             return self
-        small = dataclasses.replace(p, n=p.d + 1)
-        return ProductMatrixCode(small, self.field,
-                                 self.points[:p.d + 1])
+        if self._truncated is None:
+            self._truncated = ProductMatrixCode(
+                dataclasses.replace(p, n=p.d + 1), self.field,
+                self.points[:p.d + 1])
+        return self._truncated
 
     def __repr__(self):
         p = self.params

@@ -241,7 +241,12 @@ def test_error_exit_codes(tmp_path, capsys):
                           "--secure", "1", small],
                  fresh + ["--n", "6", "--k", "3", "--d", "4",
                           "--field", "2", small],
-                 ["attack", "--cluster", cluster, "--repair", "a"]):
+                 ["attack", "--cluster", cluster, "--repair", "a"],
+                 # a sample budget below one would pass on zero checks
+                 ["verify", "--n", "9", "--k", "5", "--d", "8",
+                  "--field", "2,4", "--samples", "0"],
+                 ["verify", "--n", "9", "--k", "5", "--d", "8",
+                  "--field", "2,4", "--samples", "-3"]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
     # a torn last line in the event log names the line

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from rsl import field
 from rsl.errors import DivideByZero, LengthMismatch, NotPrime, Reducible
-from rsl.field import ExtensionSpec, FieldSpec, _sieve_irreducible
+from rsl.field import (ExtensionSpec, FieldSpec, _search_modulus,
+                       _sieve_irreducible, _sieve_lists)
 
-from oracles import NaiveField, irreducible_over_prime, smallest_irreducible
+from oracles import (NaiveExtension, NaiveField, irreducible_over_prime,
+                     smallest_irreducible)
 
 GF16 = FieldSpec(2, 4)
 
@@ -62,6 +65,90 @@ def test_sieve_irreducible_matches_trial_division(p, max_degree):
         for tail in itertools.product(range(p), repeat=degree):
             f = list(tail) + [1]
             assert _sieve_irreducible(zp, f) == irreducible_over_prime(f, p), f
+
+
+# -- the packed kernel over GF(2^w), w in {1, 2, 4, 8}, against the list path
+
+
+def _digits(v, q, n):
+    return [v // q**i % q for i in range(n)]
+
+
+@pytest.mark.parametrize("w,max_degree", [(1, 8), (2, 4), (4, 3)])
+def test_packed_sieve_matches_lists_exhaustive(w, max_degree):
+    K = FieldSpec(2, w)
+    assert K.packed() is not None
+    for degree in range(1, max_degree + 1):
+        for v in range(K.order**degree):
+            f = _digits(v, K.order, degree) + [1]
+            if f[0]:  # f(0) = 0 is decided before either path runs
+                assert _sieve_irreducible(K, f) == _sieve_lists(K, f), f
+
+
+def test_packed_sieve_matches_lists_gf256_sampled():
+    K = FieldSpec(2, 8)
+    rng = random.Random("gf256-sieve")
+    verdicts = set()
+    for _ in range(300):
+        degree = rng.randrange(1, 7)
+        f = [rng.randrange(1, 256)] + [rng.randrange(256)
+                                       for _ in range(degree - 1)] + [1]
+        verdict = _sieve_irreducible(K, f)
+        assert verdict == _sieve_lists(K, f), f
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("w,max_degree", [(1, 8), (2, 4), (4, 3)])
+def test_rootless_yields_exactly_the_candidates_without_a_root(w, max_degree):
+    K = FieldSpec(2, w)
+    q = K.order
+
+    def has_root(f):
+        for r in range(q):
+            acc = 0
+            for c in reversed(f):
+                acc = K.add(K.mul(acc, r), c)
+            if acc == 0:
+                return True
+        return False
+
+    assert list(K.packed().rootless(K, 1)) == list(range(q))
+    for degree in range(2, max_degree + 1):
+        expected = [v for v in range(q**degree)
+                    if not has_root(_digits(v, q, degree) + [1])]
+        assert list(K.packed().rootless(K, degree)) == expected, degree
+
+
+def _list_search(K, degree):
+    # the first candidate in _search_modulus order the list path accepts
+    for v in range(K.order**degree):
+        f = _digits(v, K.order, degree) + [1]
+        if f[0] and _sieve_lists(K, f):
+            return tuple(f)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_packed_search_matches_lists(w, monkeypatch):
+    monkeypatch.setattr(field, "_MODULUS_CACHE", {})
+    K = FieldSpec(2, w)
+    degree = 2
+    while K.order**degree <= 1 << 24:
+        assert _search_modulus(K, degree) == _list_search(K, degree), degree
+        degree += 1
+
+
+def test_packed_search_gf16_20_is_frozen(monkeypatch):
+    monkeypatch.setattr(field, "_MODULUS_CACHE", {})
+    (p, w), t, modulus = EXTENSIONS["GF(16)^20"]
+    assert _search_modulus(FieldSpec(p, w), t) == modulus
+
+
+def test_packed_kernel_only_where_coefficients_fit_a_byte():
+    for p, w in [(2, 1), (2, 2), (2, 4), (2, 8)]:
+        assert FieldSpec(p, w).packed() is not None
+    for p, w in [(2, 3), (2, 12), (5, 2), (11, 1)]:
+        assert FieldSpec(p, w).packed() is None
 
 
 def test_alternative_modulus_accepted():
@@ -257,6 +344,33 @@ def test_extension_inverse_matches_pow(name):
     samples += [rng.randrange(1, L.order) for _ in range(12)]
     for a in samples:
         assert L.inv(a) == L.pow(a, L.order - 2), (name, a)
+
+
+# the stored moduli plus two small packed towers with canonical moduli
+MUL_TOWERS = {**EXTENSIONS, "GF(2)^8": ((2, 1), 8, None),
+              "GF(4)^5": ((2, 2), 5, None)}
+
+
+@pytest.mark.parametrize("name", sorted(MUL_TOWERS))
+def test_extension_mul_matches_naive(name):
+    (p, w), t, modulus = MUL_TOWERS[name]
+    base = FieldSpec(p, w)
+    L = ExtensionSpec(base, t, modulus)
+    assert (L._packed is not None) == (p == 2)
+    naive = NaiveExtension(NaiveField(p, w, base.modulus), L.modulus)
+    q = base.order
+    rng = random.Random(name)
+    edges = [0, 1, q - 1, q, L.order - 1]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(L.order), rng.randrange(L.order))
+              for _ in range(15)]
+    for a, b in pairs:
+        assert L.mul(a, b) == naive.mul(a, b), (name, a, b)
+    for bad in (L.order, -1):
+        with pytest.raises(ValueError):
+            L.mul(bad, 1)
+        with pytest.raises(ValueError):
+            L.mul(1, bad)
 
 
 def test_extension_coeffs_and_json():

@@ -104,6 +104,14 @@ def test_sampling_records_seed_and_is_deterministic():
     assert wider.checks == 35
 
 
+def test_budget_rejects_sizes_that_check_nothing():
+    # samples=0 would make every sampled property pass on zero checks
+    for bad in ({"samples": 0}, {"samples": -3}, {"exhaustive_n": -1}):
+        with pytest.raises(ValueError):
+            Budget(**bad)
+    Budget(exhaustive_n=0, samples=1)
+
+
 def test_seed_zero_is_recorded(monkeypatch):
     budget = Budget(exhaustive_n=4, samples=6, seed=0)
     code = _code(n=7)  # C(6,4) = 15 helper sets per node > 6 samples

@@ -313,6 +313,7 @@ def test_observe_entropy_sanity():
 def test_truncate():
     code = _code(n=6)
     small = code.truncate()
+    assert code.truncate() is small  # one instance, one rank memo
     assert small.params.n == 5
     assert small.points == code.points[:5]
     assert small.field == code.field

@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from rsl.cli import main
 from rsl.harness import PROPERTY_IDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +48,22 @@ def test_traced_verify_spans_every_property_and_the_rank(tmp_path):
     for pid in PROPERTY_IDS:
         assert names[f"harness.{pid}"] == 1, pid
     assert names["entropy.joint_entropy"] >= 1
+
+
+def test_counted_secure_reconstruct_multiplies_in_the_extension(tmp_path):
+    # the packed kernel must stay behind ExtensionSpec.mul, where `--trace 1`
+    # counts multiplications over L
+    payload = tmp_path / "secret.bin"
+    payload.write_bytes(b"ok")
+    vault = str(tmp_path / "vault")
+    assert main(["encode", "--cluster", vault, "--n", "5", "--k", "3",
+                 "--d", "4", "--field", "2,4", "--secure", "0,1",
+                 "--seed", "42", str(payload)]) == 0
+    out = tmp_path / "counts.json"
+    argv = ["reconstruct", "--cluster", vault,
+            "--output", str(tmp_path / "back.bin")]
+    done = _run(f"import sys, tracer; "
+                f"sys.exit(tracer.run('counts', {str(out)!r}, 0.0, {argv!r}))")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "back.bin").read_bytes() == b"ok"
+    assert json.loads(out.read_text())["field.ext_mul_count"] > 0
