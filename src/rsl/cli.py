@@ -35,11 +35,11 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_epochs(text: str):
-    lo, _, hi = text.partition(":")
+    lo, colon, hi = text.partition(":")
     low = int(lo) if lo else 1
-    high = int(hi) if hi else None
-    if not _:
-        high = low
+    high = (int(hi) if hi else None) if colon else low
+    if low < 1 or high is not None and high < low:
+        raise ValueError(f"--epochs needs 1 <= A <= B, got {text!r}")
     return (low, high)
 
 

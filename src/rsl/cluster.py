@@ -24,10 +24,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import secrecy
+from .entropy import observed_entropy
 from .errors import (IntegrityError, PayloadTooLarge, SelfRepair, UnknownNode,
                      WrongHelperCount, WrongNodeCount)
 from .field import ExtensionSpec, FieldSpec
-from .matrix import Matrix
 from .product_matrix import CodeParams, ProductMatrixCode, RepairFromTo, Stored
 
 LAYOUT_VERSION = 1
@@ -388,24 +388,16 @@ class ClusterState:
         picked = [e for e in self.events()
                   if e["event"] == "repair" and e["failed"] in model.repaired
                   and e["epoch"] >= lo and (hi is None or e["epoch"] <= hi)]
-        stored_rows = code.observation_rows(Stored(model.stored))
-        first_rows = dict.fromkeys(model.repaired)
-        event_rows = []
+        # failed node -> helpers of all its picked events, and of the first;
+        # a repair row depends on the helper and the failed node alone
+        seen, first = {}, {}
         for e in picked:
-            rows = []
-            for h in e["helpers"]:
-                rows.extend(code.observation_rows(
-                    RepairFromTo((h,), (e["failed"],))))
-            event_rows.extend(rows)
-            if first_rows[e["failed"]] is None:
-                first_rows[e["failed"]] = rows
-        baseline = list(stored_rows)
-        for rows in first_rows.values():
-            baseline.extend(rows or [])
-        width = code.params.message_length
-        rank_all = Matrix(code.field, stored_rows + event_rows,
-                          ncols=width).rank()
-        rank_base = Matrix(code.field, baseline, ncols=width).rank()
+            seen.setdefault(e["failed"], set()).update(e["helpers"])
+            first.setdefault(e["failed"], e["helpers"])
+        rank_all, rank_base = (observed_entropy(
+            code, Stored(model.stored),
+            *(RepairFromTo(h, (f,)) for f, h in helpers.items()))
+            for helpers in (seen, first))
         report = secrecy.attack_report(code, model,
                                        observed_leakage=rank_all,
                                        scheme=self.scheme)

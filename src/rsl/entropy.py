@@ -7,7 +7,9 @@ stacked coefficient rows.  A set of observations is the Matrix of those
 rows, one column per message symbol, as ProductMatrixCode.observe()
 returns it.  That makes entropies integers and every identity here
 checkable by elimination alone.  observed_entropy() ranks the rows that
-selectors pick from a code, once per code and selector tuple.
+selectors pick from a code once per selector tuple, on its m = 1 copy:
+each row touches one copy's block with copy-independent coefficients, so
+up to order the rows are I_m (x) A for copy 0's rows A, of rank m*rank(A).
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ def joint_entropy(a: Matrix) -> int:
 
 
 def observed_entropy(code, *selectors) -> int:
-    """joint_entropy(code.observe(*selectors)), memoized in code.ranks."""
-    ranks = code.ranks
-    if selectors not in ranks:
-        ranks[selectors] = joint_entropy(code.observe(*selectors))
-    return ranks[selectors]
+    """m times the rank of the selectors' rows on code.one_copy(), memoized."""
+    one = code.one_copy()
+    if selectors not in one.ranks:
+        one.ranks[selectors] = joint_entropy(one.observe(*selectors))
+    return code.params.m * one.ranks[selectors]
 
 
 def conditional_entropy(a: Matrix, given: Matrix) -> int:

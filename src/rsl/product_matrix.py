@@ -19,7 +19,8 @@ Wider codes concatenate m independent copies over the same evaluation
 points: per-node storage alpha = m*alpha0, per-link repair beta = m.
 Every stored and repair row touches one copy's block of the message, so
 repair solves one d x d system and reconstruct one k*alpha0 x k*alpha0
-system of copy 0, each with m right-hand columns, one per copy.
+system of copy 0, each with m right-hand columns, one per copy, and
+entropy.observed_entropy() ranks the rows of copy 0 alone, on one_copy().
 
 Every stored or transmitted symbol is a linear functional of the message,
 exposed as its coefficient row: observation_rows() lists the rows one
@@ -140,7 +141,7 @@ class ProductMatrixCode:
             phi + tuple(field.mul(lam, c) for c in phi)
             for phi, lam in zip(self.phi, self.lam))
         self.ranks = {}  # selector tuple -> rank, see entropy.observed_entropy
-        self._truncated = None
+        self._variants = {}  # params -> code, see _variant()
 
     @staticmethod
     def _pick_points(field, n: int, a0: int):
@@ -401,18 +402,23 @@ class ProductMatrixCode:
         return Matrix(self.field, rows, ncols=self.params.message_length)
 
     def truncate(self) -> "ProductMatrixCode":
-        """The same code restricted to nodes 1..d+1.
-
-        Repeat calls return one instance, so its rank memo is shared.
-        """
+        """The same code restricted to nodes 1..d+1; one instance on
+        repeat calls, so its rank memo is shared."""
         p = self.params
-        if p.n == p.d + 1:
-            return self
-        if self._truncated is None:
-            self._truncated = ProductMatrixCode(
-                dataclasses.replace(p, n=p.d + 1), self.field,
-                self.points[:p.d + 1])
-        return self._truncated
+        return self if p.n == p.d + 1 else self._variant(n=p.d + 1)
+
+    def one_copy(self) -> "ProductMatrixCode":
+        """The same code at m=1; one instance on repeat calls.  Each row
+        here touches one copy's block with copy-independent coefficients,
+        so the rows selectors pick here are I_m (x) A, up to order, for
+        the rows A they pick there, and rank(I_m (x) A) = m * rank(A)."""
+        return self if self.params.m == 1 else self._variant(m=1)
+
+    def _variant(self, **change) -> "ProductMatrixCode":
+        p = dataclasses.replace(self.params, **change)
+        if p not in self._variants:
+            self._variants[p] = type(self)(p, self.field, self.points[:p.n])
+        return self._variants[p]
 
     def __repr__(self):
         p = self.params

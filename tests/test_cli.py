@@ -242,6 +242,11 @@ def test_error_exit_codes(tmp_path, capsys):
                  fresh + ["--n", "6", "--k", "3", "--d", "4",
                           "--field", "2", small],
                  ["attack", "--cluster", cluster, "--repair", "a"],
+                 # an empty or inverted epoch window would report no events
+                 ["attack", "--cluster", cluster, "--repair", "3",
+                  "--epochs", "3:1"],
+                 ["attack", "--cluster", cluster, "--repair", "3",
+                  "--epochs", "0:2"],
                  # a sample budget below one would pass on zero checks
                  ["verify", "--n", "9", "--k", "5", "--d", "8",
                   "--field", "2,4", "--samples", "0"],
@@ -405,6 +410,37 @@ GOLDEN_CLUSTERS = {
                   '"formula_value": "2", "leakage": 4, "match": true, '
                   '"model": {"repaired": [1], "stored": []}, '
                   '"perfect": null, "rank_growth": 0, "secure_size": 2}\n',
+    },
+    # beta = 2 with a spare node, frozen from the implementation before
+    # ranks ran on copy 0 alone
+    "plain-m2": {
+        "encode": ["--n", "7", "--k", "3", "--d", "4", "--m", "2"],
+        "payload": b"wide!",
+        "node": "2",
+        "files": {
+            "events.jsonl": "75ef9a7ddb6acbf8f505d6e275277de3"
+                            "bdc0e2b3bfc58e80d4cd1b8603e04650",
+            "meta.json": "afa8d4c306f707f8a933188be8c2be2c"
+                         "db1c24bd47437813dd8de23080822bde",
+            "share_1.bin": "a5239f5930f69f4d68d4db51adc05b63"
+                           "8dc6f3e95af9c82eadfb32d841da2927",
+            "share_2.bin": "41b5a4f6f584347147261f67cc093310"
+                           "0c5c925106d9048ede337ed88b7ffe9c",
+            "share_3.bin": "6b74d42ce80bcfc4bf9855c0e6878a69"
+                           "d3fed3f4f32f3c5400640bc9dea9dd81",
+            "share_4.bin": "ccc0eb28c7f33b5b40bdce782c029379"
+                           "7b8e9a82a5e38e265e3564e0ea9a3132",
+            "share_5.bin": "9a191bddf8ddf749c31bbfd8c24d3658"
+                           "d3ca43e39cd69d07724baf469431574f",
+            "share_6.bin": "8e1ed29a6383ef04c517affa694628ee"
+                           "87ff254b6d8b9ed95e46ca8f29d46715",
+            "share_7.bin": "cb9b93663eb3a0512ff8fa2e44f02c62"
+                           "2a8005854c930944d3c77020519e33f2",
+        },
+        "attack": '{"epochs": [1], "formula_kind": "exact", '
+                  '"formula_value": "4", "leakage": 8, "match": true, '
+                  '"model": {"repaired": [2], "stored": []}, '
+                  '"perfect": null, "rank_growth": 0, "secure_size": 4}\n',
     },
     "secure": {
         "encode": ["--n", "5", "--k", "3", "--d", "4", "--field", "2,4",

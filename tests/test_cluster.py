@@ -5,15 +5,18 @@ import os
 
 import pytest
 
-from rsl import field
+from rsl import entropy, field
 from rsl.cluster import (ClusterState, bits_per_symbol, bytes_to_symbols,
                          element_width, frame_payload, symbols_to_bytes,
                          unframe_payload)
 from rsl.errors import (BadModel, IntegrityError, PayloadTooLarge, SelfRepair,
                         UnknownNode, WrongHelperCount, WrongNodeCount)
 from rsl.field import FieldSpec
-from rsl.product_matrix import CodeParams, ProductMatrixCode
-from rsl.secrecy import EavesdropperModel, SecureScheme, leakage
+from rsl.matrix import Matrix
+from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
+                                Stored)
+from rsl.secrecy import (EavesdropperModel, SecureScheme, eavesdropped_rows,
+                         leakage)
 
 GF16 = FieldSpec(2, 4)
 GF256 = FieldSpec(2, 8)
@@ -363,6 +366,73 @@ def test_attack_secure_cluster_perfect(tmp_path):
     assert report["perfect"] is True
     assert report["match"] is True
     assert report["leakage"] == 4
+
+
+def _full_width_attack_ranks(state, model, epochs):
+    """(rank of all picked rows, rank with each node's first event only,
+    worst-case leakage), ranked over all m copies' rows, B columns wide."""
+    code = state.base
+    lo, hi = epochs or (1, None)
+    picked = [e for e in state.events() if e["failed"] in model.repaired
+              and e["epoch"] >= lo and (hi is None or e["epoch"] <= hi)]
+    stored_rows = code.observation_rows(Stored(model.stored))
+    first_rows = dict.fromkeys(model.repaired, [])
+    event_rows = []
+    for e in picked:
+        rows = [row for h in e["helpers"] for row in code.observation_rows(
+            RepairFromTo((h,), (e["failed"],)))]
+        event_rows += rows
+        if not first_rows[e["failed"]]:
+            first_rows[e["failed"]] = rows
+    baseline = stored_rows + [r for rows in first_rows.values() for r in rows]
+    width = code.params.message_length
+    return (Matrix(code.field, stored_rows + event_rows, ncols=width).rank(),
+            Matrix(code.field, baseline, ncols=width).rank(),
+            eavesdropped_rows(code, model).rank())
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 4, 2), (8, 4, 6, 3)])
+def test_attack_multi_copy_matches_full_width_ranks(tmp_path, shape):
+    n, k, d, m = shape
+    state = ClusterState.create(tmp_path / "c", CodeParams(n, k, d, m),
+                                GF256, b"wide")
+    others = [x for x in range(1, n + 1) if x != 1]
+    state.fail_repair(1, others[:d])
+    state.fail_repair(2)
+    state.fail_repair(1, others[-d:])
+    state.fail_repair(1, others[1:d + 1])
+    B = state.base.params.message_length
+    models = [((), (1,)), ((3,), (1,)), ((n,), (2,)), ((), (1, 2))]
+    if k > 3:
+        models.append(((3,), (1, 2)))
+    for stored, repaired in models:
+        model = EavesdropperModel(stored, repaired)
+        for epochs in (None, (1, 1), (2, 4), (3, None), (4, 4)):
+            report = state.attack(stored, repaired, epochs=epochs)
+            observed, base, worst = _full_width_attack_ranks(state, model,
+                                                             epochs)
+            assert report["leakage"] == observed, (stored, repaired, epochs)
+            assert report["rank_growth"] == observed - base
+            assert report["secure_size"] == B - observed
+            assert report["match"] is True
+            assert leakage(state.base, model) == worst
+
+
+def test_attack_single_event_ranks_twice_on_copy_zero(tmp_path, monkeypatch):
+    state = ClusterState.create(tmp_path / "c", CodeParams(7, 3, 4, 2),
+                                GF256, b"wide")
+    state.fail_repair(2)
+    ranked = []
+    rank = entropy.joint_entropy
+    monkeypatch.setattr(entropy, "joint_entropy",
+                        lambda a: ranked.append(a) or rank(a))
+    report = state.attack([1], [2])
+    # all events and first events share one memo entry; the worst case
+    # over every potential helper is the other rank
+    assert len(ranked) == 2
+    assert {a.ncols for a in ranked} == {state.base.params.base_message_length}
+    assert report["rank_growth"] == 0
+    assert report["leakage"] == 2 * 5
 
 
 def test_attack_rejects_bad_model(tmp_path):

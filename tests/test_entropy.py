@@ -103,12 +103,16 @@ def test_validation():
         conditional_entropy(a, Matrix(GF16, [[1, 2, 3, 4]], ncols=4))
 
 
-def test_observed_entropy_ranks_each_selector_tuple_once(monkeypatch):
-    code = ProductMatrixCode(CodeParams(n=6, k=3, d=4, m=2), GF16)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_observed_entropy_ranks_each_selector_tuple_once(monkeypatch, m):
+    code = ProductMatrixCode(CodeParams(n=6, k=3, d=4, m=m), GF16)
     queries = [(Stored((1,)),), (Stored((1, 2)), RepairTo((3,))),
                (RepairTo((3,)), Stored((1, 2))), (RepairFromTo((4,), (1, 2)),),
-               (Stored(()), RepairTo(())), (RepairTo((1, 2, 3)),)]
+               (Stored(()), RepairTo(())), (RepairTo((1, 2, 3)),),
+               (Stored((5, 6)), RepairFromTo((1, 2, 3), (4,)))]
+    # the slow path: every copy's rows, B = m * B0 columns wide
     expected = [joint_entropy(code.observe(*q)) for q in queries]
+    assert code.observe(*queries[1]).ncols == code.params.message_length
     ranked = []
     rank = entropy.joint_entropy
     # the memo ranks through the module attribute a tracer would patch
@@ -116,6 +120,8 @@ def test_observed_entropy_ranks_each_selector_tuple_once(monkeypatch):
                         lambda a: ranked.append(a) or rank(a))
     assert [observed_entropy(code, *q) for q in queries * 2] == expected * 2
     assert len(ranked) == len(queries)
-    other = ProductMatrixCode(CodeParams(n=6, k=3, d=4, m=2), GF16)
+    # each rank runs on copy 0 alone, B0 columns wide
+    assert {a.ncols for a in ranked} == {code.params.base_message_length}
+    other = ProductMatrixCode(CodeParams(n=6, k=3, d=4, m=m), GF16)
     assert observed_entropy(other, *queries[1]) == expected[1]
     assert len(ranked) == len(queries) + 1

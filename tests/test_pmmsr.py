@@ -322,6 +322,21 @@ def test_truncate():
     assert same.truncate() is same
 
 
+def test_one_copy():
+    # points given, not picked, so one_copy() must carry them over
+    code = _code(n=6, m=3, points=[9, 7, 5, 3, 2, 1])
+    one = code.one_copy()
+    assert code.one_copy() is one  # one instance, one rank memo
+    assert one.params == CodeParams(n=6, k=3, d=4, m=1)
+    assert one.points == code.points
+    assert one.field == code.field
+    assert one.one_copy() is one  # already at m = 1
+    b0 = code.params.base_message_length
+    for node in code.nodes:
+        assert one.stored_row(node, 1) == code.stored_row(node, 1)[:b0]
+    assert one.repair_row(2, 5, 0) == code.repair_row(2, 5, 0)[:b0]
+
+
 def test_share_slices_are_copy_major():
     """Copy c occupies slots [c*a0, (c+1)*a0); repair symbol c uses them."""
     code = _code(m=2)
