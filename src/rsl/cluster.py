@@ -164,7 +164,6 @@ class ClusterState:
                payload: bytes, secure=None, seed=None,
                points=None) -> "ClusterState":
         path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
         if (path / "meta.json").exists():
             raise IntegrityError(f"cluster already exists at {path}")
         base = ProductMatrixCode(params, field, points)
@@ -203,6 +202,7 @@ class ClusterState:
             message = scheme.wrap(data_symbols, randomness)
         shares = codec.encode(message)
         state = cls(path, meta, base, codec, scheme)
+        path.mkdir(parents=True, exist_ok=True)
         with _lock(path):
             _replace_bytes(path / "meta.json", (json.dumps(
                 meta, sort_keys=True, indent=1) + "\n").encode())
@@ -419,6 +419,15 @@ class ClusterState:
                    f"{ext!r} modulus is the canonical one" if canonical == ext
                    else f"{ext!r} modulus {list(ext.modulus)} is not the "
                         f"canonical {list(canonical.modulus)}")
+            # load() takes ell as stored; check it against its (l1, l2)
+            s = self.scheme
+            try:
+                worst = secrecy.worst_case_leakage(self.base, s.l1, s.l2)
+                record("wrapping", worst == s.ell,
+                       f"ell {s.ell}, worst-case ({s.l1},{s.l2}) leakage "
+                       f"{worst}")
+            except ValueError as exc:  # BadModel, AsymmetricLeakage
+                record("wrapping", False, str(exc))
 
         codec = self.codec
         try:

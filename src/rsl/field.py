@@ -1,18 +1,20 @@
 """Exact arithmetic in finite fields GF(p^w) and extensions of them.
 
-Elements are canonical integers.  The coefficient vector (c0, ..., c_{w-1})
-of a residue-class polynomial, reduced modulo the field modulus, encodes
-as sum(c_i * p**i) -- little-endian in the generator, so for p=2 the
-encoding is plain bit packing and elements print naturally as hex.
+GF(p^w) (FieldSpec) and GF(q^t) over it with q = p^w (ExtensionSpec) are
+one construction, K[x]/(f) for a digit field K and a monic irreducible f
+of degree t: K is GF(p) under a FieldSpec and the base under an
+ExtensionSpec.  An element is the canonical integer whose t base-|K|
+digits are its residue coefficients, constant term first, so for p = 2
+the encoding is plain bit packing, elements print naturally as hex, and
+a base field embeds as the integers below q.  Field holds what both
+share: the modulus check, the digit codec, digitwise add/sub/neg and the
+multiplier on digit lists.
 
-A FieldSpec is a calculator: a small immutable object whose methods are
-pure functions of integer arguments.  Two specs constructed with the same
-(p, w, modulus) compare equal and are interchangeable.  ExtensionSpec
-layers GF(q^t) on top of a FieldSpec with q = p^w, with elements packed
-the same way in base q, so the base field embeds as the integers below q.
-
-Fields with order <= 2^16 get eager log/exp tables over a deterministic
-primitive element; everything larger falls back to polynomial arithmetic.
+A spec is a calculator: a small immutable object whose methods are pure
+functions of integer arguments.  Two specs built from the same (p, w,
+modulus), or (base, t, modulus), compare equal and are interchangeable.
+A FieldSpec of order <= 2^16 gets eager log/exp tables over a
+deterministic primitive element.
 
 Polynomials over a field run on coefficient lists, except over GF(2^w)
 with w in {1, 2, 4, 8}, where a byte holds whole coefficients.  There
@@ -358,11 +360,7 @@ def _search_modulus(K, degree: int) -> tuple[int, ...]:
         return hit
 
     def poly(v):
-        coeffs = []
-        for _ in range(degree):
-            v, c = divmod(v, q)
-            coeffs.append(c)
-        return coeffs + [1]
+        return [v // q**i % q for i in range(degree)] + [1]
 
     packed = K.packed()
     if packed is None:
@@ -376,11 +374,34 @@ def _search_modulus(K, degree: int) -> tuple[int, ...]:
     return _MODULUS_CACHE[key]
 
 
-class Field:
-    """Shared calculator surface for FieldSpec and ExtensionSpec."""
+def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
+    """The modulus of K[x]/(f) at degree t: the canonical one when none is
+    given, else the given one, checked to hold t + 1 elements of K, to be
+    monic and, for t >= 2, irreducible over K."""
+    if t < 1:
+        raise ValueError("extension degree must be >= 1")
+    if modulus is None:
+        return (0, 1) if t == 1 else _search_modulus(K, t)
+    modulus = tuple(K.element(int(c)) for c in modulus)
+    if len(modulus) != t + 1:
+        raise LengthMismatch(
+            f"modulus needs {t + 1} coefficients, got {len(modulus)}")
+    if modulus[-1] != 1:
+        raise ValueError("modulus must be monic")
+    if t >= 2 and not _sieve_irreducible(K, list(modulus)):
+        raise Reducible(f"modulus {list(modulus)} factors over {K!r}")
+    return modulus
 
-    order: int
-    char: int
+
+class Field:
+    """Shared calculator surface for FieldSpec and ExtensionSpec: both are
+    K[x]/(modulus) of degree t over a digit field K (GF(p) is its own, at
+    t = 1), with elements the integers of t base-|K| digits, constant term
+    first.  The digit codec, digitwise add/sub/neg and the list multiplier
+    work on that form for both; each class keeps its own faster mul."""
+
+    __slots__ = ("modulus", "order", "char", "_digit_field", "_degree",
+                 "_gen", "_packed")
 
     def element(self, x: int) -> int:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -391,6 +412,78 @@ class Field:
 
     def elements(self):
         return range(self.order)
+
+    # -- representation
+
+    def coeffs(self, a: int) -> tuple[int, ...]:
+        """The t digits of a over K, constant term first."""
+        self.element(a)
+        q = self._digit_field.order
+        out = []
+        for _ in range(self._degree):
+            a, c = divmod(a, q)
+            out.append(c)
+        return tuple(out)
+
+    def from_coeffs(self, cs) -> int:
+        """The element whose digits are cs; each must be an element of K."""
+        cs = [self._digit_field.element(int(c)) for c in cs]
+        if len(cs) != self._degree:
+            raise LengthMismatch(
+                f"need {self._degree} coefficients, got {len(cs)}")
+        return self._pack(cs)
+
+    def _pack(self, digits) -> int:
+        q = self._digit_field.order
+        return sum(c * q**i for i, c in enumerate(digits))
+
+    # -- arithmetic: a field of prime order is the integers mod p
+
+    def add(self, a: int, b: int) -> int:
+        if self.char == 2:
+            return a ^ b
+        if self.order == self.char:
+            return (a + b) % self.char
+        return self._pack(map(self._digit_field.add,
+                              self.coeffs(a), self.coeffs(b)))
+
+    def sub(self, a: int, b: int) -> int:
+        if self.char == 2:
+            return a ^ b
+        if self.order == self.char:
+            return (a - b) % self.char
+        return self._pack(map(self._digit_field.sub,
+                              self.coeffs(a), self.coeffs(b)))
+
+    def neg(self, a: int) -> int:
+        if self.char == 2:
+            return a
+        if self.order == self.char:
+            return (-a) % self.char
+        return self._pack(map(self._digit_field.neg, self.coeffs(a)))
+
+    def _list_mul(self, a: int, b: int) -> int:
+        """a*b on digit lists: the schoolbook product over K, then the
+        monic modulus cancels the terms of degree t and up, highest first."""
+        K, t, mod = self._digit_field, self._degree, self.modulus
+        add, mul, sub = K.add, K.mul, K.sub
+        da, db = self.coeffs(a), self.coeffs(b)
+        prod = [0] * (2 * t - 1)
+        for i, ca in enumerate(da):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(db):
+                if cb:
+                    prod[i + j] = add(prod[i + j], mul(ca, cb))
+        for i in range(len(prod) - 1, t - 1, -1):
+            c = prod[i]
+            if c == 0:
+                continue
+            shift = i - t
+            for j in range(t + 1):
+                if mod[j]:
+                    prod[shift + j] = sub(prod[shift + j], mul(c, mod[j]))
+        return self._pack(prod[:t])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -420,55 +513,20 @@ class Field:
 class FieldSpec(Field):
     """GF(p^w) with modulus coefficients ascending, monic, over GF(p)."""
 
-    __slots__ = ("p", "w", "modulus", "order", "char", "_zp", "_mod_int",
-                 "_exp", "_log", "_gen", "_packed")
+    __slots__ = ("p", "w", "_mod_int", "_exp", "_log")
 
     def __init__(self, p: int, w: int, modulus=None):
         if not _is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
-        if w < 1:
-            raise ValueError("extension degree must be >= 1")
-        zp = None if w == 1 else FieldSpec(p, 1)
-        if modulus is None:
-            modulus = (0, 1) if w == 1 else _search_modulus(zp, w)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != w + 1:
-                raise LengthMismatch(
-                    f"modulus needs {w + 1} coefficients, got {len(modulus)}")
-            if modulus[-1] != 1:
-                raise ValueError("modulus must be monic")
-            if w >= 2 and not _sieve_irreducible(zp, list(modulus)):
-                raise Reducible(f"modulus {list(modulus)} factors over GF({p})")
-        self.p = p
-        self.w = w
-        self.modulus = modulus
+        self._digit_field = self if w == 1 else FieldSpec(p, 1)
+        self.p = self.char = p
+        self.w = self._degree = w
         self.order = p**w
-        self.char = p
-        self._zp = zp
-        self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else 0
-        self._gen = None
-        self._exp = self._log = None
-        self._packed = None
+        self.modulus = _checked_modulus(self._digit_field, w, modulus)
+        self._mod_int = self._pack(self.modulus)
+        self._gen = self._exp = self._log = self._packed = None
         if w > 1 and self.order <= _TABLE_LIMIT:
             self._build_tables()
-
-    # -- representation
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of length w, constant term first."""
-        self.element(a)
-        out = []
-        for _ in range(self.w):
-            a, c = divmod(a, self.p)
-            out.append(c)
-        return tuple(out)
-
-    def from_coeffs(self, cs) -> int:
-        cs = [int(c) % self.p for c in cs]
-        if len(cs) != self.w:
-            raise LengthMismatch(f"need {self.w} coefficients, got {len(cs)}")
-        return sum(c * self.p**i for i, c in enumerate(cs))
 
     def to_json(self) -> dict:
         return {"p": self.p, "w": self.w, "modulus": list(self.modulus)}
@@ -485,29 +543,6 @@ class FieldSpec(Field):
         return self._packed
 
     # -- arithmetic
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.w == 1:
-            return (a + b) % self.p
-        return self.from_coeffs(
-            [x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.w == 1:
-            return (a - b) % self.p
-        return self.from_coeffs(
-            [x - y for x, y in zip(self.coeffs(a), self.coeffs(b))])
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.w == 1:
-            return (-a) % self.p
-        return self.from_coeffs([-c for c in self.coeffs(a)])
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
@@ -548,10 +583,7 @@ class FieldSpec(Field):
                 acc ^= self._mod_int << (top - self.w)
                 top = acc.bit_length() - 1
             return acc
-        prod = _pmod(self._zp, _pmul(self._zp, list(self.coeffs(a)),
-                                     list(self.coeffs(b))), list(self.modulus))
-        prod += [0] * (self.w - len(prod))
-        return self.from_coeffs(prod)
+        return self._list_mul(a, b)
 
     # -- structure
 
@@ -581,57 +613,24 @@ class FieldSpec(Field):
 class ExtensionSpec(Field):
     """GF(q^t) built over a FieldSpec with q = p^w.
 
-    Elements pack base-q digits of F-elements, so embed() of a base
-    element is the identity on its integer encoding.
+    Its digit field is the base, so embed() of a base element is the
+    identity on its integer encoding.
     """
 
-    __slots__ = ("base", "t", "modulus", "order", "char", "_gen",
-                 "_packed", "_rem")
+    __slots__ = ("base", "t", "_rem")
 
     def __init__(self, base: FieldSpec, t: int, modulus=None):
         if not isinstance(base, FieldSpec):
             raise TypeError("extension base must be a FieldSpec")
-        if t < 1:
-            raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = (0, 1) if t == 1 else _search_modulus(base, t)
-        else:
-            modulus = tuple(base.element(int(c)) for c in modulus)
-            if len(modulus) != t + 1:
-                raise LengthMismatch(
-                    f"modulus needs {t + 1} coefficients, got {len(modulus)}")
-            if modulus[-1] != 1:
-                raise ValueError("modulus must be monic")
-            if t >= 2 and not _sieve_irreducible(base, list(modulus)):
-                raise Reducible(f"modulus factors over {base!r}")
-        self.base = base
-        self.t = t
-        self.modulus = modulus
+        self.modulus = _checked_modulus(base, t, modulus)
+        self.base = self._digit_field = base
+        self.t = self._degree = t
         self.order = base.order**t
         self.char = base.p
         self._gen = None
         packed = self._packed = base.packed()
-        self._rem = None if packed is None else packed.reducer(
-            sum(c << i * base.w for i, c in enumerate(modulus)))
-
-    # -- representation
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-field coefficient vector of length t, constant term first."""
-        self.element(a)
-        q = self.base.order
-        out = []
-        for _ in range(self.t):
-            a, c = divmod(a, q)
-            out.append(c)
-        return tuple(out)
-
-    def from_coeffs(self, cs) -> int:
-        cs = [self.base.element(int(c)) for c in cs]
-        if len(cs) != self.t:
-            raise LengthMismatch(f"need {self.t} coefficients, got {len(cs)}")
-        q = self.base.order
-        return sum(c * q**i for i, c in enumerate(cs))
+        self._rem = (None if packed is None
+                     else packed.reducer(self._pack(self.modulus)))
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "t": self.t,
@@ -644,25 +643,6 @@ class ExtensionSpec(Field):
 
     # -- arithmetic
 
-    def add(self, a: int, b: int) -> int:
-        if self.char == 2:
-            return a ^ b
-        base = self.base
-        return self.from_coeffs(
-            [base.add(x, y) for x, y in zip(self.coeffs(a), self.coeffs(b))])
-
-    def sub(self, a: int, b: int) -> int:
-        if self.char == 2:
-            return a ^ b
-        base = self.base
-        return self.from_coeffs(
-            [base.sub(x, y) for x, y in zip(self.coeffs(a), self.coeffs(b))])
-
-    def neg(self, a: int) -> int:
-        if self.char == 2:
-            return a
-        return self.from_coeffs([self.base.neg(c) for c in self.coeffs(a)])
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -670,27 +650,7 @@ class ExtensionSpec(Field):
             self.element(a)
             self.element(b)
             return self._rem(self._packed.product(a, b))
-        base = self.base
-        da, db = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * self.t - 1)
-        for i, ca in enumerate(da):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(db):
-                if cb:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ca, cb))
-        mod = self.modulus
-        for i in range(len(prod) - 1, self.t - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            shift = i - self.t
-            for j in range(self.t + 1):
-                if mod[j]:
-                    prod[shift + j] = base.sub(prod[shift + j],
-                                               base.mul(c, mod[j]))
-        q = base.order
-        return sum(c * q**i for i, c in enumerate(prod[:self.t]))
+        return self._list_mul(a, b)
 
     def inv(self, a: int) -> int:
         """Extended Euclid over the base field against the modulus."""
@@ -709,8 +669,7 @@ class ExtensionSpec(Field):
             r0, s0, r1, s1 = r1, s1, r0, s0
         # the modulus is irreducible, so the last remainder is a nonzero unit
         scale = base.inv(r1[0])
-        q = base.order
-        return sum(base.mul(c, scale) * q**i for i, c in enumerate(s1))
+        return self._pack(base.mul(c, scale) for c in s1)
 
     # -- structure
 

@@ -187,43 +187,35 @@ class ProductMatrixCode:
         half_size = a0 * (a0 + 1) // 2
         return copy * 2 * half_size + half * half_size + tri
 
-    def _message_matrices(self, message, copy: int):
-        """Copy's (S1, S2) as filled-in symmetric alpha0 x alpha0 arrays."""
-        a0 = self.params.base_alpha
-        out = []
-        for half in (0, 1):
-            mat = [[0] * a0 for _ in range(a0)]
-            for r in range(a0):
-                for s in range(r, a0):
-                    v = message[self.message_index(copy, half, r, s)]
-                    mat[r][s] = v
-                    mat[s][r] = v
-            out.append(mat)
-        return out
-
     # -- codec
 
     def encode(self, message) -> list[list[int]]:
-        """All n shares, alpha symbols each, copies consecutive."""
+        """All n shares, alpha symbols each, copies consecutive.
+
+        Slot copy*alpha0 + a of a node is its copy-0 stored row for slot
+        a (on one_copy(), as observed_entropy() ranks it) applied to
+        copy's block of B0 message symbols.
+        """
         p = self.params
         message = [self.field.element(x) for x in message]
         if len(message) != p.message_length:
             raise LengthMismatch(
                 f"message needs {p.message_length} symbols, got {len(message)}")
         add, mul = self.field.add, self.field.mul
-        a0 = p.base_alpha
-        shares = [[] for _ in range(p.n)]
-        for copy in range(p.m):
-            s1, s2 = self._message_matrices(message, copy)
-            for i in range(p.n):
-                phi, lam = self.phi[i], self.lam[i]
-                for a in range(a0):
-                    acc1 = acc2 = 0
-                    for j in range(a0):
-                        if phi[j]:
-                            acc1 = add(acc1, mul(phi[j], s1[j][a]))
-                            acc2 = add(acc2, mul(phi[j], s2[j][a]))
-                    shares[i].append(add(acc1, mul(lam, acc2)))
+        one, b0 = self.one_copy(), p.base_message_length
+        blocks = [message[c * b0:(c + 1) * b0] for c in range(p.m)]
+        shares = []
+        for node in self.nodes:
+            rows = [[(i, c) for i, c in enumerate(one.stored_row(node, a)) if c]
+                    for a in range(p.base_alpha)]
+            share = []
+            for block in blocks:
+                for row in rows:
+                    acc = 0
+                    for i, c in row:
+                        acc = add(acc, mul(c, block[i]))
+                    share.append(acc)
+            shares.append(share)
         return shares
 
     def repair_symbol(self, helper: int, failed: int, helper_share) -> list[int]:

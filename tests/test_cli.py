@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from rsl import field
+from rsl import field, secrecy
 from rsl.capacity import CapacityQuery, capacity_csv
 from rsl.cli import main
 from rsl.cluster import ClusterState
+from rsl.errors import AsymmetricLeakage
 from rsl.field import ExtensionSpec, FieldSpec
 
 GF16 = FieldSpec(2, 4)
@@ -158,7 +159,8 @@ def test_verify_cluster_ok(tmp_path, capsys):
     assert "FAIL" not in out
     assert "PASS cluster.replay" in out
     assert "PASS scheme.perfect_secrecy" in out
-    assert "cluster.extension" not in out  # a plain cluster has none
+    # a plain cluster has no wrapping to check
+    assert "cluster.extension" not in out and "cluster.wrapping" not in out
 
 
 def test_verify_cluster_agreement_fails_on_bad_frame(tmp_path, capsys):
@@ -192,6 +194,34 @@ def test_verify_params_builds_no_extension(monkeypatch, capsys):
     rc = main(["verify", "--n", "8", "--k", "3", "--d", "4", "--m", "2"])
     assert rc == 0
     assert "PASS scheme.perfect_secrecy" in capsys.readouterr().out
+
+
+def test_plain_flows_build_no_extension(tmp_path, monkeypatch):
+    # only secure clusters wrap over an extension L; plain base fields and
+    # every plain command run over F alone
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a plain flow built an ExtensionSpec")
+    monkeypatch.setattr(ExtensionSpec, "__init__", refuse)
+    for p, w in [(2, 8), (2, 4), (3, 2), (2, 17)]:
+        FieldSpec(p, w)
+    cluster = str(tmp_path / "c")
+    assert _encode(tmp_path) == 0
+    for argv in (["fail-repair", "--cluster", cluster, "--node", "2"],
+                 ["reconstruct", "--cluster", cluster,
+                  "--output", str(tmp_path / "out.bin")],
+                 ["attack", "--cluster", cluster, "--repair", "2", "--json"],
+                 ["verify", "--cluster", cluster]):
+        assert main(argv) == 0, argv
+    assert (tmp_path / "out.bin").read_bytes() == b"xy"
+
+
+def test_refused_encode_creates_nothing(tmp_path, capsys):
+    # a shape out of range, then a payload too large for the cluster
+    assert _encode(tmp_path, name="c6/deep/er",
+                   extra=["--secure", "2,1"]) == 1
+    assert _encode(tmp_path, name="big", payload=b"x" * 100) == 1
+    assert capsys.readouterr().err.count("error:") == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["payload.bin"]
 
 
 def test_verify_cluster_fails_on_corruption(tmp_path, capsys):
@@ -372,6 +402,35 @@ def test_verify_cluster_checks_extension(tmp_path, capsys):
                lambda meta: meta["secure"]["extension"].update(modulus=other))
     assert main(["verify", "--cluster", str(cluster)]) == 1
     assert "FAIL cluster.extension" in capsys.readouterr().out
+
+
+def test_verify_cluster_checks_wrapping(tmp_path, capsys, monkeypatch):
+    # ell = 4 fits (0,1); meta.json may claim another shape for it
+    assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
+                                    "--seed", "42"]) == 0
+    cluster = tmp_path / "c"
+    capsys.readouterr()
+    assert main(["verify", "--cluster", str(cluster)]) == 0
+    assert ("PASS cluster.wrapping: ell 4, worst-case (0,1) leakage 4\n"
+            in capsys.readouterr().out)
+    _edit_meta(cluster, lambda meta: meta["secure"].update(l1=1, l2=1))
+    assert main(["verify", "--cluster", str(cluster)]) == 1
+    assert ("FAIL cluster.wrapping: ell 4, worst-case (1,1) leakage 5\n"
+            in capsys.readouterr().out)
+    # a shape out of range, or one no single ell covers: a FAIL line too
+    _edit_meta(cluster, lambda meta: meta["secure"].update(l1=2, l2=1))
+    assert main(["verify", "--cluster", str(cluster)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL cluster.wrapping: (l1=2, l2=1) out of range for k=3" in out
+
+    def lopsided(code, l1, l2):
+        raise AsymmetricLeakage("leakage varies across (2,1) models: 4..5")
+    monkeypatch.setattr(secrecy, "worst_case_leakage", lopsided)
+    state = ClusterState.load(cluster)
+    checks = {c["check"]: c for c in state.verify_cluster()}
+    assert checks["wrapping"] == {
+        "check": "wrapping", "passed": False,
+        "detail": "leakage varies across (2,1) models: 4..5"}
 
 
 def test_bad_subcommand_exits_via_argparse():

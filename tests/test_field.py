@@ -46,8 +46,10 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 4, modulus=(1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4
     with pytest.raises(Reducible):
         FieldSpec(5, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+2)(x+3) mod 5
-    with pytest.raises(Reducible):
-        ExtensionSpec(GF16, 2, modulus=(2, 3, 1))  # (x+1)(x+2) over GF(16)
+    # (x+1)(x+2) over GF(16); both classes name the modulus they refuse
+    with pytest.raises(Reducible, match=r"modulus \[2, 3, 1\] factors over "
+                                        r"GF\(2\^4\)"):
+        ExtensionSpec(GF16, 2, modulus=(2, 3, 1))
     # the square of an irreducible quadratic has no root in GF(16)
     quad = ExtensionSpec(GF16, 2).modulus
     square = [0] * 5
@@ -172,7 +174,11 @@ def test_bad_modulus_shape():
     with pytest.raises(LengthMismatch):
         FieldSpec(2, 4, modulus=(1, 1, 1))
     with pytest.raises(ValueError):
-        FieldSpec(2, 2, modulus=(1, 1, 2))  # not monic after reduction
+        FieldSpec(2, 2, modulus=(1, 1, 2))  # 2 is no element of GF(2)
+    # coefficients are elements of GF(p), not integers to reduce mod p:
+    # (4, 0, 1) would reduce to the irreducible x^2 + 1
+    with pytest.raises(ValueError, match="4 out of range for GF\\(3\\)"):
+        FieldSpec(3, 2, modulus=(4, 0, 1))
 
 
 @pytest.mark.parametrize("p,w", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 1)])
@@ -252,6 +258,26 @@ def test_untabled_field_consistent_with_naive():
             assert f.mul(a, f.inv(a)) == 1
 
 
+def test_untabled_odd_field_consistent_with_naive():
+    # order 3^11 = 177,147 is past the table threshold, so add, sub and
+    # neg run digit by digit and mul on digit lists
+    f = FieldSpec(3, 11)
+    nf = NaiveField(3, 11, f.modulus)
+    assert irreducible_over_prime(list(f.modulus), 3)
+    rng = random.Random("GF(3^11)")
+    edges = [0, 1, 2, 3, f.order - 1]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(f.order), rng.randrange(f.order))
+              for _ in range(25)]
+    for a, b in pairs:
+        assert f.mul(a, b) == nf.mul(a, b), (a, b)
+        assert f.add(a, b) == nf.add(a, b), (a, b)
+        assert f.sub(a, b) == nf.add(a, nf.neg(b)), (a, b)
+        assert f.neg(a) == nf.neg(a), a
+        if a:
+            assert nf.mul(a, f.inv(a)) == 1, a
+
+
 def test_coeffs_roundtrip():
     f = FieldSpec(3, 3)
     for a in range(f.order):
@@ -259,6 +285,10 @@ def test_coeffs_roundtrip():
     assert f.coeffs(5) == (2, 1, 0)
     with pytest.raises(LengthMismatch):
         f.from_coeffs((1, 2))
+    # digits are checked against GF(3), as an extension checks its base's
+    for bad in ((3, 0, 0), (0, -1, 0)):
+        with pytest.raises(ValueError):
+            f.from_coeffs(bad)
 
 
 def test_json_roundtrip():
@@ -346,9 +376,10 @@ def test_extension_inverse_matches_pow(name):
         assert L.inv(a) == L.pow(a, L.order - 2), (name, a)
 
 
-# the stored moduli plus two small packed towers with canonical moduli
+# the stored moduli, two small packed towers with canonical moduli and
+# a characteristic-2 tower on the list path
 MUL_TOWERS = {**EXTENSIONS, "GF(2)^8": ((2, 1), 8, None),
-              "GF(4)^5": ((2, 2), 5, None)}
+              "GF(4)^5": ((2, 2), 5, None), "GF(8)^4": ((2, 3), 4, None)}
 
 
 @pytest.mark.parametrize("name", sorted(MUL_TOWERS))
@@ -356,7 +387,8 @@ def test_extension_mul_matches_naive(name):
     (p, w), t, modulus = MUL_TOWERS[name]
     base = FieldSpec(p, w)
     L = ExtensionSpec(base, t, modulus)
-    assert (L._packed is not None) == (p == 2)
+    # GF(8) digits straddle bytes, so its tower takes the list path
+    assert (L._packed is not None) == (p == 2 and 8 % w == 0)
     naive = NaiveExtension(NaiveField(p, w, base.modulus), L.modulus)
     q = base.order
     rng = random.Random(name)
