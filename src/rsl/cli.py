@@ -4,6 +4,8 @@ Subcommands operate on cluster directories (encode, fail-repair,
 reconstruct, attack, verify) or are pure computations (capacity-table,
 verify without --cluster).  Everything prints deterministic output; all
 randomness is seeded and the seed is recorded in cluster metadata.
+The harness and the capacity formulas are imported by the commands that
+run them, so the cluster commands start without loading them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness
-from .capacity import CapacityQuery, capacity_csv
 from .cluster import ClusterState
 from .errors import BadQuery
 from .field import FieldSpec
@@ -173,6 +173,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_capacity_table(args) -> int:
+    from .capacity import CapacityQuery, capacity_csv
     queries = []
     for k, d, n, beta, l1, l2 in itertools.product(
             _parse_range(args.k), _parse_range(args.d), _parse_range(args.n),
@@ -194,6 +195,7 @@ def _cmd_capacity_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
     given = {"samples": args.samples, "seed": args.seed}
     budget = harness.Budget(**{k: v for k, v in given.items()
                                if v is not None})

@@ -11,19 +11,17 @@ a corrupted share.
 Payloads are framed with a 4-byte big-endian length prefix, then packed
 big-endian-bit-first into field symbols; whatever capacity is left is
 zero padding.  Mutating operations take an advisory lock file that holds
-the writer's pid.
+the writer's pid.  The secrecy module, and the randomness a secure
+encode draws, are imported on the secure and attack paths only.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import secrecy
 from .entropy import observed_entropy
 from .errors import (IntegrityError, PayloadTooLarge, SelfRepair, UnknownNode,
                      WrongHelperCount, WrongNodeCount)
@@ -180,11 +178,13 @@ class ClusterState:
             codec, scheme = base, None
             capacity = params.message_length
         else:
+            from . import secrecy
             l1, l2 = secure
             scheme = secrecy.scheme_make(base, l1, l2)
             codec = ProductMatrixCode(params, scheme.ext, base.points)
             capacity = scheme.secret_size
             if seed is None:
+                import secrets
                 seed = secrets.randbits(63)
             meta["mode"] = "secure"
             meta["secure"] = {"l1": l1, "l2": l2, "ell": scheme.ell,
@@ -196,6 +196,7 @@ class ClusterState:
         if scheme is None:
             message = data_symbols
         else:
+            import random
             rng = random.Random(seed)
             randomness = [rng.randrange(scheme.ext.order)
                           for _ in range(scheme.ell)]
@@ -230,6 +231,7 @@ class ClusterState:
             _require(meta["field"], _FIELD_KEYS, "meta.json field"))
         base = ProductMatrixCode(params, field, meta["points"])
         if meta["mode"] == "secure":
+            from . import secrecy
             sec = _require(meta.get("secure"),
                            {"l1": _INT, "l2": _INT, "ell": _INT,
                             "extension": None}, "meta.json secure")
@@ -381,6 +383,7 @@ class ClusterState:
     def attack(self, stored, repaired, epochs=None) -> dict:
         # observation rows have entries in F, and their rank is the same
         # over F as over L, so a secure cluster's attack runs over F too
+        from . import secrecy
         code = self.base
         model = secrecy.EavesdropperModel(stored, repaired)
         secrecy.check_model(code, model)
@@ -413,6 +416,7 @@ class ClusterState:
                            "detail": detail})
 
         if self.scheme is not None:
+            from . import secrecy
             ext = self.scheme.ext
             canonical = ExtensionSpec(ext.base, ext.t)  # the modulus search
             record("extension", canonical == ext,

@@ -21,9 +21,10 @@ with w in {1, 2, 4, 8}, where a byte holds whole coefficients.  There
 the packed kernel (_Packed, built on first use by FieldSpec.packed())
 works on the integer of w-bit digits itself: scaling is a 256-byte
 bytes.translate, addition is XOR.  The irreducibility sieve, the
-canonical modulus search and ExtensionSpec.mul take that path; every
-other (p, w), such as GF(8), GF(2^12), GF(25) or GF(11), keeps the list
-path, which is also the reference the tests compare the kernel against.
+canonical modulus search, ExtensionSpec.mul and matrix elimination over
+the field take that path; every other (p, w), such as GF(8), GF(2^12),
+GF(25) or GF(11), keeps the list path, which is also the reference the
+tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -185,8 +186,18 @@ class _Packed:
             return out
 
         self.w = w
-        self.tables = [bytes(table([K.mul(c, d) << s for s, d in bits]))
-                       for c in range(K.order)]
+        if w == 8:
+            # c*x = exp[log c + log x]: the logs of all bytes, 255 for
+            # x = 0, translated through the exp table rotated by log c
+            # whose byte 255 is 0, so each table is one translate
+            exp = bytes(K._exp) * 2
+            logs = bytes([255] + K._log[1:])
+            self.tables = [bytes(256)] + [
+                logs.translate(exp[k:k + 255] + b"\0")
+                for k in K._log[1:]]
+        else:
+            self.tables = [bytes(table([K.mul(c, d) << s for s, d in bits]))
+                           for c in range(K.order)]
         squares = table([K.mul(d, d) << 2 * s for s, d in bits])
         self.sq_lo = bytes(x & 0xFF for x in squares)
         self.sq_hi = bytes(x >> 8 for x in squares)
@@ -413,6 +424,11 @@ class Field:
     def elements(self):
         return range(self.order)
 
+    def packed(self) -> _Packed | None:
+        """The packed kernel over this field (see FieldSpec.packed); an
+        ExtensionSpec has none, so matrices over it eliminate on lists."""
+        return None
+
     # -- representation
 
     def coeffs(self, a: int) -> tuple[int, ...]:
@@ -536,8 +552,9 @@ class FieldSpec(Field):
         return cls(data["p"], data["w"], data["modulus"])
 
     def packed(self) -> _Packed | None:
-        """The packed-polynomial kernel, built on first use, when whole
-        coefficients fit in a byte: p = 2 and w in {1, 2, 4, 8}."""
+        """The packed kernel, built on first use, when whole coefficients
+        fit in a byte: p = 2 and w in {1, 2, 4, 8}.  It serves
+        polynomials over this field and the rows matrix.py eliminates."""
         if self._packed is None and self.p == 2 and 8 % self.w == 0:
             self._packed = _Packed(self)
         return self._packed

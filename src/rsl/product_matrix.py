@@ -141,6 +141,7 @@ class ProductMatrixCode:
             phi + tuple(field.mul(lam, c) for c in phi)
             for phi, lam in zip(self.phi, self.lam))
         self.ranks = {}  # selector tuple -> rank, see entropy.observed_entropy
+        self._rows = {}  # stored_row / repair_row arguments -> row
         self._variants = {}  # params -> code, see _variant()
 
     @staticmethod
@@ -257,7 +258,7 @@ class ProductMatrixCode:
         if failed in helpers:
             raise SelfRepair(f"node {failed} cannot help repair itself")
         rows = [self.psi[self._node_index(h)] for h in helpers]
-        system = Matrix(self.field, rows)
+        system = Matrix._of(self.field, rows)
         p = self.params
         a0 = p.base_alpha
         columns = []
@@ -267,7 +268,7 @@ class ProductMatrixCode:
                 raise LengthMismatch(
                     f"helper {h} sent {len(sym)} symbols, expected {p.beta}")
             columns.append(sym)
-        rhs = Matrix(self.field, columns)  # d x m, copy per column
+        rhs = Matrix._of(self.field, columns)  # d x m, copy per column
         # d distinct Vandermonde rows: the system is always invertible
         sol = system.solve(rhs)  # rows of M phi_f, per copy
         add, mul = self.field.add, self.field.mul
@@ -284,8 +285,8 @@ class ProductMatrixCode:
         """Recover the message from any k complete shares.
 
         The m copies share one decode system: row (node, a) is the node's
-        stored row for slot a of copy 0, cut to copy 0's B0 = k*alpha0
-        message columns, and right-hand column c holds slot c*alpha0 + a.
+        stored row for slot a on one_copy(), over copy 0's B0 = k*alpha0
+        message symbols, and right-hand column c holds slot c*alpha0 + a.
         """
         p = self.params
         nodes = sorted(shares)
@@ -294,6 +295,7 @@ class ProductMatrixCode:
         for node in nodes:
             self._node_index(node)
         a0, b0 = p.base_alpha, p.base_message_length
+        one = self.one_copy()
         rows, values = [], []
         for node in nodes:
             share = [self.field.element(x) for x in shares[node]]
@@ -302,18 +304,24 @@ class ProductMatrixCode:
                     f"share of node {node} has {len(share)} symbols, "
                     f"expected {p.alpha}")
             for a in range(a0):
-                rows.append(self.stored_row(node, a)[:b0])
+                rows.append(one.stored_row(node, a))
                 values.append(share[a::a0])
-        system = Matrix(self.field, rows, ncols=b0)
+        system = Matrix._of(self.field, rows, ncols=b0)
         # k distinct nodes always give rank B0, so solve() finds the one
         # solution; column c is copy c's block of the message_index layout
-        sol = system.solve(Matrix(self.field, values, ncols=p.m))
+        sol = system.solve(Matrix._of(self.field, values, ncols=p.m))
         return [row[c] for c in range(p.m) for row in sol.rows]
 
-    # -- observation rows
+    # -- observation rows: each built once per instance, on first use
 
     def stored_row(self, node: int, slot: int) -> tuple[int, ...]:
         """Coefficient row of the node's stored symbol in the given slot."""
+        row = self._rows.get((node, slot))
+        if row is None:
+            row = self._rows[node, slot] = self._stored_row(node, slot)
+        return row
+
+    def _stored_row(self, node: int, slot: int) -> tuple[int, ...]:
         i = self._node_index(node, BadSelector)
         p = self.params
         if not 0 <= slot < p.alpha:
@@ -334,6 +342,14 @@ class ProductMatrixCode:
 
     def repair_row(self, helper: int, failed: int, copy: int) -> tuple[int, ...]:
         """Coefficient row of one repair symbol (one per copy)."""
+        row = self._rows.get((helper, failed, copy))
+        if row is None:
+            row = self._rows[helper, failed, copy] = self._repair_row(
+                helper, failed, copy)
+        return row
+
+    def _repair_row(self, helper: int, failed: int,
+                    copy: int) -> tuple[int, ...]:
         hi = self._node_index(helper, BadSelector)
         fi = self._node_index(failed, BadSelector)
         if hi == fi:
@@ -391,7 +407,7 @@ class ProductMatrixCode:
         rows = []
         for sel in selectors:
             rows.extend(self.observation_rows(sel))
-        return Matrix(self.field, rows, ncols=self.params.message_length)
+        return Matrix._of(self.field, rows, ncols=self.params.message_length)
 
     def truncate(self) -> "ProductMatrixCode":
         """The same code restricted to nodes 1..d+1; one instance on

@@ -146,6 +146,23 @@ def test_packed_search_gf16_20_is_frozen(monkeypatch):
     assert _search_modulus(FieldSpec(p, w), t) == modulus
 
 
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_packed_tables_are_the_gf2_linear_build(w):
+    # bit i of a byte is digit i // w with value 2^(i % w), so table c is
+    # the XOR span of c times those eight digits; GF(256) builds its tables
+    # from the log/exp tables instead, and must give the same bytes
+    K = FieldSpec(2, w)
+    bits = [(i // w * w, 1 << i % w) for i in range(8)]
+
+    def linear(c):
+        out = [0]
+        for s, d in bits:
+            out += [x ^ K.mul(c, d) << s for x in out]
+        return bytes(out)
+
+    assert K.packed().tables == [linear(c) for c in range(K.order)]
+
+
 def test_packed_kernel_only_where_coefficients_fit_a_byte():
     for p, w in [(2, 1), (2, 2), (2, 4), (2, 8)]:
         assert FieldSpec(p, w).packed() is not None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rsl import matrix
 from rsl.errors import (FieldMismatch, Inconsistent, LengthMismatch,
                         Singular)
 from rsl.field import ExtensionSpec, FieldSpec
@@ -282,3 +283,158 @@ def test_sparse_solve_inverse_rref_round_trip(field):
         x = Matrix(field, _random_rows(field, a.ncols, 2, rng.random()))
         b = a @ x
         assert a @ a.solve(b) == b
+
+
+# -- the packed echelon over GF(2^w), w | 8, and the list echelon: each
+# against the span oracle and independent checks, then against each other
+
+PACKED = [GF2, GF4, GF16, GF256]
+# the largest rank whose span the oracle counts quickly
+ORACLE_RANK = {GF2: 8, GF4: 5, GF16: 3, GF256: 1}
+
+
+def _unreachable(*args):
+    raise AssertionError("the other echelon ran")
+
+
+@pytest.fixture(params=["packed", "list"])
+def kernel(request, monkeypatch):
+    """Pins elimination to one echelon; the other one fails if it runs."""
+    if request.param == "list":
+        monkeypatch.setattr(FieldSpec, "packed", lambda self: None)
+        monkeypatch.setattr(matrix, "_packed_echelon", _unreachable)
+    else:
+        monkeypatch.setattr(matrix, "_list_echelon", _unreachable)
+    return request.param
+
+
+def _low_rank(field, rng, nrows, ncols, rank):
+    """A random nrows x ncols matrix of rank at most rank (at rank 0, a
+    product through an empty inner dimension)."""
+    left = Matrix(field, _random_rows(field, nrows, rank, rng.random()),
+                  ncols=rank)
+    right = Matrix(field, _random_rows(field, rank, ncols, rng.random()),
+                   ncols=ncols)
+    return [list(row) for row in (left @ right).rows]
+
+
+def _matrices(field, rng, most):
+    """Random, sparse, rank-deficient, zero-row and zero-column matrices,
+    none of rank above most."""
+    out = [Matrix(field, [], ncols=5), Matrix(field, [[], [], []]),
+           Matrix.zeros(field, 3, 4), Matrix(field, [[0, 0, 1, 0]])]
+    for shape in [(most, most + 3), (most + 2, most), (1, 7)]:
+        if min(shape) <= most:
+            out.append(Matrix(field, _random_rows(field, *shape,
+                                                  rng.random())))
+    if most >= 2:
+        out.append(Matrix(field, _sparse(field, rng, most, most + 3, 7)))
+    for rank in range(most + 1):
+        out.append(Matrix(field, _low_rank(field, rng, most + 2, 6, rank)))
+    out.append(Matrix(field, _block_diagonal(
+        field, rng, [(2, 2, min(1, most)), (1, 3, 0), (2, 2, 0)])))
+    return out
+
+
+@pytest.mark.parametrize("field", PACKED, ids=repr)
+def test_echelon_rank_matches_span_oracle(field, kernel):
+    nf = _naive(field)
+    rng = random.Random(f"echelon rank {field!r}")
+    for a in _matrices(field, rng, ORACLE_RANK[field]):
+        assert a.rank() == naive_rank(nf, a.rows), a.rows
+
+
+def _larger(field, rng):
+    """Square invertible, square singular, wide and tall matrices."""
+    out = [Matrix(field, _invertible_sparse(field, rng, 9)),
+           Matrix(field, _random_rows(field, 7, 7, rng.random())),
+           Matrix(field, _low_rank(field, rng, 7, 7, 4)),
+           Matrix(field, _random_rows(field, 5, 11, rng.random())),
+           Matrix(field, _low_rank(field, rng, 10, 6, 3)),
+           Matrix(field, _block_diagonal(field, rng, [(4, 5, 3), (3, 3, 3),
+                                                      (5, 4, 2)])),
+           Matrix(field, _sparse(field, rng, 6, 9, 8))]
+    return out + _matrices(field, rng, 3)
+
+
+@pytest.mark.parametrize("field", PACKED, ids=repr)
+def test_echelon_rref_solve_inverse(field, kernel):
+    rng = random.Random(f"echelon round trip {field!r}")
+    for a in _larger(field, rng):
+        r = a.rref()
+        assert (r.nrows, r.ncols) == (a.nrows, a.ncols)
+        assert _is_rref(r)
+        if a.nrows:
+            assert r.rank() == a.rank() == Matrix.vstack([a, r]).rank()
+        x = Matrix(field, _random_rows(field, a.ncols, 2, rng.random()),
+                   ncols=2)
+        b = a @ x
+        assert a @ a.solve(b) == b
+        if a.nrows == a.ncols and a.rank() == a.nrows:
+            inv = a.inverse()
+            assert a @ inv == Matrix.identity(field, a.nrows) == inv @ a
+        elif a.nrows == a.ncols:
+            with pytest.raises(Singular):
+                a.inverse()
+
+
+@pytest.mark.parametrize("field", PACKED, ids=repr)
+def test_echelon_inconsistent_and_singular(field, kernel):
+    rng = random.Random(f"echelon errors {field!r}")
+    # three independent rows, then their sum twice: rank 3 of 5
+    basis = [row + [rng.randrange(field.order) for _ in range(2)]
+             for row in _invertible_sparse(field, rng, 3)]
+    total = [field.add(field.add(x, y), z) for x, y, z in zip(*basis)]
+    a = Matrix(field, basis + [total, total])
+    assert a.rank() == 3
+    with pytest.raises(Singular):
+        a.inverse()
+    # rows 3 and 4 are equal: a right-hand side that tells them apart has
+    # no solution, one from a @ x does
+    b = a @ Matrix(field, _random_rows(field, 5, 1, rng.random()))
+    assert a @ a.solve(b) == b
+    broken = [list(row) for row in b.rows]
+    broken[4][0] = field.add(broken[4][0], 1)
+    with pytest.raises(Inconsistent):
+        a.solve(Matrix(field, broken))
+    with pytest.raises(Inconsistent):
+        Matrix(field, [[], []]).solve(_col(field, [0, 1]))
+    assert Matrix(field, [[0, 0]]).solve(_col(field, [0])) == _col(
+        field, [0, 0])
+    assert Matrix(field, [], ncols=0).inverse() == Matrix(field, [])
+
+
+def _outcomes(a, rng):
+    field = a.field
+    x = Matrix(field, _random_rows(field, a.ncols, 3, rng.random()), ncols=3)
+    off = Matrix(field, _random_rows(field, a.nrows, 1, rng.random()),
+                 ncols=1)
+    out = [a.rank(), a.rref(), a.solve(a @ x)]
+    for attempt in (lambda: a.solve(off), a.inverse):
+        try:
+            out.append(attempt())
+        except (Inconsistent, Singular, ValueError) as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("field", PACKED, ids=repr)
+def test_packed_and_list_echelons_agree(field, monkeypatch):
+    matrices = _larger(field, random.Random(f"agree {field!r}"))
+    packed = [_outcomes(a, random.Random(i)) for i, a in enumerate(matrices)]
+    monkeypatch.setattr(FieldSpec, "packed", lambda self: None)
+    listed = [_outcomes(a, random.Random(i)) for i, a in enumerate(matrices)]
+    assert packed == listed
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2, 3), GF9, FieldSpec(2, 12),
+                                   GF16_3], ids=repr)
+def test_other_fields_take_the_list_echelon(field, monkeypatch):
+    assert field.packed() is None
+    monkeypatch.setattr(matrix, "_packed_echelon", _unreachable)
+    a = Matrix(field, _invertible_sparse(field, random.Random(5), 6))
+    assert a.rank() == 6
+    assert a.rref() == Matrix.identity(field, 6)
+    assert a @ a.inverse() == Matrix.identity(field, 6)
+    b = _col(field, range(1, 7))
+    assert a @ a.solve(b) == b

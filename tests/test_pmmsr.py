@@ -349,3 +349,60 @@ def test_share_slices_are_copy_major():
         assert share[:a0] == [0] * a0  # copy 0 untouched
     sym = code.repair_symbol(1, 2, shares[0])
     assert sym[0] == 0
+
+
+def test_rows_are_built_once_and_match_a_fresh_instance():
+    code = _code(n=6, m=2)
+    p = code.params
+    stored = {(node, slot): code.stored_row(node, slot)
+              for node in code.nodes for slot in range(p.alpha)}
+    repair = {(h, f, c): code.repair_row(h, f, c)
+              for h in code.nodes for f in code.nodes if h != f
+              for c in range(p.m)}
+    fresh = _code(n=6, m=2)
+    for (node, slot), row in stored.items():
+        assert code.stored_row(node, slot) is row  # the memo's copy
+        assert fresh.stored_row(node, slot) == row
+    for (h, f, c), row in repair.items():
+        assert code.repair_row(h, f, c) is row
+        assert fresh.repair_row(h, f, c) == row
+    # bad arguments are refused on every call, never memoized
+    for _ in range(2):
+        with pytest.raises(BadSelector):
+            code.stored_row(1, p.alpha)
+        with pytest.raises(BadSelector):
+            code.repair_row(3, 3, 0)
+
+
+def test_row_overrides_reach_the_observation_rows():
+    class Swapped(ProductMatrixCode):
+        """Node 2 stores slot 1's row in slot 0; helper 3 sends nothing
+        toward node 1."""
+
+        def stored_row(self, node, slot):
+            return super().stored_row(node, 1 if (node, slot) == (2, 0)
+                                      else slot)
+
+        def repair_row(self, helper, failed, copy):
+            if (helper, failed) == (3, 1):
+                return (0,) * self.params.message_length
+            return super().repair_row(helper, failed, copy)
+
+    code = Swapped(CodeParams(n=5, k=3, d=4), GF16)
+    plain = _code()
+    for _ in range(2):  # the second round reads the memo
+        assert code.observation_rows(Stored((2,))) == [
+            plain.stored_row(2, 1)] * 2
+        rows = code.observation_rows(RepairFromTo((2, 3), (1,)))
+        assert rows == [plain.repair_row(2, 1, 0),
+                        (0,) * code.params.message_length]
+    assert joint_entropy(code.observe(Stored((2,)))) == 1
+
+
+def test_matrices_from_outside_are_still_checked():
+    code = _code()
+    row = list(code.stored_row(1, 0))
+    with pytest.raises(ValueError):
+        Matrix(GF16, [row[:-1] + [16]])
+    with pytest.raises(LengthMismatch):
+        Matrix(GF16, [row, row[:-1]])

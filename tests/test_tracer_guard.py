@@ -67,3 +67,24 @@ def test_counted_secure_reconstruct_multiplies_in_the_extension(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "back.bin").read_bytes() == b"ok"
     assert json.loads(out.read_text())["field.ext_mul_count"] > 0
+
+
+def test_traced_plain_attack_spans_the_lazily_imported_secrecy(tmp_path):
+    # cluster.py imports secrecy inside attack(); the tracer patches the
+    # module's attack_report, which that import must still find
+    payload = tmp_path / "data.bin"
+    payload.write_bytes(b"ok")
+    vault = str(tmp_path / "vault")
+    assert main(["encode", "--cluster", vault, "--n", "5", "--k", "3",
+                 "--d", "4", "--field", "2,8", str(payload)]) == 0
+    out = tmp_path / "spans.jsonl"
+    argv = ["attack", "--cluster", vault, "--stored", "1", "--repair", "2",
+            "--json"]
+    done = _run(f"import sys, tracer; "
+                f"sys.exit(tracer.run('spans', {str(out)!r}, 0.0, {argv!r}))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["match"] is True
+    names = Counter(json.loads(line)[0]
+                    for line in out.read_text().splitlines()[1:])
+    assert names["cluster.attack"] == 1
+    assert names["secrecy.attack_report"] == 1
