@@ -417,12 +417,15 @@ class ClusterState:
 
         if self.scheme is not None:
             from . import secrecy
+            from .field import _find_modulus
             ext = self.scheme.ext
-            canonical = ExtensionSpec(ext.base, ext.t)  # the modulus search
-            record("extension", canonical == ext,
-                   f"{ext!r} modulus is the canonical one" if canonical == ext
+            # searched again, never read from the frozen table
+            canonical = _find_modulus(ext.base, ext.t)
+            ok = canonical == ext.modulus
+            record("extension", ok,
+                   f"{ext!r} modulus is the canonical one" if ok
                    else f"{ext!r} modulus {list(ext.modulus)} is not the "
-                        f"canonical {list(canonical.modulus)}")
+                        f"canonical {list(canonical)}")
             # load() takes ell as stored; check it against its (l1, l2)
             s = self.scheme
             try:

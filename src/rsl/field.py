@@ -25,6 +25,12 @@ canonical modulus search, ExtensionSpec.mul and matrix elimination over
 the field take that path; every other (p, w), such as GF(8), GF(2^12),
 GF(25) or GF(11), keeps the list path, which is also the reference the
 tests compare the kernel against.
+
+A spec built without a modulus takes the canonical one, the smallest
+irreducible by encoding (_find_modulus).  The degrees secure encode meets
+at small shapes over GF(16) and GF(256) are frozen in a table, as Conway
+polynomials are, so only other (q, t) pay for the search; each process
+remembers what it found.
 """
 
 from __future__ import annotations
@@ -355,34 +361,53 @@ def _sieve_lists(K, f) -> bool:
     return True
 
 
-_MODULUS_CACHE: dict = {}
+def _monic(q: int, degree: int, v: int) -> tuple[int, ...]:
+    """x^degree plus the polynomial whose base-q digits v holds."""
+    return tuple(v // q**i % q for i in range(degree)) + (1,)
 
 
-def _search_modulus(K, degree: int) -> tuple[int, ...]:
+def _find_modulus(K, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest irreducible monic polynomial of the degree.
 
     Candidates are ordered by the integer encoding of their low coefficients
     in base |K|, so the result is a deterministic function of (K, degree).
+    This search is the definition of the canonical modulus; it caches
+    nothing, and verify_cluster runs it to check a stored modulus.
     """
     q = K.order
-    key = (q, K.modulus, degree)
-    hit = _MODULUS_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    def poly(v):
-        return [v // q**i % q for i in range(degree)] + [1]
-
     packed = K.packed()
     if packed is None:
         v = next(v for v in range(q**degree)
-                 if _sieve_irreducible(K, poly(v)))
+                 if _sieve_irreducible(K, _monic(q, degree, v)))
     else:  # v is already the packed low coefficients
         top = 1 << degree * packed.w
         v = next(v for v in packed.rootless(K, degree)
                  if packed.irreducible(top | v))
-    _MODULUS_CACHE[key] = tuple(poly(v))
-    return _MODULUS_CACHE[key]
+    return _monic(q, degree, v)
+
+
+# Canonical moduli that secure encode meets at small shapes, frozen in the
+# manner of Conway-polynomial tables: the degree-t extensions that m = 1
+# codes with k <= 5 need over GF(16), and with k <= 3 over GF(256).  Keyed
+# like the cache, by (q, base modulus, t), so only the canonical base hits;
+# each value is the packed v of _monic, and the tests check every entry
+# against _find_modulus.  GF(256)^6 alone takes seconds to search.
+_GF16, _GF256 = (1, 1, 0, 0, 1), (1, 1, 0, 1, 1, 0, 0, 0, 1)
+_FROZEN = {(16, _GF16, 2): 0x18, (16, _GF16, 6): 0x12d,
+           (16, _GF16, 12): 0x1024, (16, _GF16, 20): 0x1089,
+           (256, _GF256, 2): 0x120, (256, _GF256, 6): 0x10131}
+_MODULUS_CACHE: dict = {key: _monic(key[0], key[2], v)
+                        for key, v in _FROZEN.items()}
+
+
+def _search_modulus(K, degree: int) -> tuple[int, ...]:
+    """The canonical modulus of the degree over K: from the frozen table,
+    else found by _find_modulus, and remembered for the process."""
+    key = (K.order, K.modulus, degree)
+    hit = _MODULUS_CACHE.get(key)
+    if hit is None:
+        hit = _MODULUS_CACHE[key] = _find_modulus(K, degree)
+    return hit
 
 
 def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:

@@ -15,7 +15,9 @@ is the worst-case leakage enumerated over all models of shape (l1, l2).
 The eavesdropper's rows A have entries in F, so A @ Moore is the Moore
 matrix of the h_s = sum_j a_sj y^j, whose first ell columns have rank
 min(rank_F A, ell): the view is independent of D iff rank_F A <= ell,
-which verify_perfect() checks over F alone.
+which verify_perfect() checks over F alone.  unwrap() inverts the Moore
+matrix in closed form, through the basis of L dual to the y^j (Lidl and
+Niederreiter, ch. 2), for the secret rows alone.
 """
 
 from __future__ import annotations
@@ -181,15 +183,42 @@ class SecureScheme:
         return [row[0] for row in (self.moore @ u).rows]
 
     def unwrap(self, message) -> list[int]:
-        """Secret symbols back out of a wrapped message."""
+        """Secret symbols back out of a wrapped message.
+
+        The Moore matrix is the transposed Vandermonde matrix on the roots
+        z_i = y^(q^i) of the modulus f, so Lagrange inverts it: u_i = sum_j c_j
+        (b_j / f'(y))^(q^i) with f(x)/(x - y) = sum_j b_j x^j, the b_j /
+        f'(y) being the basis dual to the y^j.  Each b_j is sum_{k>j} f_k
+        y^(k-j-1) with f_k in F, so u_i = E(z_i) / f'(z_i) for the
+        polynomial E(x) = sum_m e_m x^m, e_m = sum_j f_(j+m+1) c_j: one
+        Horner evaluation per row i >= ell, the rows the secret sits in.
+        """
         ext = self.ext
         message = [ext.element(x) for x in message]
         B = self.code.params.message_length
         if len(message) != B:
             raise LengthMismatch(
                 f"message needs {B} symbols, got {len(message)}")
-        c = Matrix(ext, [[x] for x in message], ncols=1)
-        return [row[0] for row in self.moore.solve(c).rows[self.ell:]]
+        base, f = ext.base, ext.modulus
+        mul, add = ext.mul, ext.add
+        e = [0] * B
+        for k in range(1, B + 1):
+            if f[k]:
+                for j in range(k):
+                    e[k - 1 - j] = add(e[k - 1 - j], mul(f[k], message[j]))
+        derivative = ext.from_coeffs(base.mul(k % base.p, f[k])
+                                     for k in range(1, B + 1))
+        y = base.order if B > 1 else 0  # the class of x
+        z = ext.frobenius(y, self.ell)
+        g = ext.frobenius(ext.inv(derivative), self.ell)
+        secret = []
+        for _ in range(self.ell, B):
+            acc = 0
+            for coeff in reversed(e):
+                acc = add(mul(acc, z), coeff)
+            secret.append(mul(acc, g))
+            z, g = ext.frobenius(z), ext.frobenius(g)
+        return secret
 
 
 def scheme_make(code: ProductMatrixCode, l1: int, l2: int) -> SecureScheme:

@@ -404,6 +404,55 @@ def test_verify_cluster_checks_extension(tmp_path, capsys):
     assert "FAIL cluster.extension" in capsys.readouterr().out
 
 
+def _counted_search(monkeypatch):
+    calls = []
+    find = field._find_modulus
+
+    def counted(K, degree):
+        calls.append((K, degree))
+        return find(K, degree)
+    monkeypatch.setattr(field, "_find_modulus", counted)
+    return calls
+
+
+def test_verify_cluster_searches_the_modulus_once(tmp_path, monkeypatch):
+    # load takes the stored modulus; only cluster.extension searches, and
+    # it reads nothing from the frozen table
+    assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
+                                    "--seed", "42"]) == 0
+    calls = _counted_search(monkeypatch)
+    assert main(["verify", "--cluster", str(tmp_path / "c")]) == 0
+    assert calls == [(GF16, 6)]
+
+
+# (field, n, k, m, shape) at the frozen GF(16)^6, ^12, ^20 and GF(256)^6;
+# GF(16) has too few points for k = 4 at m = 1, so B = 12 is k = 3, m = 2
+@pytest.mark.parametrize("fld,n,k,m,shape", [
+    ("2,4", 5, 3, 1, "0,1"), ("2,4", 5, 3, 2, "0,1"), ("2,4", 9, 5, 1, "1,1"),
+    ("2,8", 5, 3, 1, "0,1"),
+])
+def test_secure_encode_at_table_shapes_searches_nothing(tmp_path, capsys,
+                                                        monkeypatch, fld, n,
+                                                        k, m, shape):
+    # the cache a fresh process starts with: the frozen table alone
+    monkeypatch.setattr(field, "_MODULUS_CACHE",
+                        {key: field._MODULUS_CACHE[key]
+                         for key in field._FROZEN})
+    FieldSpec(*map(int, fld.split(",")))  # its own modulus, over GF(2)
+
+    def no_search(*args):
+        raise AssertionError("modulus search during a secure encode")
+    monkeypatch.setattr(field, "_find_modulus", no_search)
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"s")
+    cluster = tmp_path / "c"
+    assert main(["encode", "--cluster", str(cluster), "--n", str(n),
+                 "--k", str(k), "--d", str(2 * k - 2), "--m", str(m),
+                 "--field", fld, "--secure", shape, "--seed", "5", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--cluster", str(cluster)]) == 0
+
+
 def test_verify_cluster_checks_wrapping(tmp_path, capsys, monkeypatch):
     # ell = 4 fits (0,1); meta.json may claim another shape for it
     assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
@@ -527,6 +576,41 @@ GOLDEN_CLUSTERS = {
                   '"model": {"repaired": [4], "stored": []}, '
                   '"perfect": true, "rank_growth": 0, "secure_size": 2}\n',
     },
+    # the secure benchmark shape: B = 20, ell = 11, over GF(16)^20
+    "secure-n9": {
+        "encode": ["--n", "9", "--k", "5", "--d", "8", "--field", "2,4",
+                   "--secure", "1,1", "--seed", "7"],
+        "payload": b"n=9 secure golden",
+        "node": "3",
+        "files": {
+            "events.jsonl": "bb233799fec4fad72f134ca42cb50815"
+                            "9dfc1e91ac732c7a91d5245c5cecc674",
+            "meta.json": "695500543eb1e4b257061ff9a51acda6"
+                         "2c900d14181ffbffc9e48503581d71bc",
+            "share_1.bin": "0e3a6a8ba035003ed05b6f9f37963d15"
+                           "dd2cf5d2f5dafc68cf0a7af3d5e4a2aa",
+            "share_2.bin": "136ac9b1d17d749a41f884dcfd670b6e"
+                           "dc6845db4f20e5620d05bce8bdac8fa1",
+            "share_3.bin": "980146b03b7d3885a445a2e73eaf833c"
+                           "a253e1ff0184f5e35cf1f8fc7ef61bc6",
+            "share_4.bin": "58d262bafa73aac10f4da14ed62d2aa8"
+                           "c429800bdd770b0079450882c0a1cb4f",
+            "share_5.bin": "df4a191a2b56ebcb3107c50b4fa9912e"
+                           "52baa5e80d2e1b22290f0d32b8520a31",
+            "share_6.bin": "395880885c36077040f61e46fb2318be"
+                           "b4d9d6798a6479f20f329e46f2c661c3",
+            "share_7.bin": "2ef8f1540615a691b1df10303438c3e2"
+                           "e53d9dfd2d920403a75f8c1038911857",
+            "share_8.bin": "714837dbf3e34e068f14e03601bf811f"
+                           "bff86d39c6fccb0e1f36826597c0c607",
+            "share_9.bin": "06929123ab419291edbaa5f9c1a642f0"
+                           "b2976d9125a8cc1c88cc608f275768d3",
+        },
+        "attack": '{"epochs": [1], "formula_kind": "exact", '
+                  '"formula_value": "12", "leakage": 8, "match": true, '
+                  '"model": {"repaired": [3], "stored": []}, '
+                  '"perfect": true, "rank_growth": 0, "secure_size": 12}\n',
+    },
 }
 
 
@@ -547,3 +631,7 @@ def test_cluster_bytes_golden(tmp_path, capsys, name):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in cluster.iterdir()}
     assert got == want["files"]
+    out = tmp_path / "out.bin"
+    assert main(["reconstruct", "--cluster", str(cluster),
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == want["payload"]

@@ -146,6 +146,36 @@ def test_packed_search_gf16_20_is_frozen(monkeypatch):
     assert _search_modulus(FieldSpec(p, w), t) == modulus
 
 
+@pytest.mark.parametrize("key", sorted(field._FROZEN),
+                         ids=lambda key: f"GF({key[0]})^{key[2]}")
+def test_frozen_modulus_is_the_search(key):
+    # every table entry is what the uncached search finds over the
+    # canonical base; GF(256)^6 takes seconds
+    q, base_modulus, t = key
+    K = FieldSpec(2, q.bit_length() - 1)
+    assert K.modulus == base_modulus
+    searched = field._find_modulus(K, t)
+    assert field._monic(q, t, field._FROZEN[key]) == searched
+    assert _search_modulus(K, t) == searched
+
+
+def test_search_outside_the_table(monkeypatch):
+    # GF(16)^4, the k = 2, m = 2 message length, is not frozen: it is
+    # searched once, then served from the cache
+    calls = []
+    find = field._find_modulus
+
+    def counted(K, degree):
+        calls.append((K, degree))
+        return find(K, degree)
+    monkeypatch.setattr(field, "_find_modulus", counted)
+    monkeypatch.setattr(field, "_MODULUS_CACHE", dict(field._MODULUS_CACHE))
+    field._MODULUS_CACHE.pop((16, GF16.modulus, 4), None)
+    assert ExtensionSpec(GF16, 4).modulus == (4, 2, 1, 0, 1)
+    assert ExtensionSpec(GF16, 4).modulus == (4, 2, 1, 0, 1)
+    assert calls == [(GF16, 4)]
+
+
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
 def test_packed_tables_are_the_gf2_linear_build(w):
     # bit i of a byte is digit i // w with value 2^(i % w), so table c is

@@ -208,6 +208,38 @@ def test_moore_from_powers_matches_frobenius(n, k, modulus):
     assert scheme.moore == Matrix(ext, slow)
 
 
+def _unwrap_slow(scheme, message):
+    # the reference: solve the Moore system over L by list elimination
+    column = Matrix(scheme.ext, [[c] for c in message], ncols=1)
+    return [row[0] for row in scheme.moore.solve(column).rows]
+
+
+# (field, n, k): GF(16)^20 and GF(256)^6 run packed, GF(8)^6, GF(11)^6 and
+# GF(25)^6 on lists, and GF(16)^2 is the smallest B
+@pytest.mark.parametrize("field,n,k", [
+    (GF16, 9, 5), (FieldSpec(2, 8), 5, 3), (FieldSpec(2, 3), 5, 3),
+    (FieldSpec(11, 1), 5, 3), (FieldSpec(5, 2), 5, 3), (GF16, 3, 2),
+], ids=["GF(16)^20", "GF(256)^6", "GF(8)^6", "GF(11)^6", "GF(25)^6",
+        "GF(16)^2"])
+def test_unwrap_closed_form_matches_moore_solve(field, n, k):
+    code = ProductMatrixCode(CodeParams(n=n, k=k, d=2 * k - 2), field)
+    B = code.params.message_length
+    ext = ExtensionSpec(field, B)
+    rng = random.Random(B)
+    for _ in range(2):
+        message = [rng.randrange(ext.order) for _ in range(B)]
+        u = _unwrap_slow(SecureScheme(code, 0, 0, 0, ext), message)
+        for ell in range(B + 1):
+            scheme = SecureScheme(code, 0, 0, ell, ext)
+            assert scheme.unwrap(message) == u[ell:], ell
+    # the Moore matrix is invertible, so unwrap undoes wrap
+    for ell in sorted({0, B // 2, B - 1}):
+        scheme = SecureScheme(code, 0, 0, ell, ext)
+        secret = [rng.randrange(ext.order) for _ in range(B - ell)]
+        randomness = [rng.randrange(ext.order) for _ in range(ell)]
+        assert scheme.unwrap(scheme.wrap(secret, randomness)) == secret
+
+
 def test_scheme_rejects_wrong_extension():
     code = _code()
     with pytest.raises(FieldMismatch):
