@@ -27,10 +27,11 @@ GF(25) or GF(11), keeps the list path, which is also the reference the
 tests compare the kernel against.
 
 A spec built without a modulus takes the canonical one, the smallest
-irreducible by encoding (_find_modulus).  The degrees secure encode meets
-at small shapes over GF(16) and GF(256) are frozen in a table, as Conway
-polynomials are, so only other (q, t) pay for the search; each process
-remembers what it found.
+irreducible by encoding (_find_modulus).  Those of GF(16)^6, GF(16)^20
+and GF(256)^6, the extensions of the README's secure examples and the
+benchmark's secure cluster, are frozen in a table, as Conway polynomials
+are, so only other (q, t) pay for the search; each process remembers what
+it found.
 """
 
 from __future__ import annotations
@@ -386,16 +387,16 @@ def _find_modulus(K, degree: int) -> tuple[int, ...]:
     return _monic(q, degree, v)
 
 
-# Canonical moduli that secure encode meets at small shapes, frozen in the
-# manner of Conway-polynomial tables: the degree-t extensions that m = 1
-# codes with k <= 5 need over GF(16), and with k <= 3 over GF(256).  Keyed
-# like the cache, by (q, base modulus, t), so only the canonical base hits;
-# each value is the packed v of _monic, and the tests check every entry
-# against _find_modulus.  GF(256)^6 alone takes seconds to search.
+# Canonical moduli frozen in the manner of Conway-polynomial tables, for
+# the secure shapes that have named traffic: GF(16)^6 is the README's
+# n=5 k=3 example, GF(16)^20 the benchmark's n=9 k=5 cluster, and
+# GF(256)^6 the README example over the default field, which alone takes
+# seconds to search.  Keyed like the cache, by (q, base modulus, t), so
+# only the canonical base hits; each value is the packed v of _monic, and
+# the tests check every entry against _find_modulus.
 _GF16, _GF256 = (1, 1, 0, 0, 1), (1, 1, 0, 1, 1, 0, 0, 0, 1)
-_FROZEN = {(16, _GF16, 2): 0x18, (16, _GF16, 6): 0x12d,
-           (16, _GF16, 12): 0x1024, (16, _GF16, 20): 0x1089,
-           (256, _GF256, 2): 0x120, (256, _GF256, 6): 0x10131}
+_FROZEN = {(16, _GF16, 6): 0x12d, (16, _GF16, 20): 0x1089,
+           (256, _GF256, 6): 0x10131}
 _MODULUS_CACHE: dict = {key: _monic(key[0], key[2], v)
                         for key, v in _FROZEN.items()}
 
@@ -714,6 +715,11 @@ class ExtensionSpec(Field):
         return self._pack(base.mul(c, scale) for c in s1)
 
     # -- structure
+
+    @property
+    def root(self) -> int:
+        """The class of x, a root of the modulus that generates the field."""
+        return self.base.order if self.t > 1 else self.base.neg(self.modulus[0])
 
     def embed(self, a: int) -> int:
         """Lift a base-field element; identity on the integer encoding."""

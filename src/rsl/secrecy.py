@@ -9,9 +9,10 @@ actually achieves against that model.
 
 To use that capacity, wrap() pre-codes the payload with a maximum-rank-
 distance code over the extension L of degree B: the message becomes
-c_j = sum_i u_i * g_j^(|F|^i) with g_j = y^(j-1), i.e. Moore-matrix
-evaluations of u = (R || D), where R is ell fresh random symbols and ell
-is the worst-case leakage enumerated over all models of shape (l1, l2).
+c_j = sum_i u_i * g_j^(|F|^i) with g_j = y^(j-1) for y the class of x
+(ExtensionSpec.root), i.e. Moore-matrix evaluations of u = (R || D),
+where R is ell fresh random symbols and ell is the worst-case leakage
+enumerated over all models of shape (l1, l2).
 The eavesdropper's rows A have entries in F, so A @ Moore is the Moore
 matrix of the h_s = sum_j a_sj y^j, whose first ell columns have rank
 min(rank_F A, ell): the view is independent of D iff rank_F A <= ell,
@@ -152,7 +153,7 @@ class SecureScheme:
         """
         ext = self.ext
         B = ext.t
-        z = ext.base.order if B > 1 else 0  # y, the class of x
+        z = ext.root  # y
         columns = []
         for _ in range(B):
             column, v = [], 1
@@ -208,8 +209,7 @@ class SecureScheme:
                     e[k - 1 - j] = add(e[k - 1 - j], mul(f[k], message[j]))
         derivative = ext.from_coeffs(base.mul(k % base.p, f[k])
                                      for k in range(1, B + 1))
-        y = base.order if B > 1 else 0  # the class of x
-        z = ext.frobenius(y, self.ell)
+        z = ext.frobenius(ext.root, self.ell)
         g = ext.frobenius(ext.inv(derivative), self.ell)
         secret = []
         for _ in range(self.ell, B):

@@ -1,0 +1,18 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from rsl import field
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The (K, degree) of every uncached modulus search, in order."""
+    calls = []
+    find = field._find_modulus
+
+    def counted(K, degree):
+        calls.append((K, degree))
+        return find(K, degree)
+    monkeypatch.setattr(field, "_find_modulus", counted)
+    return calls

@@ -159,21 +159,14 @@ def test_frozen_modulus_is_the_search(key):
     assert _search_modulus(K, t) == searched
 
 
-def test_search_outside_the_table(monkeypatch):
+def test_search_outside_the_table(monkeypatch, search_calls):
     # GF(16)^4, the k = 2, m = 2 message length, is not frozen: it is
     # searched once, then served from the cache
-    calls = []
-    find = field._find_modulus
-
-    def counted(K, degree):
-        calls.append((K, degree))
-        return find(K, degree)
-    monkeypatch.setattr(field, "_find_modulus", counted)
     monkeypatch.setattr(field, "_MODULUS_CACHE", dict(field._MODULUS_CACHE))
     field._MODULUS_CACHE.pop((16, GF16.modulus, 4), None)
     assert ExtensionSpec(GF16, 4).modulus == (4, 2, 1, 0, 1)
     assert ExtensionSpec(GF16, 4).modulus == (4, 2, 1, 0, 1)
-    assert calls == [(GF16, 4)]
+    assert search_calls == [(GF16, 4)]
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
@@ -450,6 +443,22 @@ def test_extension_mul_matches_naive(name):
             L.mul(bad, 1)
         with pytest.raises(ValueError):
             L.mul(1, bad)
+
+
+@pytest.mark.parametrize("name,t,modulus", [
+    ("GF(16)^20", 20, None), ("GF(25)^2", 2, (5, 0, 1)), ("GF(11)^1", 1, None),
+    ("GF(11)^1", 1, (5, 1)), ("GF(16)^1", 1, (7, 1)),
+])
+def test_extension_root_is_a_root_of_the_modulus(name, t, modulus):
+    base = {"GF(16)": GF16, "GF(25)": FieldSpec(5, 2),
+            "GF(11)": FieldSpec(11, 1)}[name.split("^")[0]]
+    L = ExtensionSpec(base, t, modulus)
+    value = 0
+    for coeff in reversed(L.modulus):
+        value = L.add(L.mul(value, L.root), L.embed(coeff))
+    assert value == 0
+    if t > 1:  # x itself, the digit 1 in place 1
+        assert L.coeffs(L.root) == (0, 1) + (0,) * (t - 2)
 
 
 def test_extension_coeffs_and_json():
