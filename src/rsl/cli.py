@@ -161,7 +161,7 @@ def _cmd_attack(args) -> int:
     print(f"eavesdropper: stored {list(model['stored'])}, "
           f"repairs of {list(model['repaired'])}")
     print(f"leakage: {report['leakage']} of "
-          f"{state.codec.params.message_length} symbols "
+          f"{state.code.params.message_length} symbols "
           f"(rank growth {report['rank_growth']} over epochs "
           f"{report['epochs']})")
     print(f"secure size achieved: {report['secure_size']}")
@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
     ok = True
     if args.cluster:
         state = ClusterState.load(args.cluster)
-        code = state.base
+        code = state.code
         for check in state.verify_cluster():
             ok &= check["passed"]
             tag = "PASS" if check["passed"] else "FAIL"

@@ -8,6 +8,12 @@ over a re-encode of the reconstructed message must reproduce the share
 files byte for byte; verify_cluster() checks that, which is what catches
 a corrupted share.
 
+A secure share holds alpha symbols of the degree-B extension L, each B
+digits over the base field F.  The code only scales by coefficients in F
+and adds, so it runs over F on the B digit stripes: _stripes() and
+_symbols() convert at the share-file and event-log boundary, and are the
+identity on a plain cluster's symbols of F.
+
 Payloads are framed with a 4-byte big-endian length prefix, then packed
 big-endian-bit-first into field symbols; whatever capacity is left is
 zero padding.  Mutating operations take an advisory lock file that holds
@@ -147,13 +153,30 @@ def _lock(path: Path):
 
 
 class ClusterState:
-    def __init__(self, path: Path, meta: dict, base: ProductMatrixCode,
-                 codec: ProductMatrixCode, scheme):
+    def __init__(self, path: Path, meta: dict, code: ProductMatrixCode,
+                 scheme):
         self.path = Path(path)
         self.meta = meta
-        self.base = base        # code over the symbol field F
-        self.codec = codec      # code over F (plain) or L (secure)
+        self.code = code        # code over the base field F
         self.scheme = scheme    # SecureScheme or None
+        self.symbol_field = code.field if scheme is None else scheme.ext
+
+    # -- L symbols and their F digit stripes
+
+    def _stripes(self, symbols) -> list[int]:
+        """Digit s of every symbol, for s = 0 .. B-1 in turn."""
+        if self.scheme is None:
+            return list(symbols)
+        return [x for stripe in zip(*map(self.symbol_field.coeffs, symbols))
+                for x in stripe]
+
+    def _symbols(self, stripes) -> list[int]:
+        """The symbols whose digit stripes _stripes() lists."""
+        if self.scheme is None:
+            return list(stripes)
+        count = len(stripes) // self.symbol_field.t
+        return [self.symbol_field.from_coeffs(stripes[j::count])
+                for j in range(count)]
 
     # -- creation and loading
 
@@ -164,24 +187,21 @@ class ClusterState:
         path = Path(path)
         if (path / "meta.json").exists():
             raise IntegrityError(f"cluster already exists at {path}")
-        base = ProductMatrixCode(params, field, points)
+        code = ProductMatrixCode(params, field, points)
         meta = {
             "layout": LAYOUT_VERSION,
             "params": {"n": params.n, "k": params.k, "d": params.d,
                        "m": params.m},
             "field": field.to_json(),
-            "points": list(base.points),
+            "points": list(code.points),
             "mode": "plain",
             "secure": None,
         }
-        if secure is None:
-            codec, scheme = base, None
-            capacity = params.message_length
-        else:
+        scheme, capacity = None, params.message_length
+        if secure is not None:
             from . import secrecy
             l1, l2 = secure
-            scheme = secrecy.scheme_make(base, l1, l2)
-            codec = ProductMatrixCode(params, scheme.ext, base.points)
+            scheme = secrecy.scheme_make(code, l1, l2)
             capacity = scheme.secret_size
             if seed is None:
                 import secrets
@@ -190,8 +210,9 @@ class ClusterState:
             meta["secure"] = {"l1": l1, "l2": l2, "ell": scheme.ell,
                               "seed": seed,
                               "extension": scheme.ext.to_json()}
+        state = cls(path, meta, code, scheme)
         framed = frame_payload(payload)
-        bits = bits_per_symbol(codec.field)
+        bits = bits_per_symbol(state.symbol_field)
         data_symbols = bytes_to_symbols(framed, bits, capacity)
         if scheme is None:
             message = data_symbols
@@ -201,14 +222,13 @@ class ClusterState:
             randomness = [rng.randrange(scheme.ext.order)
                           for _ in range(scheme.ell)]
             message = scheme.wrap(data_symbols, randomness)
-        shares = codec.encode(message)
-        state = cls(path, meta, base, codec, scheme)
+        shares = code.encode(state._stripes(message))
         path.mkdir(parents=True, exist_ok=True)
         with _lock(path):
             _replace_bytes(path / "meta.json", (json.dumps(
                 meta, sort_keys=True, indent=1) + "\n").encode())
             (path / "events.jsonl").write_text("")
-            for node in codec.nodes:
+            for node in code.nodes:
                 state.write_share(node, shares[node - 1])
         return state
 
@@ -229,7 +249,7 @@ class ClusterState:
         params = CodeParams(shape["n"], shape["k"], shape["d"], shape["m"])
         field = FieldSpec.from_json(
             _require(meta["field"], _FIELD_KEYS, "meta.json field"))
-        base = ProductMatrixCode(params, field, meta["points"])
+        code, scheme = ProductMatrixCode(params, field, meta["points"]), None
         if meta["mode"] == "secure":
             from . import secrecy
             sec = _require(meta.get("secure"),
@@ -243,43 +263,40 @@ class ClusterState:
             # the stored modulus is checked irreducible here, not searched
             # for again; verify_cluster() checks that it is the canonical one
             try:
-                scheme = secrecy.SecureScheme(base, sec["l1"], sec["l2"],
+                scheme = secrecy.SecureScheme(code, sec["l1"], sec["l2"],
                                               sec["ell"],
                                               ExtensionSpec.from_json(ext))
             except ValueError as exc:
                 raise IntegrityError(f"meta.json secure: {exc}") from None
-            codec = ProductMatrixCode(params, scheme.ext, base.points)
-        else:
-            scheme, codec = None, base
-        return cls(path, meta, base, codec, scheme)
+        return cls(path, meta, code, scheme)
 
     # -- share files
 
     def share_path(self, node: int) -> Path:
-        self.codec._node_index(node)
+        self.code._node_index(node)
         return self.path / f"share_{node}.bin"
 
-    def write_share(self, node: int, symbols):
-        width = element_width(self.codec.field)
-        blob = b"".join(s.to_bytes(width, "little") for s in symbols)
+    def write_share(self, node: int, stripes):
+        width = element_width(self.symbol_field)
+        blob = b"".join(s.to_bytes(width, "little")
+                        for s in self._symbols(stripes))
         _replace_bytes(self.share_path(node), blob)
 
     def read_share(self, node: int) -> list[int]:
-        width = element_width(self.codec.field)
+        """The node's share as the code's digit stripes."""
+        width = element_width(self.symbol_field)
         try:
             blob = self.share_path(node).read_bytes()
         except FileNotFoundError:
             raise UnknownNode(f"share of node {node} is missing")
-        alpha = self.codec.params.alpha
+        alpha = self.code.params.alpha
         if len(blob) != alpha * width:
             raise IntegrityError(
                 f"share_{node}.bin has {len(blob)} bytes, "
                 f"expected {alpha * width}")
-        out = []
-        for i in range(alpha):
-            v = int.from_bytes(blob[i * width:(i + 1) * width], "little")
-            out.append(self.codec.field.element(v))
-        return out
+        return self._stripes([self.symbol_field.element(
+            int.from_bytes(blob[i:i + width], "little"))
+            for i in range(0, len(blob), width)])
 
     # -- event log
 
@@ -302,7 +319,7 @@ class ClusterState:
 
     def _check_event(self, event: dict, where: str) -> dict:
         """event, once its nodes and symbols fit this cluster's code."""
-        p, nodes = self.codec.params, self.codec.nodes
+        p, nodes = self.code.params, self.code.nodes
         failed, helpers = event["failed"], event["helpers"]
         if failed not in nodes:
             raise IntegrityError(
@@ -318,7 +335,7 @@ class ClusterState:
                 or sorted(symbols) != sorted(map(str, helpers))):
             raise IntegrityError(
                 f"{where} 'symbols' must have exactly the helpers as keys")
-        order = self.codec.field.order
+        order = self.symbol_field.order
         for h, sent in symbols.items():
             if not (isinstance(sent, list) and len(sent) == p.beta
                     and all(_hex_below(s, order) for s in sent)):
@@ -335,21 +352,21 @@ class ClusterState:
     # -- operations
 
     def fail_repair(self, failed: int, helpers=None) -> dict:
-        codec = self.codec
+        code = self.code
         if helpers is None:
-            helpers = [x for x in codec.nodes if x != failed][:codec.params.d]
+            helpers = [x for x in code.nodes if x != failed][:code.params.d]
         helpers = sorted(set(helpers))
-        if len(helpers) != codec.params.d:
+        if len(helpers) != code.params.d:
             raise WrongHelperCount(
-                f"need exactly d={codec.params.d} helpers, got {len(helpers)}")
+                f"need exactly d={code.params.d} helpers, got {len(helpers)}")
         if failed in helpers:
             raise SelfRepair(f"node {failed} cannot help repair itself")
         with _lock(self.path):
             events = self.events()
             before = self.read_share(failed)
-            symbols = {h: codec.repair_symbol(h, failed, self.read_share(h))
-                       for h in helpers}
-            rebuilt = codec.repair(failed, symbols)
+            sent = {h: code.repair_symbol(h, failed, self.read_share(h))
+                    for h in helpers}
+            rebuilt = code.repair(failed, sent)
             if rebuilt != before:
                 raise IntegrityError(
                     f"repair of node {failed} did not reproduce its share; "
@@ -358,33 +375,30 @@ class ClusterState:
             epoch = events[-1]["epoch"] + 1 if events else 1
             event = {"epoch": epoch, "event": "repair", "failed": failed,
                      "helpers": helpers,
-                     "symbols": {str(h): [format(s, "#x") for s in symbols[h]]
+                     "symbols": {str(h): [format(s, "#x")
+                                          for s in self._symbols(sent[h])]
                                  for h in helpers}}
             self._append_event(event)
         return event
 
-    def reconstruct_message(self, nodes=None) -> list[int]:
-        codec = self.codec
-        if nodes is None:
-            nodes = list(codec.nodes)[:codec.params.k]
-        nodes = sorted(set(nodes))
-        if len(nodes) != codec.params.k:
-            raise WrongNodeCount(
-                f"need exactly k={codec.params.k} nodes, got {len(nodes)}")
-        return codec.reconstruct({n: self.read_share(n) for n in nodes})
-
     def reconstruct_payload(self, nodes=None) -> bytes:
-        message = self.reconstruct_message(nodes)
+        code = self.code
+        if nodes is None:
+            nodes = list(code.nodes)[:code.params.k]
+        nodes = sorted(set(nodes))
+        if len(nodes) != code.params.k:
+            raise WrongNodeCount(
+                f"need exactly k={code.params.k} nodes, got {len(nodes)}")
+        message = self._symbols(
+            code.reconstruct({n: self.read_share(n) for n in nodes}))
         if self.scheme is not None:
             message = self.scheme.unwrap(message)
-        stream = symbols_to_bytes(message, bits_per_symbol(self.codec.field))
+        stream = symbols_to_bytes(message, bits_per_symbol(self.symbol_field))
         return unframe_payload(stream)
 
     def attack(self, stored, repaired, epochs=None) -> dict:
-        # observation rows have entries in F, and their rank is the same
-        # over F as over L, so a secure cluster's attack runs over F too
         from . import secrecy
-        code = self.base
+        code = self.code
         model = secrecy.EavesdropperModel(stored, repaired)
         secrecy.check_model(code, model)
         lo, hi = epochs if epochs is not None else (1, None)
@@ -429,26 +443,26 @@ class ClusterState:
             # load() takes ell as stored; check it against its (l1, l2)
             s = self.scheme
             try:
-                worst = secrecy.worst_case_leakage(self.base, s.l1, s.l2)
+                worst = secrecy.worst_case_leakage(self.code, s.l1, s.l2)
                 record("wrapping", worst == s.ell,
                        f"ell {s.ell}, worst-case ({s.l1},{s.l2}) leakage "
                        f"{worst}")
             except ValueError as exc:  # BadModel, AsymmetricLeakage
                 record("wrapping", False, str(exc))
 
-        codec = self.codec
+        code = self.code
         try:
-            shares = {n: self.read_share(n) for n in codec.nodes}
-            record("shares", True, f"{codec.params.n} share files read")
+            shares = {n: self.read_share(n) for n in code.nodes}
+            record("shares", True, f"{code.params.n} share files read")
         except (UnknownNode, IntegrityError, ValueError) as exc:
             record("shares", False, str(exc))
             return checks
 
         try:
-            message = codec.reconstruct(
-                {n: shares[n] for n in list(codec.nodes)[:codec.params.k]})
-            expected = codec.encode(message)
-            bad = [n for n in codec.nodes if expected[n - 1] != shares[n]]
+            message = code.reconstruct(
+                {n: shares[n] for n in list(code.nodes)[:code.params.k]})
+            expected = code.encode(message)
+            bad = [n for n in code.nodes if expected[n - 1] != shares[n]]
             record("replay", not bad,
                    f"shares differ from re-encode at nodes {bad}" if bad
                    else "all shares match the re-encode")
@@ -466,8 +480,8 @@ class ClusterState:
             f = e["failed"]
             for h in e["helpers"]:
                 sent = [int(s, 16) for s in e["symbols"][str(h)]]
-                want = codec.repair_symbol(h, f, expected[h - 1])
-                if sent != want:
+                want = code.repair_symbol(h, f, expected[h - 1])
+                if sent != self._symbols(want):
                     log_ok = False
                     log_detail = (f"epoch {e['epoch']}: helper {h} symbols "
                                   f"disagree with its share")

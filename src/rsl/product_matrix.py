@@ -19,8 +19,11 @@ Wider codes concatenate m independent copies over the same evaluation
 points: per-node storage alpha = m*alpha0, per-link repair beta = m.
 Every stored and repair row touches one copy's block of the message, so
 repair solves one d x d system and reconstruct one k*alpha0 x k*alpha0
-system of copy 0, each with m right-hand columns, one per copy, and
+system of copy 0, each with one right-hand column per copy, and
 entropy.observed_entropy() ranks the rows of copy 0 alone, on one_copy().
+The codec takes any positive whole number of codewords at once, read off
+the input length; codeword s holds copies s*m .. s*m + m - 1.  A secure
+cluster runs it on the B base-field digit stripes of its symbols.
 
 Every stored or transmitted symbol is a linear functional of the message,
 exposed as its coefficient row: observation_rows() lists the rows one
@@ -111,6 +114,15 @@ class RepairFromTo:
         object.__setattr__(self, "failed", tuple(sorted(set(failed))))
 
 
+def _codewords(counts, unit: int, what: str) -> int:
+    """The codewords in each of counts symbols, unit per codeword."""
+    if not counts[0] or counts[0] % unit or len(set(counts)) > 1:
+        raise LengthMismatch(
+            f"{what} needs one positive multiple of {unit} symbols, got "
+            f"{'/'.join(map(str, sorted(set(counts))))}")
+    return counts[0] // unit
+
+
 class ProductMatrixCode:
     """An (n, k, d=2k-2) exact-repair code instance over a field."""
 
@@ -191,7 +203,7 @@ class ProductMatrixCode:
     # -- codec
 
     def encode(self, message) -> list[list[int]]:
-        """All n shares, alpha symbols each, copies consecutive.
+        """All n shares, alpha symbols per codeword, copies consecutive.
 
         Slot copy*alpha0 + a of a node is its copy-0 stored row for slot
         a (on one_copy(), as observed_entropy() ranks it) applied to
@@ -199,12 +211,10 @@ class ProductMatrixCode:
         """
         p = self.params
         message = [self.field.element(x) for x in message]
-        if len(message) != p.message_length:
-            raise LengthMismatch(
-                f"message needs {p.message_length} symbols, got {len(message)}")
+        _codewords([len(message)], p.message_length, "message")
         add, mul = self.field.add, self.field.mul
         one, b0 = self.one_copy(), p.base_message_length
-        blocks = [message[c * b0:(c + 1) * b0] for c in range(p.m)]
+        blocks = [message[i:i + b0] for i in range(0, len(message), b0)]
         shares = []
         for node in self.nodes:
             rows = [[(i, c) for i, c in enumerate(one.stored_row(node, a)) if c]
@@ -220,7 +230,7 @@ class ProductMatrixCode:
         return shares
 
     def repair_symbol(self, helper: int, failed: int, helper_share) -> list[int]:
-        """The beta symbols the helper sends toward the failed node.
+        """The beta symbols per codeword the helper sends to the failed node.
 
         A pure function of (helper, failed, helper's share): helper choice
         elsewhere in the system cannot change what this node transmits.
@@ -231,14 +241,12 @@ class ProductMatrixCode:
             raise SelfRepair(f"node {failed} cannot help repair itself")
         p = self.params
         share = [self.field.element(x) for x in helper_share]
-        if len(share) != p.alpha:
-            raise LengthMismatch(
-                f"share needs {p.alpha} symbols, got {len(share)}")
+        copies = p.m * _codewords([len(share)], p.alpha, "share")
         add, mul = self.field.add, self.field.mul
         a0 = p.base_alpha
         phi_f = self.phi[fi]
         out = []
-        for copy in range(p.m):
+        for copy in range(copies):
             acc = 0
             for j in range(a0):
                 acc = add(acc, mul(share[copy * a0 + j], phi_f[j]))
@@ -248,7 +256,7 @@ class ProductMatrixCode:
     def repair(self, failed: int, helper_symbols) -> list[int]:
         """Rebuild the failed share from d helpers' repair symbols.
 
-        helper_symbols maps helper id -> the beta symbols it sent.
+        helper_symbols maps helper id -> the beta symbols per codeword it sent.
         """
         fi = self._node_index(failed)
         helpers = sorted(helper_symbols)
@@ -261,20 +269,17 @@ class ProductMatrixCode:
         system = Matrix._of(self.field, rows)
         p = self.params
         a0 = p.base_alpha
-        columns = []
-        for h in helpers:
-            sym = [self.field.element(x) for x in helper_symbols[h]]
-            if len(sym) != p.beta:
-                raise LengthMismatch(
-                    f"helper {h} sent {len(sym)} symbols, expected {p.beta}")
-            columns.append(sym)
-        rhs = Matrix._of(self.field, columns)  # d x m, copy per column
+        columns = [[self.field.element(x) for x in helper_symbols[h]]
+                   for h in helpers]
+        copies = p.m * _codewords([len(c) for c in columns], p.beta,
+                                  "repair symbols of each helper")
+        rhs = Matrix._of(self.field, columns)  # d x copies, copy per column
         # d distinct Vandermonde rows: the system is always invertible
         sol = system.solve(rhs)  # rows of M phi_f, per copy
         add, mul = self.field.add, self.field.mul
         lam_f = self.lam[fi]
         share = []
-        for copy in range(p.m):
+        for copy in range(copies):
             for a in range(a0):
                 s1_part = sol.rows[a][copy]
                 s2_part = sol.rows[a0 + a][copy]
@@ -284,7 +289,7 @@ class ProductMatrixCode:
     def reconstruct(self, shares) -> list[int]:
         """Recover the message from any k complete shares.
 
-        The m copies share one decode system: row (node, a) is the node's
+        All copies share one decode system: row (node, a) is the node's
         stored row for slot a on one_copy(), over copy 0's B0 = k*alpha0
         message symbols, and right-hand column c holds slot c*alpha0 + a.
         """
@@ -296,21 +301,20 @@ class ProductMatrixCode:
             self._node_index(node)
         a0, b0 = p.base_alpha, p.base_message_length
         one = self.one_copy()
+        shares = [[self.field.element(x) for x in shares[node]]
+                  for node in nodes]
+        copies = p.m * _codewords([len(s) for s in shares], p.alpha,
+                                  "each share")
         rows, values = [], []
-        for node in nodes:
-            share = [self.field.element(x) for x in shares[node]]
-            if len(share) != p.alpha:
-                raise LengthMismatch(
-                    f"share of node {node} has {len(share)} symbols, "
-                    f"expected {p.alpha}")
+        for node, share in zip(nodes, shares):
             for a in range(a0):
                 rows.append(one.stored_row(node, a))
                 values.append(share[a::a0])
         system = Matrix._of(self.field, rows, ncols=b0)
         # k distinct nodes always give rank B0, so solve() finds the one
         # solution; column c is copy c's block of the message_index layout
-        sol = system.solve(Matrix._of(self.field, values, ncols=p.m))
-        return [row[c] for c in range(p.m) for row in sol.rows]
+        sol = system.solve(Matrix._of(self.field, values, ncols=copies))
+        return [row[c] for c in range(copies) for row in sol.rows]
 
     # -- observation rows: each built once per instance, on first use
 

@@ -12,7 +12,9 @@ distance code over the extension L of degree B: the message becomes
 c_j = sum_i u_i * g_j^(|F|^i) with g_j = y^(j-1) for y the class of x
 (ExtensionSpec.root), i.e. Moore-matrix evaluations of u = (R || D),
 where R is ell fresh random symbols and ell is the worst-case leakage
-enumerated over all models of shape (l1, l2).
+enumerated over all models of shape (l1, l2).  wrap() builds no Moore
+matrix: c_j = sum_i u_i * z_i^(j-1) with z_i = y^(|F|^i), from one running
+power per u_i and one Frobenius step per i.
 The eavesdropper's rows A have entries in F, so A @ Moore is the Moore
 matrix of the h_s = sum_j a_sj y^j, whose first ell columns have rank
 min(rank_F A, ell): the view is independent of D iff rank_F A <= ell,
@@ -179,9 +181,13 @@ class SecureScheme:
         if len(randomness) != self.ell:
             raise LengthMismatch(
                 f"randomness needs {self.ell} symbols, got {len(randomness)}")
-        u = Matrix(ext, [[x] for x in randomness + secret],
-                   ncols=1)
-        return [row[0] for row in (self.moore @ u).rows]
+        out, z = [0] * ext.t, ext.root
+        for v in randomness + secret:
+            for j in range(ext.t):
+                out[j] = ext.add(out[j], v)
+                v = ext.mul(v, z)
+            z = ext.frobenius(z)
+        return out
 
     def unwrap(self, message) -> list[int]:
         """Secret symbols back out of a wrapped message.

@@ -11,6 +11,8 @@ from rsl.cli import main
 from rsl.cluster import ClusterState
 from rsl.errors import AsymmetricLeakage
 from rsl.field import ExtensionSpec, FieldSpec
+from rsl.matrix import Matrix
+from rsl.product_matrix import ProductMatrixCode
 
 GF16 = FieldSpec(2, 4)
 
@@ -168,8 +170,8 @@ def test_verify_cluster_agreement_fails_on_bad_frame(tmp_path, capsys):
     # claims far more bytes than the cluster stores
     _encode(tmp_path)
     state = ClusterState.load(tmp_path / "c")
-    shares = state.codec.encode([0xff, 0xff, 0xff, 0xff, 0, 0])
-    for node in state.codec.nodes:
+    shares = state.code.encode([0xff, 0xff, 0xff, 0xff, 0, 0])
+    for node in state.code.nodes:
         state.write_share(node, shares[node - 1])
     checks = {c["check"]: c for c in state.verify_cluster()}
     assert checks["replay"]["passed"] is True
@@ -213,6 +215,38 @@ def test_plain_flows_build_no_extension(tmp_path, monkeypatch):
                  ["verify", "--cluster", cluster]):
         assert main(argv) == 0, argv
     assert (tmp_path / "out.bin").read_bytes() == b"xy"
+
+
+def test_secure_flows_build_nothing_over_the_extension(tmp_path,
+                                                     monkeypatch):
+    # a secure cluster runs the code over F on the digit stripes of its
+    # symbols; only wrap and unwrap compute in L, on no Matrix
+    init, store, built = ProductMatrixCode.__init__, Matrix._set, []
+
+    def code_over_f(self, params, field, *rest):
+        if isinstance(field, ExtensionSpec):
+            built.append(f"a code over {field!r}")
+            raise AssertionError(built[-1])
+        init(self, params, field, *rest)
+
+    def matrix_over_f(self, field, *rest):
+        if isinstance(field, ExtensionSpec):
+            built.append(f"a Matrix over {field!r}")
+            raise AssertionError(built[-1])
+        store(self, field, *rest)
+    monkeypatch.setattr(ProductMatrixCode, "__init__", code_over_f)
+    monkeypatch.setattr(Matrix, "_set", matrix_over_f)
+    cluster = str(tmp_path / "c")
+    assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
+                                    "--seed", "5"]) == 0
+    for argv in (["fail-repair", "--cluster", cluster, "--node", "2"],
+                 ["reconstruct", "--cluster", cluster,
+                  "--output", str(tmp_path / "out.bin")],
+                 ["attack", "--cluster", cluster, "--repair", "2", "--json"],
+                 ["verify", "--cluster", cluster]):
+        assert main(argv) == 0, argv
+    assert (tmp_path / "out.bin").read_bytes() == b"xy"
+    assert built == []
 
 
 def test_refused_encode_creates_nothing(tmp_path, capsys):
@@ -597,6 +631,69 @@ GOLDEN_CLUSTERS = {
                   '"formula_value": "12", "leakage": 8, "match": true, '
                   '"model": {"repaired": [3], "stored": []}, '
                   '"perfect": true, "rank_growth": 0, "secure_size": 12}\n',
+    },
+    # secure with beta = 2, over GF(16)^12: a wrong copy order across the
+    # base-field digit stripes of the L symbols shows here; frozen from the
+    # implementation that ran a second codec over L
+    "secure-m2": {
+        "encode": ["--n", "6", "--k", "3", "--d", "4", "--m", "2",
+                   "--field", "2,4", "--secure", "0,1", "--seed", "5"],
+        "payload": b"m2",
+        "node": "2",
+        "files": {
+            "events.jsonl": "8cf9c0704af8065d6f2a23453a4b9fa1"
+                            "4534e86880ca05fc7d0e36e53a3bd485",
+            "meta.json": "2d7af58b7e08b9917e988ab48835364e"
+                         "4e8788b59cdcc4c3a051fe16abd2bba8",
+            "share_1.bin": "5631963cf0772e8dd9e9f6a73fc7efe0"
+                           "8271e27166bf9e9382ea7d9b34d1d979",
+            "share_2.bin": "6ade9ae0ba6509a202a34f074e8c7f1f"
+                           "6d4ef53329df4dd8a91ae4f17da4ff4a",
+            "share_3.bin": "fd87733e0a3394033c67d4a9f06a2ff0"
+                           "5e322916ae52bdd656b0efe7c69b5b5a",
+            "share_4.bin": "78ea22f53eac584e08c3722232e303cd"
+                           "b6a4bd8f2fe3f395a46eb280899adc33",
+            "share_5.bin": "232bb51d6a1a430d2db4cf6fcf818dd1"
+                           "b837e491ffe5836413f1b44f7d58f585",
+            "share_6.bin": "7ef3979dd9f8f0215cb2f6f4b7d94b79"
+                           "052d8c26d00ee7e84cb458754e4edbcd",
+        },
+        "attack": '{"epochs": [1], "formula_kind": "exact", '
+                  '"formula_value": "4", "leakage": 8, "match": true, '
+                  '"model": {"repaired": [2], "stored": []}, '
+                  '"perfect": true, "rank_growth": 0, "secure_size": 4}\n',
+    },
+    # secure over GF(25)^12 at beta = 2: a base field of odd
+    # characteristic, whose digits are not packed bits; frozen likewise
+    "secure-gf25": {
+        "encode": ["--n", "7", "--k", "3", "--d", "4", "--m", "2",
+                   "--field", "5,2", "--secure", "0,1", "--seed", "4"],
+        "payload": b"25",
+        "node": "5",
+        "files": {
+            "events.jsonl": "eb815af06d3425f5775e60224a6e927d"
+                            "74d9714d933e0638db7eca97f325a682",
+            "meta.json": "2394e906f83f0463e380999f431adb86"
+                         "9a50eaf0fa3fa0e7aab4dd7c3aa24d2a",
+            "share_1.bin": "f862f73e0db0ea8be46c8df6dfa85d2e"
+                           "54b9da33c4574141240a486ded929695",
+            "share_2.bin": "fc23edab3e2dd190ddfc0ef10bb0452d"
+                           "cd9a035dc09a6ab45482dce14e141ea4",
+            "share_3.bin": "f0d4dc458461898c41c9c6d0156a82c3"
+                           "a5dc762bad9f66102292d38189e941d5",
+            "share_4.bin": "54b2b26406a167a66d5143c52f6dc4ab"
+                           "76526f2541eb8fa86e92598e3a5731ec",
+            "share_5.bin": "71c58722c30d043de477f73d12524f94"
+                           "266bc973e9a95ad8aab3401c67d2ae60",
+            "share_6.bin": "cb9340e2546644c4660be8fd463dd17f"
+                           "cb62675d83db70cd5fa942836038734d",
+            "share_7.bin": "b2fc4c2f2d419165b154ae336004a04b"
+                           "1f4d320521f5f131287d0727b15ed546",
+        },
+        "attack": '{"epochs": [1], "formula_kind": "exact", '
+                  '"formula_value": "4", "leakage": 8, "match": true, '
+                  '"model": {"repaired": [5], "stored": []}, '
+                  '"perfect": true, "rank_growth": 0, "secure_size": 4}\n',
     },
 }
 

@@ -150,7 +150,7 @@ def test_secure_roundtrip_and_meta(tmp_path):
     sec = meta["secure"]
     assert (sec["l1"], sec["l2"], sec["ell"], sec["seed"]) == (0, 1, 4, 99)
     assert sec["extension"]["t"] == 6
-    width = element_width(state.codec.field)
+    width = element_width(state.scheme.ext)
     assert width == 3  # 24-bit extension symbols
     blob = (tmp_path / "c" / "share_1.bin").read_bytes()
     assert len(blob) == 2 * width
@@ -265,7 +265,7 @@ def test_fail_repair_keeps_share_when_repair_raises(tmp_path, monkeypatch):
 
     def crash(*args):
         raise RuntimeError("repair crashed")
-    monkeypatch.setattr(state.codec, "repair", crash)
+    monkeypatch.setattr(state.code, "repair", crash)
     with pytest.raises(RuntimeError):
         state.fail_repair(1)
     # the share is untouched, and no lock or temporary file is left
@@ -289,12 +289,12 @@ def test_lock_blocks_writers(tmp_path):
     lock.rmdir()
     # the writer's own pid while it holds the lock; no lock once it is done
     seen = []
-    repair = state.codec.repair
+    repair = state.code.repair
 
     def spy(*args):
         seen.append(lock.read_text())
         return repair(*args)
-    state.codec.repair = spy
+    state.code.repair = spy
     state.fail_repair(1)
     assert seen == [str(os.getpid())]
     assert not lock.exists()
@@ -317,7 +317,7 @@ def test_attack_matches_model_leakage(tmp_path):
     state = _plain(tmp_path, n=6)
     state.fail_repair(1)
     report = state.attack([], [1])
-    code = state.codec
+    code = state.code
     model = EavesdropperModel((), (1,))
     assert report["leakage"] == leakage(code, model) == 4
     assert report["secure_size"] == 2
@@ -371,7 +371,7 @@ def test_attack_secure_cluster_perfect(tmp_path):
 def _full_width_attack_ranks(state, model, epochs):
     """(rank of all picked rows, rank with each node's first event only,
     worst-case leakage), ranked over all m copies' rows, B columns wide."""
-    code = state.base
+    code = state.code
     lo, hi = epochs or (1, None)
     picked = [e for e in state.events() if e["failed"] in model.repaired
               and e["epoch"] >= lo and (hi is None or e["epoch"] <= hi)]
@@ -401,7 +401,7 @@ def test_attack_multi_copy_matches_full_width_ranks(tmp_path, shape):
     state.fail_repair(2)
     state.fail_repair(1, others[-d:])
     state.fail_repair(1, others[1:d + 1])
-    B = state.base.params.message_length
+    B = state.code.params.message_length
     models = [((), (1,)), ((3,), (1,)), ((n,), (2,)), ((), (1, 2))]
     if k > 3:
         models.append(((3,), (1, 2)))
@@ -415,7 +415,7 @@ def test_attack_multi_copy_matches_full_width_ranks(tmp_path, shape):
             assert report["rank_growth"] == observed - base
             assert report["secure_size"] == B - observed
             assert report["match"] is True
-            assert leakage(state.base, model) == worst
+            assert leakage(state.code, model) == worst
 
 
 def test_attack_single_event_ranks_twice_on_copy_zero(tmp_path, monkeypatch):
@@ -430,7 +430,7 @@ def test_attack_single_event_ranks_twice_on_copy_zero(tmp_path, monkeypatch):
     # all events and first events share one memo entry; the worst case
     # over every potential helper is the other rank
     assert len(ranked) == 2
-    assert {a.ncols for a in ranked} == {state.base.params.base_message_length}
+    assert {a.ncols for a in ranked} == {state.code.params.base_message_length}
     assert report["rank_growth"] == 0
     assert report["leakage"] == 2 * 5
 

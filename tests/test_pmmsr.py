@@ -9,7 +9,7 @@ from rsl.entropy import joint_entropy
 from rsl.errors import (BadSelector, DegenerateLambda, FieldTooSmall,
                         LengthMismatch, SelfRepair, UnknownNode,
                         WrongHelperCount, WrongNodeCount)
-from rsl.field import FieldSpec
+from rsl.field import ExtensionSpec, FieldSpec
 from rsl.matrix import Matrix
 from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
                                 RepairTo, Stored)
@@ -121,8 +121,10 @@ def test_encode_matches_naive_layout():
 
 def test_encode_validation():
     code = _code()
-    with pytest.raises(LengthMismatch):
-        code.encode([0] * 5)
+    # B = 6: fewer, none, or not a whole number of codewords
+    for message in ([0] * 5, [], [0] * 9):
+        with pytest.raises(LengthMismatch):
+            code.encode(message)
     with pytest.raises(ValueError):
         code.encode([99] * 6)
 
@@ -149,8 +151,10 @@ def test_repair_symbol_validation():
     shares = code.encode(_message(code))
     with pytest.raises(SelfRepair):
         code.repair_symbol(2, 2, shares[1])
-    with pytest.raises(LengthMismatch):
-        code.repair_symbol(1, 2, shares[0][:1])
+    # alpha = 2: a share of no, or not a whole number of, codewords
+    for share in (shares[0][:1], [], shares[0] * 2 + shares[0][:1]):
+        with pytest.raises(LengthMismatch):
+            code.repair_symbol(1, 2, share)
     with pytest.raises(UnknownNode):
         code.repair_symbol(9, 2, shares[0])
 
@@ -190,6 +194,10 @@ def test_repair_validation():
     del bad[5]
     with pytest.raises(SelfRepair):
         code.repair(1, bad)
+    # helpers that send different numbers of codewords, or none
+    for sent in (syms[2] * 2, []):
+        with pytest.raises(LengthMismatch):
+            code.repair(1, {**syms, 2: sent})
 
 
 def test_reconstruct_all_subsets():
@@ -237,6 +245,9 @@ def test_reconstruct_validation():
         code.reconstruct({1: shares[0], 2: shares[1], 9: shares[2]})
     with pytest.raises(LengthMismatch):
         code.reconstruct({1: shares[0], 2: shares[1], 3: shares[2][:1]})
+    # shares of different codeword counts
+    with pytest.raises(LengthMismatch):
+        code.reconstruct({1: shares[0], 2: shares[1] * 2, 3: shares[2]})
 
 
 def test_message_index_is_a_bijection():
@@ -406,3 +417,45 @@ def test_matrices_from_outside_are_still_checked():
         Matrix(GF16, [row[:-1] + [16]])
     with pytest.raises(LengthMismatch):
         Matrix(GF16, [row, row[:-1]])
+
+
+# -- many codewords at once: the digit stripes of symbols of an extension
+
+
+def _stripes(ext, symbols):
+    """Digit s of every symbol, for each s in turn: S = t codewords."""
+    return [ext.coeffs(x)[s] for s in range(ext.t) for x in symbols]
+
+
+def _unstripe(ext, stripes):
+    count = len(stripes) // ext.t
+    return [ext.from_coeffs(stripes[j::count]) for j in range(count)]
+
+
+# GF(16) and GF(256) eliminate packed, GF(8) and GF(25) on lists
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("field", [GF16, GF256, FieldSpec(2, 3), GF25],
+                         ids=["GF(2^4)", "GF(2^8)", "GF(2^3)", "GF(5^2)"])
+def test_stripe_codec_matches_the_codec_over_the_extension(field, m):
+    # the slow path: the same code over L = field^4, whose coefficients
+    # all lie in field, on the L symbols the stripes pack back into
+    code = _code(n=6, m=m, field=field)
+    ext = ExtensionSpec(field, 4)
+    slow = ProductMatrixCode(code.params, ext, code.points)
+    rng = random.Random(f"{field!r} {m}")
+    message = [rng.randrange(ext.order)
+               for _ in range(code.params.message_length)]
+    shares = code.encode(_stripes(ext, message))
+    want = slow.encode(message)
+    assert [_unstripe(ext, share) for share in shares] == want
+    failed, helpers = 2, (1, 3, 4, 6)
+    sent = {h: code.repair_symbol(h, failed, shares[h - 1]) for h in helpers}
+    for h in helpers:
+        assert len(sent[h]) == ext.t * code.params.beta
+        assert _unstripe(ext, sent[h]) == slow.repair_symbol(h, failed,
+                                                             want[h - 1])
+    assert code.repair(failed, sent) == shares[failed - 1]
+    group = sorted(rng.sample(list(code.nodes), code.params.k))
+    got = code.reconstruct({i: shares[i - 1] for i in group})
+    assert _unstripe(ext, got) == message
+    assert slow.reconstruct({i: want[i - 1] for i in group}) == message

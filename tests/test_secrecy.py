@@ -216,11 +216,27 @@ def _unwrap_slow(scheme, message):
 
 # (field, n, k): GF(16)^20 and GF(256)^6 run packed, GF(8)^6, GF(11)^6 and
 # GF(25)^6 on lists, and GF(16)^2 is the smallest B
-@pytest.mark.parametrize("field,n,k", [
+EXTENSIONS = pytest.mark.parametrize("field,n,k", [
     (GF16, 9, 5), (FieldSpec(2, 8), 5, 3), (FieldSpec(2, 3), 5, 3),
     (FieldSpec(11, 1), 5, 3), (FieldSpec(5, 2), 5, 3), (GF16, 3, 2),
 ], ids=["GF(16)^20", "GF(256)^6", "GF(8)^6", "GF(11)^6", "GF(25)^6",
         "GF(16)^2"])
+
+
+@EXTENSIONS
+def test_wrap_closed_form_matches_moore_product(field, n, k):
+    code = ProductMatrixCode(CodeParams(n=n, k=k, d=2 * k - 2), field)
+    B = code.params.message_length
+    ext = ExtensionSpec(field, B)
+    rng = random.Random(B)
+    for ell in sorted({0, B // 2, B}):
+        scheme = SecureScheme(code, 0, 0, ell, ext)
+        u = [rng.randrange(ext.order) for _ in range(B)]
+        want = scheme.moore @ Matrix(ext, [[x] for x in u], ncols=1)
+        assert scheme.wrap(u[ell:], u[:ell]) == [row[0] for row in want.rows]
+
+
+@EXTENSIONS
 def test_unwrap_closed_form_matches_moore_solve(field, n, k):
     code = ProductMatrixCode(CodeParams(n=n, k=k, d=2 * k - 2), field)
     B = code.params.message_length
