@@ -182,12 +182,11 @@ class ClusterState:
 
     @classmethod
     def create(cls, path, params: CodeParams, field: FieldSpec,
-               payload: bytes, secure=None, seed=None,
-               points=None) -> "ClusterState":
+               payload: bytes, secure=None, seed=None) -> "ClusterState":
         path = Path(path)
         if (path / "meta.json").exists():
             raise IntegrityError(f"cluster already exists at {path}")
-        code = ProductMatrixCode(params, field, points)
+        code = ProductMatrixCode(params, field)
         meta = {
             "layout": LAYOUT_VERSION,
             "params": {"n": params.n, "k": params.k, "d": params.d,
@@ -244,6 +243,10 @@ class ClusterState:
             raise IntegrityError(f"unknown layout {meta['layout']}")
         _require(meta, {"params": None, "field": None, "points": _INTS,
                         "mode": None}, "meta.json")
+        if meta["mode"] not in ("plain", "secure"):
+            raise IntegrityError(
+                "meta.json 'mode' must be plain or secure, got "
+                f"{json.dumps(meta['mode'])}")
         shape = _require(meta["params"], dict.fromkeys("nkdm", _INT),
                          "meta.json params")
         params = CodeParams(shape["n"], shape["k"], shape["d"], shape["m"])

@@ -505,27 +505,10 @@ class Field:
         return self._pack(map(self._digit_field.neg, self.coeffs(a)))
 
     def _list_mul(self, a: int, b: int) -> int:
-        """a*b on digit lists: the schoolbook product over K, then the
-        monic modulus cancels the terms of degree t and up, highest first."""
-        K, t, mod = self._digit_field, self._degree, self.modulus
-        add, mul, sub = K.add, K.mul, K.sub
-        da, db = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * t - 1)
-        for i, ca in enumerate(da):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(db):
-                if cb:
-                    prod[i + j] = add(prod[i + j], mul(ca, cb))
-        for i in range(len(prod) - 1, t - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            shift = i - t
-            for j in range(t + 1):
-                if mod[j]:
-                    prod[shift + j] = sub(prod[shift + j], mul(c, mod[j]))
-        return self._pack(prod[:t])
+        """a*b on digit lists: the product over K reduced by the modulus."""
+        K = self._digit_field
+        return self._pack(_pmod(K, _pmul(K, self.coeffs(a), self.coeffs(b)),
+                                self.modulus))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import secrecy
 from .entropy import observed_entropy
@@ -56,14 +56,7 @@ class PropertyResult:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "instance": self.instance,
-            "passed": self.passed,
-            "checks": self.checks,
-            "witness": self.witness,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _describe(code: ProductMatrixCode) -> str:

@@ -3,14 +3,15 @@
 The base construction works at d = 2k-2, where each node stores
 alpha0 = k-1 symbols.  The message fills two symmetric alpha0 x alpha0
 matrices S1, S2 (upper triangles, row-major, S1 first), stacked into a
-d x alpha0 matrix M.  Node i holds psi_i^T M for the evaluation row
-psi_i = (phi_i | lambda_i * phi_i), with phi_i = (1, x_i, ..., x_i^(alpha0-1))
-and lambda_i = x_i^alpha0, so psi_i is a full Vandermonde row and any d
-of them are linearly independent.
+d x alpha0 matrix M.  Node i holds psi_i^T M, where psi_i is row i of
+the n x d Vandermonde matrix on the evaluation points x_i, so any d of
+them are linearly independent.  Its first alpha0 entries are phi_i and
+the next is lambda_i = x_i^alpha0, so psi_i = (phi_i | lambda_i * phi_i).
 
 Repair of node f: every helper i sends the single symbol
-dot(share_i, phi_f).  Any d such symbols invert to M phi_f, and the lost
-share is phi_f^T S1 + lambda_f * phi_f^T S2 by symmetry of S1 and S2.
+dot(share_i, phi_f), so its repair row is the phi_f-combination of its
+stored rows.  Any d such symbols invert to M phi_f, and the lost share
+is phi_f^T S1 + lambda_f * phi_f^T S2 by symmetry of S1 and S2.
 The symbol a helper sends depends only on (helper, failed node, its own
 share), never on which other helpers were chosen, which is what makes
 repeated repairs leak nothing new to an eavesdropper.
@@ -147,11 +148,9 @@ class ProductMatrixCode:
         self.params = params
         self.field = field
         self.points = tuple(points)
-        self.phi = tuple(self._powers(x, a0) for x in self.points)
-        self.lam = tuple(field.pow(x, a0) for x in self.points)
-        self.psi = tuple(
-            phi + tuple(field.mul(lam, c) for c in phi)
-            for phi, lam in zip(self.phi, self.lam))
+        self.psi = Matrix.vandermonde(field, self.points, params.d).rows
+        self.phi = tuple(psi[:a0] for psi in self.psi)
+        self.lam = tuple(psi[a0] for psi in self.psi)
         self.ranks = {}  # selector tuple -> rank, see entropy.observed_entropy
         self._rows = {}  # stored_row / repair_row arguments -> row
         self._variants = {}  # params -> code, see _variant()
@@ -171,12 +170,6 @@ class ProductMatrixCode:
             x = field.mul(x, g)
         raise DegenerateLambda(
             f"cannot find {n} points with distinct alpha0-th powers in {field!r}")
-
-    def _powers(self, x: int, count: int) -> tuple[int, ...]:
-        out = [1]
-        for _ in range(count - 1):
-            out.append(self.field.mul(out[-1], x))
-        return tuple(out[:count])
 
     # -- node bookkeeping
 
@@ -354,28 +347,23 @@ class ProductMatrixCode:
 
     def _repair_row(self, helper: int, failed: int,
                     copy: int) -> tuple[int, ...]:
-        hi = self._node_index(helper, BadSelector)
+        """The phi_f-combination of the helper's stored rows for copy,
+        as repair_symbol() combines its share.  The rows are read through
+        this class's memo, so a subclass's stored_row() cannot alter them."""
         fi = self._node_index(failed, BadSelector)
-        if hi == fi:
+        if self._node_index(helper, BadSelector) == fi:
             raise BadSelector("helper and failed node coincide")
         p = self.params
         if not 0 <= copy < p.m:
             raise BadSelector(f"copy {copy} not in 0..{p.m - 1}")
         add, mul = self.field.add, self.field.mul
         row = [0] * p.message_length
-        phi_h, lam_h = self.phi[hi], self.lam[hi]
-        phi_f = self.phi[fi]
-        for j in range(p.base_alpha):
-            if phi_h[j] == 0:
-                continue
-            for l in range(p.base_alpha):
-                c = mul(phi_h[j], phi_f[l])
-                if c == 0:
-                    continue
-                i1 = self.message_index(copy, 0, j, l)
-                row[i1] = add(row[i1], c)
-                i2 = self.message_index(copy, 1, j, l)
-                row[i2] = add(row[i2], mul(lam_h, c))
+        for a, c in enumerate(self.phi[fi]):
+            stored = ProductMatrixCode.stored_row(
+                self, helper, copy * p.base_alpha + a)
+            for i, y in enumerate(stored):
+                if y:
+                    row[i] = add(row[i], mul(c, y))
         return tuple(row)
 
     def observation_rows(self, selector) -> list[tuple[int, ...]]:

@@ -148,23 +148,15 @@ class SecureScheme:
 
     @functools.cached_property
     def moore(self) -> Matrix:
-        """Row j, column i: (y^j)^(q^i) = z_i^j with z_i = y^(q^i).
+        """Row j, column i: (y^j)^(q^i) = z_i^j with z_i = y^(q^i), the
+        transpose of the Vandermonde matrix on the conjugates z_i of y.
 
         The y^j are a basis of L over F, so the matrix is invertible.
-        Each column is the powers of its z_i; z_{i+1} is frobenius(z_i).
         """
         ext = self.ext
         B = ext.t
-        z = ext.root  # y
-        columns = []
-        for _ in range(B):
-            column, v = [], 1
-            for _ in range(B):
-                column.append(v)
-                v = ext.mul(v, z)
-            columns.append(column)
-            z = ext.frobenius(z)
-        return Matrix(ext, zip(*columns))
+        return Matrix.vandermonde(
+            ext, [ext.frobenius(ext.root, i) for i in range(B)], B).transpose()
 
     @property
     def secret_size(self) -> int:

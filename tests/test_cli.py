@@ -420,6 +420,25 @@ def _edit_meta(cluster, edit):
     path.write_text(json.dumps(meta))
 
 
+def test_unknown_mode_is_refused(tmp_path, capsys):
+    # a mode that is neither plain nor secure must not load as plain
+    for name, extra in (("p", ()),
+                        ("s", ["--field", "2,4", "--secure", "0,1"])):
+        assert _encode(tmp_path, name=name, extra=extra) == 0
+        _edit_meta(tmp_path / name, lambda meta: meta.update(mode="bogus"))
+        cluster = str(tmp_path / name)
+        capsys.readouterr()
+        for argv in (["fail-repair", "--cluster", cluster, "--node", "1"],
+                     ["reconstruct", "--cluster", cluster],
+                     ["attack", "--cluster", cluster, "--repair", "1"],
+                     ["verify", "--cluster", cluster]):
+            assert main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert "PASS" not in out, argv
+            assert err.startswith("error:") and "'mode'" in err, argv
+        assert (tmp_path / name / "events.jsonl").read_text() == ""
+
+
 def test_verify_cluster_checks_extension(tmp_path, capsys):
     assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
                                     "--seed", "42"]) == 0

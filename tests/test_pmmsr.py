@@ -268,9 +268,13 @@ def test_message_index_is_a_bijection():
 
 
 def test_observation_rows_match_actual_symbols():
-    """Every advertised coefficient row reproduces its symbol by dot product."""
-    for m in (1, 2):
-        code = _code(n=6, m=m)
+    """Every advertised coefficient row reproduces its symbol by dot product,
+    for every (helper, failed) pair: on packed and list fields, with
+    supplied points, and at every copy offset."""
+    shapes = [dict(n=6), dict(n=6, field=GF25, points=(1, 5, 6, 7, 11, 13)),
+              dict(n=12, k=4, d=6, field=GF256)]
+    for shape, m in itertools.product(shapes, (1, 2, 3)):
+        code = _code(m=m, **shape)
         f = code.field
         msg = _message(code, seed=8 + m)
         shares = code.encode(msg)
@@ -284,14 +288,11 @@ def test_observation_rows_match_actual_symbols():
         for node in code.nodes:
             rows = code.observation_rows(Stored((node,)))
             assert [dot(row) for row in rows] == shares[node - 1]
-        for helper in (1, 2, 6):
-            for failed in (3, 5):
-                if helper == failed:
-                    continue
-                sent = code.repair_symbol(helper, failed, shares[helper - 1])
-                rows = code.observation_rows(
-                    RepairFromTo((helper,), (failed,)))
-                assert [dot(row) for row in rows] == sent
+        for helper, failed in itertools.permutations(code.nodes, 2):
+            sent = code.repair_symbol(helper, failed, shares[helper - 1])
+            rows = code.observation_rows(RepairFromTo((helper,), (failed,)))
+            assert [dot(row) for row in rows] == sent, (shape, m, helper,
+                                                        failed)
 
 
 def test_repair_to_covers_all_helpers():
