@@ -20,43 +20,31 @@ value is then an upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadQuery
+from .errors import BadQuery, Record
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
 
-@dataclass(frozen=True)
-class CapacityQuery:
-    k: int
-    d: int
-    n: int
-    alpha: int
-    beta: int
-    l1: int
-    l2: int
+class CapacityQuery(Record):
+    __slots__ = ("k", "d", "n", "alpha", "beta", "l1", "l2")
 
-    def __post_init__(self):
-        ints = all(isinstance(v, int) for v in
-                   (self.k, self.d, self.n, self.alpha, self.beta,
-                    self.l1, self.l2))
-        if not ints:
+    def __init__(self, k: int, d: int, n: int, alpha: int, beta: int,
+                 l1: int, l2: int):
+        super().__init__(k, d, n, alpha, beta, l1, l2)
+        if not all(isinstance(v, int) for v in self._key):
             raise BadQuery("query parameters must be integers")
-        if self.k < 1 or self.d < self.k or self.n < self.d + 1:
-            raise BadQuery(f"need 1 <= k <= d <= n-1, got "
-                           f"k={self.k} d={self.d} n={self.n}")
-        if self.beta < 1 or self.alpha != (self.d - self.k + 1) * self.beta:
+        if k < 1 or d < k or n < d + 1:
+            raise BadQuery(f"need 1 <= k <= d <= n-1, got k={k} d={d} n={n}")
+        if beta < 1 or alpha != (d - k + 1) * beta:
             raise BadQuery(
-                f"need alpha = (d-k+1)*beta, got alpha={self.alpha} "
-                f"beta={self.beta}")
-        if self.l1 < 0 or self.l2 < 0:
+                f"need alpha = (d-k+1)*beta, got alpha={alpha} beta={beta}")
+        if l1 < 0 or l2 < 0:
             raise BadQuery("l1 and l2 must be nonnegative")
-        if self.l1 + self.l2 > self.k - 1:
-            raise BadQuery(f"need l1+l2 <= k-1 = {self.k - 1}, "
-                           f"got {self.l1 + self.l2}")
+        if l1 + l2 > k - 1:
+            raise BadQuery(f"need l1+l2 <= k-1 = {k - 1}, got {l1 + l2}")
 
     @classmethod
     def for_code(cls, params, l1: int, l2: int) -> "CapacityQuery":
@@ -64,13 +52,15 @@ class CapacityQuery:
                    l1, l2)
 
 
-@dataclass(frozen=True)
-class CapacityValue:
-    value: Fraction
-    kind: str  # EXACT or UPPER_BOUND
-    category: int  # 1 or 2
-    t: int | None = None
-    e: int | None = None
+class CapacityValue(Record):
+    """value is a Fraction; kind is EXACT or UPPER_BOUND; category 1 or 2;
+    t and e are set in category 2 only."""
+
+    __slots__ = ("value", "kind", "category", "t", "e")
+
+    def __init__(self, value: Fraction, kind: str, category: int,
+                 t: int | None = None, e: int | None = None):
+        super().__init__(value, kind, category, t, e)
 
 
 def pi_of(k: int, d: int, beta: int, l2: int) -> CapacityValue:

@@ -4,8 +4,10 @@ Subcommands operate on cluster directories (encode, fail-repair,
 reconstruct, attack, verify) or are pure computations (capacity-table,
 verify without --cluster).  Everything prints deterministic output; all
 randomness is seeded and the seed is recorded in cluster metadata.
-The harness and the capacity formulas are imported by the commands that
-run them, so the cluster commands start without loading them.
+The harness is imported by verify alone, and the capacity formulas by
+capacity-table and, through secrecy.attack_report, by attack.  So encode,
+fail-repair and reconstruct load neither, and no command loads the
+dataclass module.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ def _parse_ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, flag: str) -> list[int]:
     """'3' -> [3]; '2:5' -> [2, 3, 4, 5]."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, colon, hi = text.partition(":")
+    low = int(lo)
+    high = int(hi) if colon else low
+    if high < low:
+        raise ValueError(f"{flag} needs A <= B, got {text!r}")
+    return list(range(low, high + 1))
 
 
 def _parse_epochs(text: str):
@@ -175,10 +179,9 @@ def _cmd_attack(args) -> int:
 def _cmd_capacity_table(args) -> int:
     from .capacity import CapacityQuery, capacity_csv
     queries = []
-    for k, d, n, beta, l1, l2 in itertools.product(
-            _parse_range(args.k), _parse_range(args.d), _parse_range(args.n),
-            _parse_range(args.beta), _parse_range(args.l1),
-            _parse_range(args.l2)):
+    ranges = [_parse_range(getattr(args, name), f"--{name}")
+              for name in ("k", "d", "n", "beta", "l1", "l2")]
+    for k, d, n, beta, l1, l2 in itertools.product(*ranges):
         try:
             queries.append(CapacityQuery(k=k, d=d, n=n,
                                          alpha=(d - k + 1) * beta,

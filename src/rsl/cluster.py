@@ -18,7 +18,8 @@ Payloads are framed with a 4-byte big-endian length prefix, then packed
 big-endian-bit-first into field symbols; whatever capacity is left is
 zero padding.  Mutating operations take an advisory lock file that holds
 the writer's pid.  The secrecy module, and the randomness a secure
-encode draws, are imported on the secure and attack paths only.
+encode draws, are imported on the secure and attack paths only; the
+capacity formulas load inside secrecy.attack_report, on attack alone.
 """
 
 from __future__ import annotations

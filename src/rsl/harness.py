@@ -23,40 +23,38 @@ import itertools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
 
 from . import secrecy
 from .entropy import observed_entropy
-from .errors import AsymmetricLeakage
+from .errors import AsymmetricLeakage, Record
 from .product_matrix import ProductMatrixCode, RepairFromTo, RepairTo, Stored
 
 
-@dataclass(frozen=True)
-class Budget:
-    exhaustive_n: int = 6
-    samples: int = 80
-    seed: int = 7
+class Budget(Record):
+    __slots__ = ("exhaustive_n", "samples", "seed")
 
-    def __post_init__(self):
+    def __init__(self, exhaustive_n: int = 6, samples: int = 80,
+                 seed: int = 7):
+        super().__init__(exhaustive_n, samples, seed)
         # a property with no draws would pass on zero checks
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.exhaustive_n < 0:
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if exhaustive_n < 0:
             raise ValueError(
-                f"exhaustive_n must be at least 0, got {self.exhaustive_n}")
+                f"exhaustive_n must be at least 0, got {exhaustive_n}")
 
 
-@dataclass
-class PropertyResult:
-    property: str
-    instance: str
-    passed: bool
-    checks: int
-    witness: dict | None = None
-    seed: int | None = None
+class PropertyResult(Record):
+    __slots__ = ("property", "instance", "passed", "checks", "witness",
+                 "seed")
+
+    def __init__(self, property: str, instance: str, passed: bool,
+                 checks: int, witness: dict | None = None,
+                 seed: int | None = None):
+        super().__init__(property, instance, passed, checks, witness, seed)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self.as_dict()
 
 
 def _describe(code: ProductMatrixCode) -> str:

@@ -34,30 +34,24 @@ the Matrix the entropy oracle takes the rank of.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from .errors import (BadSelector, DegenerateLambda, FieldTooSmall,
-                     LengthMismatch, SelfRepair, UnknownNode,
+                     LengthMismatch, Record, SelfRepair, UnknownNode,
                      WrongHelperCount, WrongNodeCount)
 from .matrix import Matrix
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    n: int
-    k: int
-    d: int
-    m: int = 1
+class CodeParams(Record):
+    __slots__ = ("n", "k", "d", "m")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, n: int, k: int, d: int, m: int = 1):
+        super().__init__(n, k, d, m)
+        if k < 2:
             raise ValueError("k must be >= 2")
-        if self.d != 2 * self.k - 2:
-            raise ValueError(f"d must be 2k-2 = {2 * self.k - 2}, got {self.d}")
-        if self.n < self.d + 1:
-            raise ValueError(f"n must be >= d+1 = {self.d + 1}, got {self.n}")
-        if self.m < 1:
+        if d != 2 * k - 2:
+            raise ValueError(f"d must be 2k-2 = {2 * k - 2}, got {d}")
+        if n < d + 1:
+            raise ValueError(f"n must be >= d+1 = {d + 1}, got {n}")
+        if m < 1:
             raise ValueError("m must be >= 1")
 
     @property
@@ -83,36 +77,32 @@ class CodeParams:
 
 # -- observation selectors
 
-@dataclass(frozen=True)
-class Stored:
+class Stored(Record):
     """Shares of the listed nodes."""
 
-    nodes: tuple[int, ...]
+    __slots__ = ("nodes",)
 
     def __init__(self, nodes):
-        object.__setattr__(self, "nodes", tuple(sorted(set(nodes))))
+        super().__init__(tuple(sorted(set(nodes))))
 
 
-@dataclass(frozen=True)
-class RepairTo:
+class RepairTo(Record):
     """Repair symbols sent to each listed node by all its potential helpers."""
 
-    failed: tuple[int, ...]
+    __slots__ = ("failed",)
 
     def __init__(self, failed):
-        object.__setattr__(self, "failed", tuple(sorted(set(failed))))
+        super().__init__(tuple(sorted(set(failed))))
 
 
-@dataclass(frozen=True)
-class RepairFromTo:
+class RepairFromTo(Record):
     """Repair symbols from the helper set to each failed node (helper != failed)."""
 
-    helpers: tuple[int, ...]
-    failed: tuple[int, ...]
+    __slots__ = ("helpers", "failed")
 
     def __init__(self, helpers, failed):
-        object.__setattr__(self, "helpers", tuple(sorted(set(helpers))))
-        object.__setattr__(self, "failed", tuple(sorted(set(failed))))
+        super().__init__(tuple(sorted(set(helpers))),
+                         tuple(sorted(set(failed))))
 
 
 def _codewords(counts, unit: int, what: str) -> int:
@@ -415,7 +405,7 @@ class ProductMatrixCode:
         return self if self.params.m == 1 else self._variant(m=1)
 
     def _variant(self, **change) -> "ProductMatrixCode":
-        p = dataclasses.replace(self.params, **change)
+        p = self.params.replace(**change)
         if p not in self._variants:
             self._variants[p] = type(self)(p, self.field, self.points[:p.n])
         return self._variants[p]

@@ -27,27 +27,23 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from . import capacity as cap
 from .entropy import observed_entropy
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
-                     FieldMismatch, LengthMismatch)
+                     FieldMismatch, LengthMismatch, Record)
 from .field import ExtensionSpec
 from .matrix import Matrix
 from .product_matrix import ProductMatrixCode, RepairTo, Stored
 
 
-@dataclass(frozen=True)
-class EavesdropperModel:
+class EavesdropperModel(Record):
     """Nodes read at rest (stored) and nodes whose repairs are observed."""
 
-    stored: tuple[int, ...]
-    repaired: tuple[int, ...]
+    __slots__ = ("stored", "repaired")
 
     def __init__(self, stored, repaired):
-        object.__setattr__(self, "stored", tuple(sorted(set(stored))))
-        object.__setattr__(self, "repaired", tuple(sorted(set(repaired))))
+        super().__init__(tuple(sorted(set(stored))),
+                         tuple(sorted(set(repaired))))
 
     @property
     def l1(self) -> int:
@@ -248,6 +244,7 @@ def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
     example from an event log); the formula comparison always uses the
     worst case over all potential helpers.
     """
+    from . import capacity as cap  # only attacks compare with the formula
     worst = leakage(code, model)
     leak = worst if observed_leakage is None else observed_leakage
     B = code.params.message_length

@@ -311,6 +311,9 @@ def test_error_exit_codes(tmp_path, capsys):
                   "--epochs", "3:1"],
                  ["attack", "--cluster", cluster, "--repair", "3",
                   "--epochs", "0:2"],
+                 # an inverted range would print only the CSV header
+                 ["capacity-table", "--k", "5:2", "--d", "4", "--n", "6",
+                  "--beta", "1", "--l1", "0", "--l2", "1"],
                  # a sample budget below one would pass on zero checks
                  ["verify", "--n", "9", "--k", "5", "--d", "8",
                   "--field", "2,4", "--samples", "0"],

@@ -2,8 +2,15 @@
 
 rsl/__init__.py resolves its public names on first use, cli.py imports
 the harness and the capacity formulas inside the commands that run them,
-and cluster.py imports secrecy on the secure and attack paths only.  So a
-plain encode, fail-repair or reconstruct never imports them.
+cluster.py imports secrecy on the secure and attack paths only, and
+secrecy imports capacity inside attack_report.  So a plain encode,
+fail-repair or reconstruct never imports harness, capacity or secrecy,
+and a secure one never imports capacity (nor the fractions and decimal
+it pulls in).  Value types derive from errors.Record, so no command
+imports dataclasses or the inspect it pulls in.
+
+Each flow runs in a fresh interpreter and reports the modules each step
+added to sys.modules since start-up, so what site preloads never counts.
 """
 
 import json
@@ -18,20 +25,28 @@ import rsl
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PLAIN_FLOW = """
+# argv: vault payload [encode options]; prints per step the modules added
+FLOW = """
 import json, sys
+before = set(sys.modules)
 from rsl.cli import main
-vault, payload = sys.argv[1], sys.argv[2]
-codes = [
-    main(["encode", "--cluster", vault, "--n", "5", "--k", "3", "--d", "4",
-          "--field", "2,8", payload]),
-    main(["fail-repair", "--cluster", vault, "--node", "2"]),
-    main(["reconstruct", "--cluster", vault, "--output", payload + ".out"]),
+vault, payload, *options = sys.argv[1:]
+steps = [
+    ["encode", "--cluster", vault, "--n", "5", "--k", "3", "--d", "4",
+     "--field", "2,8", *options, payload],
+    ["fail-repair", "--cluster", vault, "--node", "2"],
+    ["reconstruct", "--cluster", vault, "--output", payload + ".out"],
+    ["attack", "--cluster", vault, "--stored", "1", "--repair", "2",
+     "--json"],
 ]
-print(json.dumps({"codes": codes,
-                  "loaded": sorted(m for m in sys.modules
-                                   if m.startswith("rsl"))}))
+codes, added = [], []
+for argv in steps:
+    codes.append(main(argv))
+    added.append(sorted(set(sys.modules) - before))
+print(json.dumps({"codes": codes, "added": added}))
 """
+
+SECURE = ["--secure", "0,1", "--seed", "5"]
 
 
 def _python(script, *args):
@@ -46,14 +61,35 @@ def _python(script, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_plain_flow_loads_no_harness_capacity_or_secrecy(tmp_path):
+def _flow(tmp_path, options=()):
     payload = tmp_path / "data.bin"
     payload.write_bytes(b"ok")
-    got = _python(PLAIN_FLOW, tmp_path / "vault", payload)
-    assert got["codes"] == [0, 0, 0]
+    got = _python(FLOW, tmp_path / "vault", payload, *options)
+    assert got["codes"] == [0, 0, 0, 0]
     assert (tmp_path / "data.bin.out").read_bytes() == b"ok"
+    return got["added"]
+
+
+def test_plain_flow_loads_no_harness_capacity_or_secrecy(tmp_path):
+    encode, repair, reconstruct, attack = _flow(tmp_path)
     for module in ("rsl.harness", "rsl.capacity", "rsl.secrecy"):
-        assert module not in got["loaded"]
+        assert module not in reconstruct
+
+
+@pytest.mark.parametrize("options", [[], SECURE], ids=["plain", "secure"])
+def test_cluster_flow_loads_no_dataclasses(tmp_path, options):
+    added = _flow(tmp_path, options)[-1]
+    assert "rsl.cli" in added
+    for module in ("dataclasses", "inspect"):
+        assert module not in added
+
+
+def test_secure_flow_loads_capacity_only_to_attack(tmp_path):
+    encode, repair, reconstruct, attack = _flow(tmp_path, SECURE)
+    assert "rsl.secrecy" in encode
+    for module in ("rsl.capacity", "fractions", "decimal"):
+        assert module not in reconstruct
+    assert "rsl.capacity" in attack  # the report prints the formula value
 
 
 def test_bare_import_loads_no_submodule():
