@@ -30,8 +30,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .entropy import observed_entropy
-from .errors import (IntegrityError, PayloadTooLarge, SelfRepair, UnknownNode,
-                     WrongHelperCount, WrongNodeCount)
+from .errors import (IntegrityError, PayloadTooLarge, SearchLimit, SelfRepair,
+                     UnknownNode, WrongHelperCount, WrongNodeCount)
 from .field import ExtensionSpec, FieldSpec
 from .product_matrix import CodeParams, ProductMatrixCode, RepairFromTo, Stored
 
@@ -324,6 +324,9 @@ class ClusterState:
     def _check_event(self, event: dict, where: str) -> dict:
         """event, once its nodes and symbols fit this cluster's code."""
         p, nodes = self.code.params, self.code.nodes
+        if event["event"] != "repair":
+            raise IntegrityError(f"{where} 'event' must be \"repair\", got "
+                                 f"{json.dumps(event['event'])}")
         failed, helpers = event["failed"], event["helpers"]
         if failed not in nodes:
             raise IntegrityError(
@@ -406,8 +409,7 @@ class ClusterState:
         model = secrecy.EavesdropperModel(stored, repaired)
         secrecy.check_model(code, model)
         lo, hi = epochs if epochs is not None else (1, None)
-        picked = [e for e in self.events()
-                  if e["event"] == "repair" and e["failed"] in model.repaired
+        picked = [e for e in self.events() if e["failed"] in model.repaired
                   and e["epoch"] >= lo and (hi is None or e["epoch"] <= hi)]
         # failed node -> helpers of all its picked events, and of the first;
         # a repair row depends on the helper and the failed node alone
@@ -438,12 +440,15 @@ class ClusterState:
             from .field import _find_modulus
             ext = self.scheme.ext
             # searched again, never read from the frozen table
-            canonical = _find_modulus(ext.base, ext.t)
-            ok = canonical == ext.modulus
-            record("extension", ok,
-                   f"{ext!r} modulus is the canonical one" if ok
-                   else f"{ext!r} modulus {list(ext.modulus)} is not the "
-                        f"canonical {list(canonical)}")
+            try:
+                canonical = _find_modulus(ext.base, ext.t)
+                ok = canonical == ext.modulus
+                record("extension", ok,
+                       f"{ext!r} modulus is the canonical one" if ok
+                       else f"{ext!r} modulus {list(ext.modulus)} is not "
+                            f"the canonical {list(canonical)}")
+            except SearchLimit as exc:
+                record("extension", False, str(exc))
             # load() takes ell as stored; check it against its (l1, l2)
             s = self.scheme
             try:

@@ -62,6 +62,10 @@ class Reducible(RslError):
     """Polynomial offered as a field modulus factors over the base."""
 
 
+class SearchLimit(RslError):
+    """Canonical modulus search gave up at its cap on candidates."""
+
+
 class FieldMismatch(RslError):
     """Operands belong to different field specs."""
 

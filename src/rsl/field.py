@@ -21,22 +21,29 @@ with w in {1, 2, 4, 8}, where a byte holds whole coefficients.  There
 the packed kernel (_Packed, built on first use by FieldSpec.packed())
 works on the integer of w-bit digits itself: scaling is a 256-byte
 bytes.translate, addition is XOR.  The irreducibility sieve, the
-canonical modulus search, ExtensionSpec.mul and matrix elimination over
-the field take that path; every other (p, w), such as GF(8), GF(2^12),
-GF(25) or GF(11), keeps the list path, which is also the reference the
-tests compare the kernel against.
+canonical modulus search, ExtensionSpec.mul, frobenius (w squarings per
+power of q) and multiplier (x -> x*z as one translate per digit of x,
+for a z used many times), and matrix elimination over the field take
+that path; every other (p, w), such as GF(8), GF(2^12), GF(25) or GF(11),
+keeps the list path, which is also the reference the tests compare the
+kernel against.
 
 A spec built without a modulus takes the canonical one, the smallest
 irreducible by encoding (_find_modulus).  Those of GF(16)^6, GF(16)^20
 and GF(256)^6, the extensions of the README's secure examples and the
 benchmark's secure cluster, are frozen in a table, as Conway polynomials
 are, so only other (q, t) pay for the search; each process remembers what
-it found.
+it found.  The search gives up with SearchLimit after _SEARCH_LIMIT
+candidates, so a shape whose sparse candidates are all reducible, such as
+GF(256)^20, fails in seconds instead of running for hours.
 """
 
 from __future__ import annotations
 
-from .errors import DivideByZero, LengthMismatch, NotPrime, Reducible
+import itertools
+
+from .errors import (DivideByZero, LengthMismatch, NotPrime, Reducible,
+                     SearchLimit)
 
 _TABLE_LIMIT = 1 << 16
 
@@ -367,24 +374,37 @@ def _monic(q: int, degree: int, v: int) -> tuple[int, ...]:
     return tuple(v // q**i % q for i in range(degree)) + (1,)
 
 
+# candidates _find_modulus tests (on the packed path, one Ben-Or test
+# each) before it gives up: GF(256)^30 needs 23,030; GF(256)^20, whose
+# sparse candidates are reducible by whole families, needs far more
+_SEARCH_LIMIT = 30_000
+
+
 def _find_modulus(K, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest irreducible monic polynomial of the degree.
 
     Candidates are ordered by the integer encoding of their low coefficients
     in base |K|, so the result is a deterministic function of (K, degree).
     This search is the definition of the canonical modulus; it caches
-    nothing, and verify_cluster runs it to check a stored modulus.
+    nothing, and verify_cluster runs it to check a stored modulus.  It
+    raises SearchLimit after _SEARCH_LIMIT candidates.
     """
     q = K.order
     packed = K.packed()
     if packed is None:
-        v = next(v for v in range(q**degree)
-                 if _sieve_irreducible(K, _monic(q, degree, v)))
+        tests = ((v, _sieve_irreducible(K, _monic(q, degree, v)))
+                 for v in range(q**degree))
     else:  # v is already the packed low coefficients
         top = 1 << degree * packed.w
-        v = next(v for v in packed.rootless(K, degree)
-                 if packed.irreducible(top | v))
-    return _monic(q, degree, v)
+        tests = ((v, packed.irreducible(top | v))
+                 for v in packed.rootless(K, degree))
+    for v, irreducible in itertools.islice(tests, _SEARCH_LIMIT):
+        if irreducible:
+            return _monic(q, degree, v)
+    raise SearchLimit(
+        f"no canonical modulus for GF({q})^{degree}, (q, t) = ({q}, "
+        f"{degree}), in {_SEARCH_LIMIT:,} candidates; the table "
+        f"rsl.field._FROZEN does not list it")
 
 
 # Canonical moduli frozen in the manner of Conway-polynomial tables, for
@@ -709,10 +729,57 @@ class ExtensionSpec(Field):
         return self.base.element(a)
 
     def frobenius(self, a: int, i: int = 1) -> int:
-        """a raised to the |base|^i power; fixes embedded base elements."""
+        """a raised to the |base|^i power; fixes embedded base elements.
+
+        On the packed path that is i*w squarings, each a packed square
+        and one reduction; elsewhere it is pow().
+        """
         self.element(a)
         i %= self.t
-        return self.pow(a, self.base.order**i) if i else a
+        if self._packed is None:
+            return self.pow(a, self.base.order**i) if i else a
+        square, rem = self._packed.square, self._rem
+        for _ in range(i * self.base.w):
+            a = rem(square(a))
+        return a
+
+    def multiplier(self, z: int):
+        """The map x -> x*z, for one z and many x; each x must be an element.
+
+        x*z is linear over the base in x, so on the packed path it is the
+        sum over x's digits x_s of x_s * (z*y^s): one translate per
+        nonzero digit of the t images z*y^s, and no reduction.  Elsewhere
+        the map is mul.
+        """
+        self.element(z)
+        packed = self._packed
+        if packed is None:
+            return lambda x: self.mul(self.element(x), z)
+        w, tables, element = packed.w, packed.tables, self.element
+        mask, size = (1 << w) - 1, (self.t * w + 7) >> 3
+        from_bytes = int.from_bytes
+        top, low = (self.t - 1) * w, (1 << self.t * w) - 1
+        tail = (self._pack(self.modulus) & low).to_bytes(size, "little")
+        images = []
+        for _ in range(self.t):
+            images.append(z.to_bytes(size, "little"))
+            # z*y, whose top digit c folds back as c*x^t = c*tail
+            c, z = z >> top, z << w & low
+            if c:
+                z ^= from_bytes(tail.translate(tables[c]), "little")
+
+        def times(x: int) -> int:
+            element(x)
+            acc = 0
+            for image in images:
+                c = x & mask
+                if c:
+                    acc ^= from_bytes(image.translate(tables[c]), "little")
+                x >>= w
+                if not x:
+                    break
+            return acc
+        return times
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionSpec)

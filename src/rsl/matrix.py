@@ -10,7 +10,10 @@ exists, elimination runs on rows packed one element per byte into an
 integer, column j in byte j: scaling a row is one bytes.translate and
 subtracting is one XOR.  Every other field, extensions included, keeps
 the loop on element lists, which is also the tests' reference.  The
-reduced row echelon form is unique, so both give the same rows.
+reduced row echelon form is unique, so both give the same rows.  The
+step that reduces one packed row into the pivot rows found so far,
+_reduce, also serves extend_row_space(), which ranks many stacks that
+share rows by reducing the shared rows once.
 """
 
 from __future__ import annotations
@@ -44,36 +47,20 @@ def _echelon(field, rows, pivot_cols, reduced=True):
 def _packed_echelon(packed, rows, width, pivot_cols, reduced):
     """_echelon on width-byte packed rows, as a list of packed rows.
 
-    Each row is reduced in turn against the pivot rows found so far,
-    cancelling its first nonzero byte while that lies in a pivot column;
-    if its first nonzero byte lies in a new column below pivot_cols, it
-    is scaled to a leading one there and becomes that column's pivot
-    row.  Back-substitution, last pivot first, then clears each pivot
+    Each row is reduced in turn by _reduce into the pivot rows found so
+    far.  Back-substitution, last pivot first, then clears each pivot
     column from the pivot rows above it.
     """
-    tables, inv = packed.tables, packed.inv
     found = {}  # pivot column -> (packed row, its bytes), leading one
     rest = []
     for x in rows:
-        while x:
-            c = ((x & -x).bit_length() - 1) >> 3
-            top = found.get(c)
-            if top is None:
-                break
-            x ^= int.from_bytes(
-                top[1].translate(tables[x >> (c << 3) & 0xFF]), "little")
-        if x and c < pivot_cols:
-            data = x.to_bytes(width, "little")
-            lead = x >> (c << 3) & 0xFF
-            if lead != 1:
-                data = data.translate(tables[inv[lead]])
-                x = int.from_bytes(data, "little")
-            found[c] = (x, data)
-        else:
+        x = _reduce(packed, found, x, width, pivot_cols)
+        if x is not None:
             rest.append(x)
     pivots = sorted(found)
     if not reduced:
         return pivots, None
+    tables = packed.tables
     out = [found[c][0] for c in pivots]
     for i in range(len(pivots) - 1, 0, -1):
         shift = pivots[i] << 3
@@ -83,6 +70,48 @@ def _packed_echelon(packed, rows, width, pivot_cols, reduced):
             if f:
                 out[j] ^= int.from_bytes(data.translate(tables[f]), "little")
     return pivots, out + rest
+
+
+def _reduce(packed, found, x, width, pivot_cols):
+    """Reduce the packed row x into found, a map of pivot column to
+    (pivot row, its bytes) with leading ones.
+
+    x's first nonzero byte is cancelled while it lies in a pivot column.
+    If it then lies in a new column below pivot_cols, x is scaled to a
+    leading one there, becomes that column's pivot row, and None is
+    returned; otherwise the remainder is returned.
+    """
+    tables = packed.tables
+    while x:
+        c = ((x & -x).bit_length() - 1) >> 3
+        top = found.get(c)
+        if top is None:
+            break
+        x ^= int.from_bytes(
+            top[1].translate(tables[x >> (c << 3) & 0xFF]), "little")
+    if not x or c >= pivot_cols:
+        return x
+    data = x.to_bytes(width, "little")
+    lead = x >> (c << 3) & 0xFF
+    if lead != 1:
+        data = data.translate(tables[packed.inv[lead]])
+        x = int.from_bytes(data, "little")
+    found[c] = (x, data)
+    return None
+
+
+def extend_row_space(packed, found, rows, width: int) -> dict:
+    """A copy of found, the pivot rows _reduce keeps, extended by rows of
+    width elements of the packed kernel's field; its size is the rank.
+
+    Reducing a shared set of rows once and extending copies of the result
+    ranks many stacks with a common part for the price of the rest.
+    """
+    found = dict(found)
+    for row in rows:
+        _reduce(packed, found, int.from_bytes(bytes(row), "little"), width,
+                width)
+    return found
 
 
 def _list_echelon(field, rows, pivot_cols):

@@ -25,6 +25,10 @@ entropy.observed_entropy() ranks the rows of copy 0 alone, on one_copy().
 The codec takes any positive whole number of codewords at once, read off
 the input length; codeword s holds copies s*m .. s*m + m - 1.  A secure
 cluster runs it on the B base-field digit stripes of its symbols.
+Encode, repair symbols and repair rows are sums of scaled vectors
+(_combine): over GF(2^w), w | 8, one bytes.translate per nonzero
+coefficient scales a whole vector, such as one message position across
+every codeword.
 
 Every stored or transmitted symbol is a linear functional of the message,
 exposed as its coefficient row: observation_rows() lists the rows one
@@ -114,6 +118,32 @@ def _codewords(counts, unit: int, what: str) -> int:
     return counts[0] // unit
 
 
+def _combine(field, coeffs, vectors, length: int) -> list[int]:
+    """sum_i coeffs[i] * vectors[i], vectors of length elements.
+
+    Where the field has a packed kernel this is a matrix-region product
+    (Plank, Greenan and Miller, FAST 2013): one bytes.translate scales a
+    whole vector by a nonzero coefficient, and XOR adds.  Every other
+    field keeps the scalar loop, which is also the tests' reference.
+    """
+    packed = field.packed()
+    if packed is not None:
+        acc = 0
+        for c, v in zip(coeffs, vectors):
+            if c:
+                acc ^= int.from_bytes(bytes(v).translate(packed.tables[c]),
+                                      "little")
+        return list(acc.to_bytes(length, "little"))
+    add, mul = field.add, field.mul
+    out = [0] * length
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, y in enumerate(v):
+                if y:
+                    out[j] = add(out[j], mul(c, y))
+    return out
+
+
 class ProductMatrixCode:
     """An (n, k, d=2k-2) exact-repair code instance over a field."""
 
@@ -194,22 +224,14 @@ class ProductMatrixCode:
         """
         p = self.params
         message = [self.field.element(x) for x in message]
-        _codewords([len(message)], p.message_length, "message")
-        add, mul = self.field.add, self.field.mul
+        count = p.m * _codewords([len(message)], p.message_length, "message")
         one, b0 = self.one_copy(), p.base_message_length
-        blocks = [message[i:i + b0] for i in range(0, len(message), b0)]
+        columns = [message[i::b0] for i in range(b0)]  # symbol i of each
         shares = []
         for node in self.nodes:
-            rows = [[(i, c) for i, c in enumerate(one.stored_row(node, a)) if c]
-                    for a in range(p.base_alpha)]
-            share = []
-            for block in blocks:
-                for row in rows:
-                    acc = 0
-                    for i, c in row:
-                        acc = add(acc, mul(c, block[i]))
-                    share.append(acc)
-            shares.append(share)
+            slots = [_combine(self.field, one.stored_row(node, a), columns,
+                              count) for a in range(p.base_alpha)]
+            shares.append([x for block in zip(*slots) for x in block])
         return shares
 
     def repair_symbol(self, helper: int, failed: int, helper_share) -> list[int]:
@@ -225,16 +247,9 @@ class ProductMatrixCode:
         p = self.params
         share = [self.field.element(x) for x in helper_share]
         copies = p.m * _codewords([len(share)], p.alpha, "share")
-        add, mul = self.field.add, self.field.mul
         a0 = p.base_alpha
-        phi_f = self.phi[fi]
-        out = []
-        for copy in range(copies):
-            acc = 0
-            for j in range(a0):
-                acc = add(acc, mul(share[copy * a0 + j], phi_f[j]))
-            out.append(acc)
-        return out
+        return _combine(self.field, self.phi[fi],
+                        [share[j::a0] for j in range(a0)], copies)
 
     def repair(self, failed: int, helper_symbols) -> list[int]:
         """Rebuild the failed share from d helpers' repair symbols.
@@ -346,15 +361,11 @@ class ProductMatrixCode:
         p = self.params
         if not 0 <= copy < p.m:
             raise BadSelector(f"copy {copy} not in 0..{p.m - 1}")
-        add, mul = self.field.add, self.field.mul
-        row = [0] * p.message_length
-        for a, c in enumerate(self.phi[fi]):
-            stored = ProductMatrixCode.stored_row(
-                self, helper, copy * p.base_alpha + a)
-            for i, y in enumerate(stored):
-                if y:
-                    row[i] = add(row[i], mul(c, y))
-        return tuple(row)
+        stored = [ProductMatrixCode.stored_row(self, helper,
+                                               copy * p.base_alpha + a)
+                  for a in range(p.base_alpha)]
+        return tuple(_combine(self.field, self.phi[fi], stored,
+                              p.message_length))
 
     def observation_rows(self, selector) -> list[tuple[int, ...]]:
         """Coefficient rows of the symbols one selector picks.

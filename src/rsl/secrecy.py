@@ -12,9 +12,12 @@ distance code over the extension L of degree B: the message becomes
 c_j = sum_i u_i * g_j^(|F|^i) with g_j = y^(j-1) for y the class of x
 (ExtensionSpec.root), i.e. Moore-matrix evaluations of u = (R || D),
 where R is ell fresh random symbols and ell is the worst-case leakage
-enumerated over all models of shape (l1, l2).  wrap() builds no Moore
-matrix: c_j = sum_i u_i * z_i^(j-1) with z_i = y^(|F|^i), from one running
-power per u_i and one Frobenius step per i.
+over all models of shape (l1, l2).  worst_case_leakage() ranks every one
+of them, grouped by repaired set F: over a field with a packed kernel,
+F's repair rows are reduced once and each stored set's rows extend a copy
+of that basis.  wrap() builds no Moore matrix: c_j = sum_i u_i *
+z_i^(j-1) with z_i = y^(|F|^i), from one running power per u_i, taken
+through ExtensionSpec.multiplier(z_i), and one Frobenius step per i.
 The eavesdropper's rows A have entries in F, so A @ Moore is the Moore
 matrix of the h_s = sum_j a_sj y^j, whose first ell columns have rank
 min(rank_F A, ell): the view is independent of D iff rank_F A <= ell,
@@ -32,7 +35,7 @@ from .entropy import observed_entropy
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
                      FieldMismatch, LengthMismatch, Record)
 from .field import ExtensionSpec
-from .matrix import Matrix
+from .matrix import Matrix, extend_row_space
 from .product_matrix import ProductMatrixCode, RepairTo, Stored
 
 
@@ -107,11 +110,26 @@ def enumerate_models(code: ProductMatrixCode, l1: int, l2: int,
 
 
 def worst_case_leakage(code: ProductMatrixCode, l1: int, l2: int) -> int:
-    """Common leakage across all models of the shape; must not vary."""
-    leaks = {}
+    """Common leakage across all models of the shape; must not vary.
+
+    Every model is ranked, into the memo leakage() reads.  Over a field
+    with a packed kernel, each repaired set's rows are reduced once and a
+    copy of that basis is extended by each stored set's rows.
+    """
+    one = code.one_copy()
+    packed, width = one.field.packed(), one.params.message_length
+    bases = {}  # repaired set -> its rows reduced, see extend_row_space
+    values = set()
     for model in enumerate_models(code, l1, l2):
-        leaks[model] = leakage(code, model)
-    values = set(leaks.values())
+        key = Stored(model.stored), RepairTo(model.repaired)
+        if packed is not None and key not in one.ranks:
+            base = bases.get(key[1])
+            if base is None:
+                base = bases[key[1]] = extend_row_space(
+                    packed, {}, one.observation_rows(key[1]), width)
+            one.ranks[key] = len(extend_row_space(
+                packed, base, one.observation_rows(key[0]), width))
+        values.add(leakage(code, model))
     if len(values) > 1:
         lo, hi = min(values), max(values)
         raise AsymmetricLeakage(
@@ -171,9 +189,10 @@ class SecureScheme:
                 f"randomness needs {self.ell} symbols, got {len(randomness)}")
         out, z = [0] * ext.t, ext.root
         for v in randomness + secret:
+            times = ext.multiplier(z)
             for j in range(ext.t):
                 out[j] = ext.add(out[j], v)
-                v = ext.mul(v, z)
+                v = times(v)
             z = ext.frobenius(z)
         return out
 
@@ -207,9 +226,9 @@ class SecureScheme:
         g = ext.frobenius(ext.inv(derivative), self.ell)
         secret = []
         for _ in range(self.ell, B):
-            acc = 0
+            acc, times = 0, ext.multiplier(z)
             for coeff in reversed(e):
-                acc = add(mul(acc, z), coeff)
+                acc = add(times(acc), coeff)
             secret.append(mul(acc, g))
             z, g = ext.frobenius(z), ext.frobenius(g)
         return secret

@@ -741,3 +741,55 @@ def test_cluster_bytes_golden(tmp_path, capsys, name):
     assert main(["reconstruct", "--cluster", str(cluster),
                  "--output", str(out)]) == 0
     assert out.read_bytes() == want["payload"]
+
+
+def test_unknown_event_kind_is_refused(tmp_path, capsys):
+    # only "repair" events are written; another kind would hide its
+    # traffic from attack while verify replayed it as a repair
+    assert _encode(tmp_path) == 0
+    cluster = str(tmp_path / "c")
+    assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    log = tmp_path / "c" / "events.jsonl"
+    event = json.loads(log.read_text())
+    assert event["event"] == "repair"
+    log.write_text(json.dumps(dict(event, event="scrub")) + "\n")
+    before = log.read_bytes()
+    capsys.readouterr()
+    for argv in (["fail-repair", "--cluster", cluster, "--node", "2"],
+                 ["attack", "--cluster", cluster, "--repair", "1", "--json"],
+                 ["verify", "--cluster", cluster]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert "PASS cluster.events" not in out, argv
+        assert err == ('error: events.jsonl line 1 \'event\' must be '
+                       '"repair", got "scrub"\n'), argv
+    assert log.read_bytes() == before
+
+
+def test_modulus_search_limit_exits_1(tmp_path, capsys, monkeypatch):
+    # GF(16)^4, the n=3 k=2 m=2 message length, is not frozen
+    monkeypatch.setattr(field, "_MODULUS_CACHE",
+                        {key: field._MODULUS_CACHE[key]
+                         for key in field._FROZEN})
+    extra = ["--n", "3", "--k", "2", "--d", "2", "--m", "2",
+             "--field", "2,4", "--secure", "1,0", "--seed", "1"]
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"")
+    encode = ["encode", "--cluster", str(tmp_path / "c"), *extra, str(src)]
+    limit = field._SEARCH_LIMIT
+    monkeypatch.setattr(field, "_SEARCH_LIMIT", 1)
+    assert main(encode) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no canonical modulus for GF(16)^4")
+    assert "(q, t) = (16, 4)" in err and "rsl.field._FROZEN" in err
+    assert not (tmp_path / "c").exists()
+    # encoded under the default limit, the cluster fails verify's
+    # extension check under the lowered one, with the same text
+    monkeypatch.setattr(field, "_SEARCH_LIMIT", limit)
+    assert main(encode) == 0
+    monkeypatch.setattr(field, "_SEARCH_LIMIT", 1)
+    capsys.readouterr()
+    assert main(["verify", "--cluster", str(tmp_path / "c")]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL cluster.extension: {err[len('error: '):]}" in out
+    assert "PASS cluster.replay" in out

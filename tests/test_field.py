@@ -6,7 +6,8 @@ import random
 import pytest
 
 from rsl import field
-from rsl.errors import DivideByZero, LengthMismatch, NotPrime, Reducible
+from rsl.errors import (DivideByZero, LengthMismatch, NotPrime, Reducible,
+                        SearchLimit)
 from rsl.field import (ExtensionSpec, FieldSpec, _search_modulus,
                        _sieve_irreducible, _sieve_lists)
 
@@ -490,3 +491,62 @@ def test_extension_validation():
     with pytest.raises(Reducible):
         # x^2 + 1 = (x+1)^2 in characteristic 2
         ExtensionSpec(GF16, 2, modulus=(1, 0, 1))
+
+
+# -- Frobenius by packed squarings and the fixed-z multiplier: packed over
+# GF(2), GF(4), GF(16) and GF(256), on lists over GF(8) and GF(25)
+
+KERNEL_EXTENSIONS = pytest.mark.parametrize("p,w,t", [
+    (2, 1, 7), (2, 2, 5), (2, 4, 6), (2, 8, 6), (2, 3, 4), (5, 2, 3),
+], ids=["GF(2)^7", "GF(4)^5", "GF(16)^6", "GF(256)^6", "GF(8)^4",
+        "GF(25)^3"])
+
+
+def _samples(L, count=12):
+    rng = random.Random(repr(L))
+    return [0, 1, L.root, L.order - 1] + [rng.randrange(L.order)
+                                          for _ in range(count)]
+
+
+@KERNEL_EXTENSIONS
+def test_frobenius_is_the_power(p, w, t):
+    L = ExtensionSpec(FieldSpec(p, w), t)
+    assert (L._packed is not None) == (p == 2 and 8 % w == 0)
+    q = L.base.order
+    for a in _samples(L):
+        for i in range(t + 1):
+            assert L.frobenius(a, i) == L.pow(a, q**i), (a, i)
+
+
+@KERNEL_EXTENSIONS
+def test_multiplier_is_mul(p, w, t):
+    L = ExtensionSpec(FieldSpec(p, w), t)
+    xs = _samples(L)
+    for z in _samples(L, count=4):
+        times = L.multiplier(z)
+        assert [times(x) for x in xs] == [L.mul(x, z) for x in xs], z
+        with pytest.raises(ValueError):
+            times(L.order)
+        with pytest.raises(TypeError):
+            times(1.0)
+    with pytest.raises(ValueError):
+        L.multiplier(-1)
+
+
+def test_modulus_search_gives_up_at_its_limit(monkeypatch):
+    # GF(16)^4 (packed) and GF(25)^2 (lists) are not in the table; each
+    # is found at exactly its candidate count and refused one below it
+    for K, t in ((GF16, 4), (FieldSpec(5, 2), 2)):
+        modulus = field._find_modulus(K, t)
+        v = sum(c * K.order**i for i, c in enumerate(modulus[:-1]))
+        packed = K.packed()
+        needed = (v + 1 if packed is None
+                  else list(packed.rootless(K, t)).index(v) + 1)
+        monkeypatch.setattr(field, "_SEARCH_LIMIT", needed)
+        assert field._find_modulus(K, t) == modulus
+        monkeypatch.setattr(field, "_SEARCH_LIMIT", needed - 1)
+        with pytest.raises(SearchLimit) as caught:
+            field._find_modulus(K, t)
+        text = str(caught.value)
+        assert f"(q, t) = ({K.order}, {t})" in text
+        assert "rsl.field._FROZEN" in text

@@ -438,3 +438,24 @@ def test_other_fields_take_the_list_echelon(field, monkeypatch):
     assert a @ a.inverse() == Matrix.identity(field, 6)
     b = _col(field, range(1, 7))
     assert a @ a.solve(b) == b
+
+
+@pytest.mark.parametrize("field", PACKED, ids=repr)
+def test_extended_row_space_ranks_the_stack(field):
+    # a shared part reduced once, then extended by several others: each
+    # extension has the list echelon's rank of the stacked rows, and
+    # leaves the base alone
+    rng = random.Random(repr(field))
+    width = 9
+    for trial in range(20):
+        shared = _low_rank(field, rng, rng.randrange(6), width,
+                           rng.randrange(5))
+        base = matrix.extend_row_space(field.packed(), {}, shared, width)
+        before = dict(base)
+        for _ in range(3):
+            more = _random_rows(field, rng.randrange(5), width, rng.random())
+            found = matrix.extend_row_space(field.packed(), base, more, width)
+            stack = [list(row) for row in shared + more]
+            assert len(found) == len(matrix._list_echelon(field, stack,
+                                                          width)), trial
+        assert base == before

@@ -460,3 +460,76 @@ def test_stripe_codec_matches_the_codec_over_the_extension(field, m):
     got = code.reconstruct({i: shares[i - 1] for i in group})
     assert _unstripe(ext, got) == message
     assert slow.reconstruct({i: want[i - 1] for i in group}) == message
+
+
+# -- region kernels: GF(4), GF(16) and GF(256) take the packed path,
+# GF(8) and GF(25) the list path; GF(2) has too few points for any code
+
+REGION_CODES = pytest.mark.parametrize("field,n,k,m", [
+    (FieldSpec(2, 2), 3, 2, 2), (GF16, 6, 3, 2), (GF256, 6, 3, 1),
+    (FieldSpec(2, 3), 5, 3, 2), (GF25, 7, 3, 2),
+], ids=["GF(4)", "GF(16)", "GF(256)", "GF(8)", "GF(25)"])
+
+
+@REGION_CODES
+def test_packed_repair_rows_match_the_list_path(field, n, k, m,
+                                                monkeypatch):
+    code = _code(n=n, k=k, d=2 * k - 2, m=m, field=field)
+    fast = {(h, f, c): code.repair_row(h, f, c)
+            for h, f in itertools.permutations(code.nodes, 2)
+            for c in range(m)}
+    monkeypatch.setattr(FieldSpec, "packed", lambda self: None)
+    slow = _code(n=n, k=k, d=2 * k - 2, m=m, field=field)
+    assert {key: slow.repair_row(*key) for key in fast} == fast
+
+
+@REGION_CODES
+def test_region_codec_matches_the_scalar_loop(field, n, k, m):
+    # three codewords at once; slot copy*alpha0 + a of each codeword is
+    # the copy-0 stored row for slot a dotted with copy's message block
+    code = _code(n=n, k=k, d=2 * k - 2, m=m, field=field)
+    p, one = code.params, code.one_copy()
+    rng = random.Random(f"{field!r}")
+    message = [rng.randrange(field.order)
+               for _ in range(3 * p.message_length)]
+    b0 = p.base_message_length
+    blocks = [message[i:i + b0] for i in range(0, len(message), b0)]
+    shares = code.encode(message)
+    for node in code.nodes:
+        want = []
+        for block in blocks:
+            for a in range(p.base_alpha):
+                acc = 0
+                for c, x in zip(one.stored_row(node, a), block):
+                    acc = field.add(acc, field.mul(c, x))
+                want.append(acc)
+        assert shares[node - 1] == want, node
+        # the repair symbols: per copy, its slots dotted with phi_f
+        a0, share = p.base_alpha, shares[node - 1]
+        for failed in code.nodes:
+            if failed != node:
+                sent = []
+                for c in range(0, len(share), a0):
+                    acc = 0
+                    for x, y in zip(share[c:c + a0], code.phi[failed - 1]):
+                        acc = field.add(acc, field.mul(x, y))
+                    sent.append(acc)
+                assert code.repair_symbol(node, failed, share) == sent
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_combine_matches_the_scalar_sum(w):
+    # GF(2) hosts no code, so the region product is checked bare
+    from rsl.product_matrix import _combine
+    field = FieldSpec(2, w)
+    rng = random.Random(w)
+    for _ in range(20):
+        count, length = rng.randrange(6), rng.randrange(1, 9)
+        coeffs = [rng.randrange(field.order) for _ in range(count)]
+        vectors = [[rng.randrange(field.order) for _ in range(length)]
+                   for _ in range(count)]
+        want = [0] * length
+        for c, v in zip(coeffs, vectors):
+            for j, y in enumerate(v):
+                want[j] = field.add(want[j], field.mul(c, y))
+        assert _combine(field, coeffs, vectors, length) == want

@@ -341,3 +341,69 @@ def test_attack_report_upper_bound_kind():
     assert report["formula_value"] == "1"
     assert report["secure_size"] == 0
     assert report["match"] is True  # 0 <= 1
+
+
+# -- worst_case_leakage ranks per repaired set: packed over GF(4), GF(16)
+# and GF(256), on lists over GF(8) and GF(25); GF(2) is too small a field
+# for any product-matrix code
+
+LEAKAGE_CODES = pytest.mark.parametrize("field,n,k,m", [
+    (GF16, 9, 5, 1), (FieldSpec(2, 8), 6, 3, 1), (GF16, 6, 3, 2),
+    (FieldSpec(5, 2), 7, 3, 2), (FieldSpec(2, 2), 3, 2, 1),
+    (FieldSpec(2, 3), 5, 3, 1),
+], ids=["GF(16)-n9", "GF(256)-n6", "GF(16)-n6-m2", "GF(25)-n7-m2",
+        "GF(4)-n3", "GF(8)-n5"])
+
+
+@LEAKAGE_CODES
+def test_worst_case_leakage_is_the_model_maximum(field, n, k, m):
+    def fresh():
+        return ProductMatrixCode(CodeParams(n=n, k=k, d=2 * k - 2, m=m),
+                                 field)
+    for shape in [(l1, l2) for l1 in range(k) for l2 in range(k - l1)]:
+        slow = fresh()
+        want = max(leakage(slow, model)
+                   for model in enumerate_models(slow, *shape))
+        assert worst_case_leakage(fresh(), *shape) == want, shape
+
+
+@LEAKAGE_CODES
+def test_later_leakage_is_a_memo_hit(field, n, k, m, monkeypatch):
+    from rsl import entropy
+    calls = []
+    rank = entropy.joint_entropy
+
+    def counted(a):
+        calls.append(a.nrows)
+        return rank(a)
+    monkeypatch.setattr(entropy, "joint_entropy", counted)
+    code = ProductMatrixCode(CodeParams(n=n, k=k, d=2 * k - 2, m=m), field)
+    shape = (1, 1) if k > 2 else (0, 1)
+    worst = worst_case_leakage(code, *shape)
+    models = list(enumerate_models(code, *shape))
+    # the packed path ranks without joint_entropy; lists rank each model
+    assert len(calls) == (0 if field.packed() else len(models))
+    calls.clear()
+    assert {leakage(code, model) for model in models} == {worst}
+    assert calls == []
+
+
+# GF(16) is test_asymmetric_leakage_detected's
+@pytest.mark.parametrize("field", [
+    FieldSpec(2, 2), FieldSpec(2, 8), FieldSpec(2, 3), FieldSpec(5, 2),
+], ids=["GF(4)", "GF(256)", "GF(8)", "GF(25)"])
+def test_asymmetric_leakage_detected_on_every_path(field):
+    n, k = (3, 2) if field.order == 4 else (5, 3)
+
+    class Lopsided(ProductMatrixCode):
+        """Drops node n's traffic toward node 1 only."""
+
+        def observation_rows(self, selector):
+            if isinstance(selector, RepairTo) and selector.failed == (1,):
+                selector = RepairFromTo(range(2, n), (1,))
+            return super().observation_rows(selector)
+
+    code = Lopsided(CodeParams(n=n, k=k, d=2 * k - 2), field)
+    with pytest.raises(AsymmetricLeakage,
+                       match=r"leakage varies across \(0,1\) models: "):
+        worst_case_leakage(code, 0, 1)
