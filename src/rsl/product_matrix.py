@@ -25,10 +25,10 @@ entropy.observed_entropy() ranks the rows of copy 0 alone, on one_copy().
 The codec takes any positive whole number of codewords at once, read off
 the input length; codeword s holds copies s*m .. s*m + m - 1.  A secure
 cluster runs it on the B base-field digit stripes of its symbols.
-Encode, repair symbols and repair rows are sums of scaled vectors
-(_combine): over GF(2^w), w | 8, one bytes.translate per nonzero
-coefficient scales a whole vector, such as one message position across
-every codeword.
+Encode, repair symbols, the rebuilt share and repair rows are sums of
+scaled vectors (_combine): over GF(2^w), w | 8, one bytes.translate per
+nonzero coefficient scales a whole vector, such as one message position
+across every codeword.
 
 Every stored or transmitted symbol is a linear functional of the message,
 exposed as its coefficient row: observation_rows() lists the rows one
@@ -273,16 +273,11 @@ class ProductMatrixCode:
                                   "repair symbols of each helper")
         rhs = Matrix._of(self.field, columns)  # d x copies, copy per column
         # d distinct Vandermonde rows: the system is always invertible
-        sol = system.solve(rhs)  # rows of M phi_f, per copy
-        add, mul = self.field.add, self.field.mul
-        lam_f = self.lam[fi]
-        share = []
-        for copy in range(copies):
-            for a in range(a0):
-                s1_part = sol.rows[a][copy]
-                s2_part = sol.rows[a0 + a][copy]
-                share.append(add(s1_part, mul(lam_f, s2_part)))
-        return share
+        sol = system.solve(rhs).rows  # rows of M phi_f, per copy
+        # slot a is (S1 phi_f)_a + lambda_f * (S2 phi_f)_a in every copy
+        slots = [_combine(self.field, (1, self.lam[fi]),
+                          (sol[a], sol[a0 + a]), copies) for a in range(a0)]
+        return [x for copy in zip(*slots) for x in copy]
 
     def reconstruct(self, shares) -> list[int]:
         """Recover the message from any k complete shares.

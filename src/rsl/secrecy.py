@@ -129,7 +129,7 @@ def worst_case_leakage(code: ProductMatrixCode, l1: int, l2: int) -> int:
                     packed, {}, one.observation_rows(key[1]), width)
             one.ranks[key] = len(extend_row_space(
                 packed, base, one.observation_rows(key[0]), width))
-        values.add(leakage(code, model))
+        values.add(observed_entropy(code, *key))
     if len(values) > 1:
         lo, hi = min(values), max(values)
         raise AsymmetricLeakage(
@@ -191,8 +191,9 @@ class SecureScheme:
         for v in randomness + secret:
             times = ext.multiplier(z)
             for j in range(ext.t):
+                if j:
+                    v = times(v)
                 out[j] = ext.add(out[j], v)
-                v = times(v)
             z = ext.frobenius(z)
         return out
 
