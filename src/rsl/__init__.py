@@ -1,11 +1,12 @@
 """Exact-repair regenerating codes with information-theoretic secrecy.
 
-The pieces compose in layers: finite fields (field), linear algebra over
-them (matrix), rank-based entropy of linear observations (entropy), the
-product-matrix storage code at d = 2k-2 (product_matrix), eavesdropper
-models and rank-metric wrapping (secrecy), closed-form capacity bounds
-(capacity), executable property checks (harness), and an on-disk cluster
-simulation (cluster) driven by the rsl command (cli).
+The pieces compose in layers: finite fields (field) and their
+extensions (extension), linear algebra over them (matrix), rank-based
+entropy of linear observations (entropy), the product-matrix storage
+code at d = 2k-2 (product_matrix), eavesdropper models and rank-metric
+wrapping (secrecy), closed-form capacity bounds (capacity), executable
+property checks (harness), and an on-disk cluster simulation (cluster)
+driven by the rsl command (cli).
 
 The names in __all__ load on first use: `from rsl import check_all`
 imports the harness then, and a command that never touches it never
@@ -18,7 +19,7 @@ __version__ = "0.1.0"
 _HOME = {
     "Budget": "harness", "CapacityQuery": "capacity",
     "CapacityValue": "capacity", "CodeParams": "product_matrix",
-    "EavesdropperModel": "secrecy", "ExtensionSpec": "field",
+    "EavesdropperModel": "secrecy", "ExtensionSpec": "extension",
     "FieldSpec": "field", "Matrix": "matrix", "PROPERTY_IDS": "harness",
     "ProductMatrixCode": "product_matrix", "RepairFromTo": "product_matrix",
     "RepairTo": "product_matrix", "RslError": "errors",

@@ -4,10 +4,16 @@ Subcommands operate on cluster directories (encode, fail-repair,
 reconstruct, attack, verify) or are pure computations (capacity-table,
 verify without --cluster).  Everything prints deterministic output; all
 randomness is seeded and the seed is recorded in cluster metadata.
-The harness is imported by verify alone, and the capacity formulas by
-capacity-table and, through secrecy.attack_report, by attack.  So encode,
-fail-repair and reconstruct load neither, and no command loads the
-dataclass module.
+
+Each process compiles only what its command runs.  main() builds the
+parser of the command it is given alone, and every subcommand's for
+--help, an unknown command or none, so help, usage and error texts are
+the full parser's.  Beyond cli, cluster, field, matrix, product_matrix
+and errors, a plain encode, fail-repair or reconstruct loads nothing, and
+a secure one secrecy and extension; attack adds secrecy, entropy and
+capacity, capacity-table capacity, and verify the harness, secrecy and
+entropy; on a secure cluster each also loads extension, as does a base
+field outside rsl.field's frozen table.  No command loads dataclasses.
 """
 
 from __future__ import annotations
@@ -58,61 +64,70 @@ def _parse_field(text: str) -> FieldSpec:
     return FieldSpec(*_parse_pair(text, "--field"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The rsl parser; given a command name, with that subcommand alone."""
     parser = argparse.ArgumentParser(
         prog="rsl",
         description="regenerating-code clusters with secure wrapping")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="create a cluster from a payload")
-    enc.add_argument("--cluster", required=True)
-    enc.add_argument("--n", type=int, required=True)
-    enc.add_argument("--k", type=int, required=True)
-    enc.add_argument("--d", type=int, required=True)
-    enc.add_argument("--m", type=int, default=1)
-    enc.add_argument("--field", default="2,8", metavar="P,W")
-    enc.add_argument("--secure", metavar="L1,L2",
-                     help="wrap against an (l1,l2)-eavesdropper")
-    enc.add_argument("--seed", type=int,
-                     help="seed for the wrapping randomness")
-    enc.add_argument("input", help="payload file, or - for stdin")
+    if command in (None, "encode"):
+        enc = sub.add_parser("encode", help="create a cluster from a payload")
+        enc.add_argument("--cluster", required=True)
+        enc.add_argument("--n", type=int, required=True)
+        enc.add_argument("--k", type=int, required=True)
+        enc.add_argument("--d", type=int, required=True)
+        enc.add_argument("--m", type=int, default=1)
+        enc.add_argument("--field", default="2,8", metavar="P,W")
+        enc.add_argument("--secure", metavar="L1,L2",
+                         help="wrap against an (l1,l2)-eavesdropper")
+        enc.add_argument("--seed", type=int,
+                         help="seed for the wrapping randomness")
+        enc.add_argument("input", help="payload file, or - for stdin")
 
-    rep = sub.add_parser("fail-repair", help="fail a node and repair it")
-    rep.add_argument("--cluster", required=True)
-    rep.add_argument("--node", type=int, required=True)
-    rep.add_argument("--helpers", metavar="I,J,...",
-                     help="defaults to the first d live nodes")
+    if command in (None, "fail-repair"):
+        rep = sub.add_parser("fail-repair", help="fail a node and repair it")
+        rep.add_argument("--cluster", required=True)
+        rep.add_argument("--node", type=int, required=True)
+        rep.add_argument("--helpers", metavar="I,J,...",
+                         help="defaults to the first d live nodes")
 
-    rec = sub.add_parser("reconstruct", help="decode the payload from k nodes")
-    rec.add_argument("--cluster", required=True)
-    rec.add_argument("--nodes", metavar="I,J,...")
-    rec.add_argument("--output", help="defaults to stdout")
+    if command in (None, "reconstruct"):
+        rec = sub.add_parser("reconstruct",
+                             help="decode the payload from k nodes")
+        rec.add_argument("--cluster", required=True)
+        rec.add_argument("--nodes", metavar="I,J,...")
+        rec.add_argument("--output", help="defaults to stdout")
 
-    atk = sub.add_parser("attack", help="measure what an eavesdropper learned")
-    atk.add_argument("--cluster", required=True)
-    atk.add_argument("--stored", default="", metavar="I,J,...")
-    atk.add_argument("--repair", default="", metavar="I,J,...")
-    atk.add_argument("--epochs", metavar="A:B")
-    atk.add_argument("--json", action="store_true")
+    if command in (None, "attack"):
+        atk = sub.add_parser("attack",
+                             help="measure what an eavesdropper learned")
+        atk.add_argument("--cluster", required=True)
+        atk.add_argument("--stored", default="", metavar="I,J,...")
+        atk.add_argument("--repair", default="", metavar="I,J,...")
+        atk.add_argument("--epochs", metavar="A:B")
+        atk.add_argument("--json", action="store_true")
 
-    cap = sub.add_parser("capacity-table",
-                         help="tabulate secrecy-capacity bounds")
-    for flag in ("--k", "--d", "--n", "--beta", "--l1", "--l2"):
-        cap.add_argument(flag, required=True, metavar="A[:B]")
-    cap.add_argument("--csv", help="write CSV here instead of stdout")
+    if command in (None, "capacity-table"):
+        cap = sub.add_parser("capacity-table",
+                             help="tabulate secrecy-capacity bounds")
+        for flag in ("--k", "--d", "--n", "--beta", "--l1", "--l2"):
+            cap.add_argument(flag, required=True, metavar="A[:B]")
+        cap.add_argument("--csv", help="write CSV here instead of stdout")
 
-    ver = sub.add_parser("verify",
-                         help="run the property checks, and the integrity "
-                              "checks when given a cluster")
-    ver.add_argument("--cluster")
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--k", type=int)
-    ver.add_argument("--d", type=int)
-    ver.add_argument("--m", type=int, default=1)
-    ver.add_argument("--field", default="2,8", metavar="P,W")
-    ver.add_argument("--samples", type=int)
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--report", help="write the JSONL report here")
+    if command in (None, "verify"):
+        ver = sub.add_parser("verify",
+                             help="run the property checks, and the integrity "
+                                  "checks when given a cluster")
+        ver.add_argument("--cluster")
+        ver.add_argument("--n", type=int)
+        ver.add_argument("--k", type=int)
+        ver.add_argument("--d", type=int)
+        ver.add_argument("--m", type=int, default=1)
+        ver.add_argument("--field", default="2,8", metavar="P,W")
+        ver.add_argument("--samples", type=int)
+        ver.add_argument("--seed", type=int)
+        ver.add_argument("--report", help="write the JSONL report here")
     return parser
 
 
@@ -133,7 +148,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_fail_repair(args) -> int:
     state = ClusterState.load(args.cluster)
-    helpers = _parse_ints(args.helpers) if args.helpers else None
+    helpers = None if args.helpers is None else _parse_ints(args.helpers)
     event = state.fail_repair(args.node, helpers)
     print(f"epoch {event['epoch']}: repaired node {event['failed']} "
           f"from helpers {event['helpers']}")
@@ -142,7 +157,7 @@ def _cmd_fail_repair(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     state = ClusterState.load(args.cluster)
-    nodes = _parse_ints(args.nodes) if args.nodes else None
+    nodes = None if args.nodes is None else _parse_ints(args.nodes)
     payload = state.reconstruct_payload(nodes)
     if args.output:
         Path(args.output).write_bytes(payload)
@@ -239,7 +254,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = _build_parser(command).parse_known_args(argv)
+    if extra:  # the error's usage line lists every command
+        _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # RslError is a ValueError

@@ -17,9 +17,10 @@ identity on a plain cluster's symbols of F.
 Payloads are framed with a 4-byte big-endian length prefix, then packed
 big-endian-bit-first into field symbols; whatever capacity is left is
 zero padding.  Mutating operations take an advisory lock file that holds
-the writer's pid.  The secrecy module, and the randomness a secure
-encode draws, are imported on the secure and attack paths only; the
-capacity formulas load inside secrecy.attack_report, on attack alone.
+the writer's pid.  The secrecy module, rsl.extension and the randomness
+a secure encode draws are imported on the secure paths only, and
+secrecy on attack too; the entropy module loads inside attack, and the
+capacity formulas inside secrecy.attack_report, so on attack alone.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .entropy import observed_entropy
 from .errors import (IntegrityError, PayloadTooLarge, SearchLimit, SelfRepair,
                      UnknownNode, WrongHelperCount, WrongNodeCount)
-from .field import ExtensionSpec, FieldSpec
+from .field import FieldSpec
 from .product_matrix import CodeParams, ProductMatrixCode, RepairFromTo, Stored
 
 LAYOUT_VERSION = 1
@@ -256,6 +256,7 @@ class ClusterState:
         code, scheme = ProductMatrixCode(params, field, meta["points"]), None
         if meta["mode"] == "secure":
             from . import secrecy
+            from .extension import ExtensionSpec
             sec = _require(meta.get("secure"),
                            {"l1": _INT, "l2": _INT, "ell": _INT,
                             "extension": None}, "meta.json secure")
@@ -405,6 +406,7 @@ class ClusterState:
 
     def attack(self, stored, repaired, epochs=None) -> dict:
         from . import secrecy
+        from .entropy import observed_entropy
         code = self.code
         model = secrecy.EavesdropperModel(stored, repaired)
         secrecy.check_model(code, model)
@@ -437,7 +439,7 @@ class ClusterState:
 
         if self.scheme is not None:
             from . import secrecy
-            from .field import _find_modulus
+            from .extension import _find_modulus
             ext = self.scheme.ext
             # searched again, never read from the frozen table
             try:

@@ -34,7 +34,6 @@ import itertools
 from .entropy import observed_entropy
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
                      FieldMismatch, LengthMismatch, Record)
-from .field import ExtensionSpec
 from .matrix import Matrix, extend_row_space
 from .product_matrix import ProductMatrixCode, RepairTo, Stored
 
@@ -146,7 +145,7 @@ class SecureScheme:
     """
 
     def __init__(self, code: ProductMatrixCode, l1: int, l2: int, ell: int,
-                 ext: ExtensionSpec):
+                 ext):
         B = code.params.message_length
         if not 0 <= ell <= B:
             raise ValueError(f"ell must be in 0..{B}")
@@ -241,6 +240,7 @@ def scheme_make(code: ProductMatrixCode, l1: int, l2: int) -> SecureScheme:
     if ell >= code.params.message_length:
         raise CapacityZero(
             f"worst-case leakage {ell} swallows the whole message")
+    from .extension import ExtensionSpec
     return SecureScheme(code, l1, l2, ell,
                         ExtensionSpec(code.field, code.params.message_length))
 

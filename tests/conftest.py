@@ -2,17 +2,17 @@
 
 import pytest
 
-from rsl import field
+from rsl import extension
 
 
 @pytest.fixture
 def search_calls(monkeypatch):
     """The (K, degree) of every uncached modulus search, in order."""
     calls = []
-    find = field._find_modulus
+    find = extension._find_modulus
 
     def counted(K, degree):
         calls.append((K, degree))
         return find(K, degree)
-    monkeypatch.setattr(field, "_find_modulus", counted)
+    monkeypatch.setattr(extension, "_find_modulus", counted)
     return calls

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rsl import field, secrecy
+from rsl import extension, field, secrecy
 from rsl.capacity import CapacityQuery, capacity_csv
 from rsl.cli import main
 from rsl.cluster import ClusterState
@@ -186,13 +186,13 @@ def test_verify_cluster_agreement_fails_on_bad_frame(tmp_path, capsys):
 def test_verify_params_builds_no_extension(monkeypatch, capsys):
     # B = 12: a search for GF(256^12) would run for over ten minutes;
     # only GF(256) itself may be searched for, over GF(2)
-    search = field._search_modulus
+    search = extension._search_modulus
 
     def prime_base_only(K, degree):
         if K.order != K.char:
             raise AssertionError(f"modulus search over {K!r}")
         return search(K, degree)
-    monkeypatch.setattr(field, "_search_modulus", prime_base_only)
+    monkeypatch.setattr(extension, "_search_modulus", prime_base_only)
     rc = main(["verify", "--n", "8", "--k", "3", "--d", "4", "--m", "2"])
     assert rc == 0
     assert "PASS scheme.perfect_secrecy" in capsys.readouterr().out
@@ -318,7 +318,12 @@ def test_error_exit_codes(tmp_path, capsys):
                  ["verify", "--n", "9", "--k", "5", "--d", "8",
                   "--field", "2,4", "--samples", "0"],
                  ["verify", "--n", "9", "--k", "5", "--d", "8",
-                  "--field", "2,4", "--samples", "-3"]):
+                  "--field", "2,4", "--samples", "-3"],
+                 # an empty list names no node, as ',,' does; it is not
+                 # the default set
+                 ["fail-repair", "--cluster", cluster, "--node", "3",
+                  "--helpers", ""],
+                 ["reconstruct", "--cluster", cluster, "--nodes", ""]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
     # a torn last line in the event log names the line
@@ -485,7 +490,7 @@ def test_secure_encode_at_table_shapes_searches_nothing(tmp_path, capsys,
 
     def no_search(*args):
         raise AssertionError("modulus search during a secure encode")
-    monkeypatch.setattr(field, "_find_modulus", no_search)
+    monkeypatch.setattr(extension, "_find_modulus", no_search)
     src = tmp_path / "payload.bin"
     src.write_bytes(b"s")
     cluster = tmp_path / "c"
@@ -766,6 +771,34 @@ def test_unknown_event_kind_is_refused(tmp_path, capsys):
     assert log.read_bytes() == before
 
 
+# a stored modulus that factors: the frozen table certifies only the
+# canonical ones, so these still reach the sieve and fail as before
+@pytest.mark.parametrize("extra,where,modulus,err", [
+    ([], ("field",), [1, 0, 0, 0, 0, 0, 0, 0, 1],
+     "error: modulus [1, 0, 0, 0, 0, 0, 0, 0, 1] factors over GF(2)\n"),
+    (["--field", "2,4", "--secure", "0,1", "--seed", "5"],
+     ("secure", "extension"), [1, 0, 0, 0, 0, 0, 1],
+     "error: meta.json secure: modulus [1, 0, 0, 0, 0, 0, 1] factors over "
+     "GF(2^4)\n"),
+], ids=["plain-base", "secure-extension"])
+def test_reducible_stored_modulus_exits_1(tmp_path, capsys, extra, where,
+                                          modulus, err):
+    assert _encode(tmp_path, extra=extra) == 0
+    path = tmp_path / "c" / "meta.json"
+    meta = json.loads(path.read_text())
+    node = meta
+    for key in where:
+        node = node[key]
+    node["modulus"] = modulus
+    path.write_text(json.dumps(meta))
+    share = (tmp_path / "c" / "share_2.bin").read_bytes()
+    capsys.readouterr()
+    assert main(["fail-repair", "--cluster", str(tmp_path / "c"),
+                 "--node", "2"]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert (tmp_path / "c" / "share_2.bin").read_bytes() == share
+
+
 def test_modulus_search_limit_exits_1(tmp_path, capsys, monkeypatch):
     # GF(16)^4, the n=3 k=2 m=2 message length, is not frozen
     monkeypatch.setattr(field, "_MODULUS_CACHE",
@@ -776,8 +809,8 @@ def test_modulus_search_limit_exits_1(tmp_path, capsys, monkeypatch):
     src = tmp_path / "payload.bin"
     src.write_bytes(b"")
     encode = ["encode", "--cluster", str(tmp_path / "c"), *extra, str(src)]
-    limit = field._SEARCH_LIMIT
-    monkeypatch.setattr(field, "_SEARCH_LIMIT", 1)
+    limit = extension._SEARCH_LIMIT
+    monkeypatch.setattr(extension, "_SEARCH_LIMIT", 1)
     assert main(encode) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no canonical modulus for GF(16)^4")
@@ -785,9 +818,9 @@ def test_modulus_search_limit_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "c").exists()
     # encoded under the default limit, the cluster fails verify's
     # extension check under the lowered one, with the same text
-    monkeypatch.setattr(field, "_SEARCH_LIMIT", limit)
+    monkeypatch.setattr(extension, "_SEARCH_LIMIT", limit)
     assert main(encode) == 0
-    monkeypatch.setattr(field, "_SEARCH_LIMIT", 1)
+    monkeypatch.setattr(extension, "_SEARCH_LIMIT", 1)
     capsys.readouterr()
     assert main(["verify", "--cluster", str(tmp_path / "c")]) == 1
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from rsl import entropy, field
+from rsl import entropy, extension
 from rsl.cluster import (ClusterState, bits_per_symbol, bytes_to_symbols,
                          element_width, frame_payload, symbols_to_bytes,
                          unframe_payload)
@@ -164,7 +164,7 @@ def test_secure_load_runs_no_search(tmp_path, monkeypatch):
 
     def no_search(*args):
         raise AssertionError("modulus search during load")
-    monkeypatch.setattr(field, "_search_modulus", no_search)
+    monkeypatch.setattr(extension, "_search_modulus", no_search)
     state = ClusterState.load(tmp_path / "c")
     assert state.reconstruct_payload() == b"s"
     state.fail_repair(3)

@@ -2,14 +2,16 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
-from rsl import field
+from rsl import extension, field
 from rsl.errors import (DivideByZero, LengthMismatch, NotPrime, Reducible,
                         SearchLimit)
-from rsl.field import (ExtensionSpec, FieldSpec, _search_modulus,
-                       _sieve_irreducible, _sieve_lists)
+from rsl.extension import (ExtensionSpec, _search_modulus,
+                           _sieve_irreducible, _sieve_lists)
+from rsl.field import FieldSpec
 
 from oracles import (NaiveExtension, NaiveField, irreducible_over_prime,
                      smallest_irreducible)
@@ -116,11 +118,12 @@ def test_rootless_yields_exactly_the_candidates_without_a_root(w, max_degree):
                 return True
         return False
 
-    assert list(K.packed().rootless(K, 1)) == list(range(q))
+    kernel = extension._kernel(K)
+    assert list(kernel.rootless(K, 1)) == list(range(q))
     for degree in range(2, max_degree + 1):
         expected = [v for v in range(q**degree)
                     if not has_root(_digits(v, q, degree) + [1])]
-        assert list(K.packed().rootless(K, degree)) == expected, degree
+        assert list(kernel.rootless(K, degree)) == expected, degree
 
 
 def _list_search(K, degree):
@@ -155,7 +158,7 @@ def test_frozen_modulus_is_the_search(key):
     q, base_modulus, t = key
     K = FieldSpec(2, q.bit_length() - 1)
     assert K.modulus == base_modulus
-    searched = field._find_modulus(K, t)
+    searched = extension._find_modulus(K, t)
     assert field._monic(q, t, field._FROZEN[key]) == searched
     assert _search_modulus(K, t) == searched
 
@@ -168,6 +171,53 @@ def test_search_outside_the_table(monkeypatch, search_calls):
     assert ExtensionSpec(GF16, 4).modulus == (4, 2, 1, 0, 1)
     assert ExtensionSpec(GF16, 4).modulus == (4, 2, 1, 0, 1)
     assert search_calls == [(GF16, 4)]
+
+
+@pytest.mark.parametrize("key", sorted(field._FROZEN),
+                         ids=lambda key: f"GF({key[0]})^{key[2]}")
+def test_frozen_modulus_is_certified_without_the_sieve(key, monkeypatch):
+    # a given modulus equal to a table entry is the search's verdict
+    # already: the base fields of every cluster and the extensions of the
+    # table shapes load without sieving their stored moduli
+    def no_sieve(*args):
+        raise AssertionError("the sieve ran on a frozen modulus")
+    monkeypatch.setattr(extension, "_sieve_irreducible", no_sieve)
+    q, base_modulus, t = key
+    K = FieldSpec(2, q.bit_length() - 1)
+    modulus = field._monic(q, t, field._FROZEN[key])
+    assert field._checked_modulus(K, t, list(modulus)) == modulus
+    if q == 2:
+        stored = {"p": 2, "w": t, "modulus": list(modulus)}
+        assert FieldSpec.from_json(stored).modulus == modulus
+    else:
+        assert ExtensionSpec(K, t, modulus).modulus == modulus
+
+
+def test_other_moduli_go_through_the_sieve(monkeypatch):
+    calls = []
+    sieve = extension._sieve_irreducible
+
+    def counted(K, f):
+        calls.append((K, tuple(f)))
+        return sieve(K, f)
+    monkeypatch.setattr(extension, "_sieve_irreducible", counted)
+    # x^8 + x^4 + x^3 + x^2 + 1, irreducible but not GF(256)'s canonical
+    other = (1, 0, 1, 1, 1, 0, 0, 0, 1)
+    assert FieldSpec(2, 8, other).modulus == other
+    assert calls == [(FieldSpec(2, 1), other)]
+    # the irreducible right after GF(16)^6's canonical (13, 2, 1, 0, 0, 0, 1)
+    calls.clear()
+    other = (14, 2, 1, 0, 0, 0, 1)
+    assert ExtensionSpec(GF16, 6, other).modulus == other
+    assert calls == [(GF16, other)]
+    # reducible moduli are still refused, in the same words
+    for build, text in (
+            (lambda: FieldSpec(2, 8, (1,) + (0,) * 7 + (1,)),
+             "modulus [1, 0, 0, 0, 0, 0, 0, 0, 1] factors over GF(2)"),
+            (lambda: ExtensionSpec(GF16, 6, (1, 0, 0, 0, 0, 0, 1)),
+             "modulus [1, 0, 0, 0, 0, 0, 1] factors over GF(2^4)")):
+        with pytest.raises(Reducible, match=re.escape(text)):
+            build()
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
@@ -348,6 +398,29 @@ def test_element_validation():
     with pytest.raises(TypeError):
         GF16.element(1.0)
     assert list(GF16.elements()) == list(range(16))
+
+
+@pytest.mark.parametrize("name", ["GF(16)", "GF(256)", "GF(11)", "GF(25)",
+                                  "GF(16)^6"])
+def test_operands_out_of_range_raise_the_element_error(name):
+    # a log-table index, a bare residue or the zero shortcut must not
+    # answer for an operand outside the field, a zero partner included
+    F = {"GF(16)": GF16, "GF(256)": FieldSpec(2, 8),
+         "GF(11)": FieldSpec(11, 1), "GF(25)": FieldSpec(5, 2),
+         "GF(16)^6": ExtensionSpec(GF16, 6)}[name]
+    q = F.order
+    for bad in (q, q + 1, 99 * q, -1):
+        text = re.escape(f"{bad} out of range for {F!r}")
+        for call in (lambda: F.mul(bad, 3), lambda: F.mul(3, bad),
+                     lambda: F.mul(bad, 0), lambda: F.mul(0, bad),
+                     lambda: F.inv(bad), lambda: F.pow(bad, 2),
+                     lambda: F.pow(bad, 0)):
+            with pytest.raises(ValueError, match=text):
+                call()
+    assert F.mul(q - 1, 0) == F.mul(0, q - 1) == 0
+    assert F.mul(q - 1, 1) == q - 1 and F.pow(q - 1, 0) == 1
+    with pytest.raises(DivideByZero):
+        F.inv(0)
 
 
 # -- extension towers
@@ -537,16 +610,16 @@ def test_modulus_search_gives_up_at_its_limit(monkeypatch):
     # GF(16)^4 (packed) and GF(25)^2 (lists) are not in the table; each
     # is found at exactly its candidate count and refused one below it
     for K, t in ((GF16, 4), (FieldSpec(5, 2), 2)):
-        modulus = field._find_modulus(K, t)
+        modulus = extension._find_modulus(K, t)
         v = sum(c * K.order**i for i, c in enumerate(modulus[:-1]))
-        packed = K.packed()
+        packed = extension._kernel(K)
         needed = (v + 1 if packed is None
                   else list(packed.rootless(K, t)).index(v) + 1)
-        monkeypatch.setattr(field, "_SEARCH_LIMIT", needed)
-        assert field._find_modulus(K, t) == modulus
-        monkeypatch.setattr(field, "_SEARCH_LIMIT", needed - 1)
+        monkeypatch.setattr(extension, "_SEARCH_LIMIT", needed)
+        assert extension._find_modulus(K, t) == modulus
+        monkeypatch.setattr(extension, "_SEARCH_LIMIT", needed - 1)
         with pytest.raises(SearchLimit) as caught:
-            field._find_modulus(K, t)
+            extension._find_modulus(K, t)
         text = str(caught.value)
         assert f"(q, t) = ({K.order}, {t})" in text
         assert "rsl.field._FROZEN" in text

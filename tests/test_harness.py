@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rsl import field, harness
+from rsl import extension, harness
 from rsl.field import FieldSpec
 from rsl.harness import (PROPERTY_IDS, Budget, check_all, report_jsonl,
                          run_property)
@@ -198,7 +198,12 @@ def test_check_all_builds_no_extension(monkeypatch):
 
     def no_search(*args):
         raise AssertionError("modulus search during check_all")
-    monkeypatch.setattr(field, "_search_modulus", no_search)
+    monkeypatch.setattr(extension, "_search_modulus", no_search)
+
+    # GF(256)^6 is frozen: building it would search nothing
+    def no_extension(*args):
+        raise AssertionError("an extension built during check_all")
+    monkeypatch.setattr(extension.ExtensionSpec, "__init__", no_extension)
     for r in check_all(code):
         assert r.passed, (r.property, r.witness)
 

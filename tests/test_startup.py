@@ -2,15 +2,29 @@
 
 rsl/__init__.py resolves its public names on first use, cli.py imports
 the harness and the capacity formulas inside the commands that run them,
-cluster.py imports secrecy on the secure and attack paths only, and
-secrecy imports capacity inside attack_report.  So a plain encode,
-fail-repair or reconstruct never imports harness, capacity or secrecy,
-and a secure one never imports capacity (nor the fractions and decimal
-it pulls in).  Value types derive from errors.Record, so no command
-imports dataclasses or the inspect it pulls in.
+cluster.py imports secrecy on the secure and attack paths only and entropy
+inside attack, and secrecy imports capacity inside attack_report.  The
+extension field L exists only for the secrecy precode, so rsl.extension
+(polynomials, the sieve, the modulus search, ExtensionSpec) loads on the
+secure paths alone.  What each command loads, beyond cli, cluster, field,
+matrix, product_matrix and errors:
+  - plain encode, fail-repair, reconstruct: nothing;
+  - secure encode, fail-repair, reconstruct: secrecy, entropy, extension;
+  - attack: secrecy, entropy and capacity (with fractions and decimal),
+    and extension on a secure cluster;
+  - capacity-table: capacity;
+  - verify: the harness, secrecy and entropy, and extension on a secure
+    cluster.
+A base field outside rsl.field's frozen table, such as GF(25), also loads
+extension, to find or sieve its modulus.
+Value types derive from errors.Record, so no command imports dataclasses
+or the inspect it pulls in.  A secure cluster at a frozen-table shape
+loads its stored moduli without a sieve or a search.
 
 Each flow runs in a fresh interpreter and reports the modules each step
 added to sys.modules since start-up, so what site preloads never counts.
+main() builds the parser of the named command alone; the help, usage and
+error texts of the full parser are frozen below and must not change.
 """
 
 import json
@@ -72,8 +86,15 @@ def _flow(tmp_path, options=()):
 
 def test_plain_flow_loads_no_harness_capacity_or_secrecy(tmp_path):
     encode, repair, reconstruct, attack = _flow(tmp_path)
-    for module in ("rsl.harness", "rsl.capacity", "rsl.secrecy"):
+    for module in ("rsl.harness", "rsl.capacity", "rsl.secrecy",
+                   "rsl.entropy"):
         assert module not in reconstruct
+    assert "rsl.extension" not in attack  # nor earlier: the lists grow
+
+
+def test_secure_flow_loads_the_extension(tmp_path):
+    encode, repair, reconstruct, attack = _flow(tmp_path, SECURE)
+    assert "rsl.extension" in encode
 
 
 @pytest.mark.parametrize("options", [[], SECURE], ids=["plain", "secure"])
@@ -116,3 +137,123 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(rsl, "check_al")
     with pytest.raises(ImportError):
         exec("from rsl import no_such_name", {})
+
+
+# argv: vault; fail-repair and reconstruct with every path to a sieve or
+# a modulus search replaced by one that raises
+NO_SIEVE = """
+import json, sys
+from rsl import extension
+from rsl.cli import main
+
+def refuse(*args):
+    raise AssertionError("sieve or modulus search")
+for name in ("_sieve_irreducible", "_sieve_lists", "_find_modulus",
+             "_search_modulus"):
+    setattr(extension, name, refuse)
+vault = sys.argv[1]
+codes = [main(["fail-repair", "--cluster", vault, "--node", "2"]),
+         main(["reconstruct", "--cluster", vault, "--output",
+               vault + ".out"])]
+print(json.dumps(codes))
+"""
+
+
+# GF(256)^6 and GF(16)^20, the README's and the benchmark's frozen shapes
+@pytest.mark.parametrize("shape", [
+    ["--n", "5", "--k", "3", "--d", "4", "--secure", "0,1"],
+    ["--n", "9", "--k", "5", "--d", "8", "--field", "2,4", "--secure", "1,1"],
+], ids=["GF(256)^6", "GF(16)^20"])
+def test_secure_load_at_a_table_shape_sieves_nothing(tmp_path, shape):
+    payload = tmp_path / "data.bin"
+    payload.write_bytes(b"ok")
+    vault = tmp_path / "vault"
+    encode = ["encode", "--cluster", str(vault), *shape, "--seed", "5",
+              str(payload)]
+    assert _python("import json, sys\nfrom rsl.cli import main\n"
+                   "print(json.dumps(main(sys.argv[1:])))", *encode) == 0
+    assert _python(NO_SIEVE, vault) == [0, 0]
+    assert (tmp_path / "vault.out").read_bytes() == b"ok"
+
+
+# stdout, stderr and exit code of the full parser's help, usage and error
+# texts, frozen from the parser that built every subcommand on each call
+_USAGE = ("usage: rsl [-h]\n           {encode,fail-repair,reconstruct,"
+          "attack,capacity-table,verify} ...\n")
+_REPAIR_USAGE = ("usage: rsl fail-repair [-h] --cluster CLUSTER --node NODE "
+                 "[--helpers I,J,...]\n")
+GOLDEN_TEXTS = {
+    "help": (["--help"], _USAGE + """
+regenerating-code clusters with secure wrapping
+
+positional arguments:
+  {encode,fail-repair,reconstruct,attack,capacity-table,verify}
+    encode              create a cluster from a payload
+    fail-repair         fail a node and repair it
+    reconstruct         decode the payload from k nodes
+    attack              measure what an eavesdropper learned
+    capacity-table      tabulate secrecy-capacity bounds
+    verify              run the property checks, and the integrity checks when
+                        given a cluster
+
+options:
+  -h, --help            show this help message and exit
+""", "", 0),
+    "fail-repair-help": (["fail-repair", "--help"], _REPAIR_USAGE + """
+options:
+  -h, --help         show this help message and exit
+  --cluster CLUSTER
+  --node NODE
+  --helpers I,J,...  defaults to the first d live nodes
+""", "", 0),
+    "missing-node": (["fail-repair", "--cluster", "x"], "", _REPAIR_USAGE
+                     + "rsl fail-repair: error: the following arguments are "
+                       "required: --node\n", 2),
+    "unknown-command": (["frob"], "", _USAGE
+                        + "rsl: error: argument command: invalid choice: "
+                          "'frob' (choose from 'encode', 'fail-repair', "
+                          "'reconstruct', 'attack', 'capacity-table', "
+                          "'verify')\n", 2),
+    "no-command": ([], "", _USAGE + "rsl: error: the following arguments are "
+                                    "required: command\n", 2),
+    "unrecognized": (["fail-repair", "--cluster", "x", "--node", "1",
+                      "--bogus"], "", _USAGE + "rsl: error: unrecognized "
+                                               "arguments: --bogus\n", 2),
+}
+
+# argv: 'main' or 'full', then rsl's arguments; exits as rsl would
+TEXTS = """
+import sys
+from rsl import cli
+how, argv = sys.argv[1], sys.argv[2:]
+if how == "main":
+    sys.exit(cli.main(argv))
+cli._build_parser().parse_args(argv)
+"""
+
+
+def _texts(how, argv):
+    path = [str(ROOT / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), COLUMNS="80")
+    done = subprocess.run([sys.executable, "-c", TEXTS, how, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    return done.stdout, done.stderr, done.returncode
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXTS))
+def test_texts_are_the_full_parsers(name):
+    # on any Python: building one subparser changes no help, usage or
+    # error text
+    argv = GOLDEN_TEXTS[name][0]
+    assert _texts("main", argv) == _texts("full", argv)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="frozen from CPython 3.11's argparse wording")
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXTS))
+def test_texts_golden(name):
+    argv, *expected = GOLDEN_TEXTS[name]
+    assert _texts("main", argv) == tuple(expected)
