@@ -19,8 +19,9 @@ big-endian-bit-first into field symbols; whatever capacity is left is
 zero padding.  Mutating operations take an advisory lock file that holds
 the writer's pid.  The secrecy module, rsl.extension and the randomness
 a secure encode draws are imported on the secure paths only, and
-secrecy on attack too; the entropy module loads inside attack, and the
-capacity formulas inside secrecy.attack_report, so on attack alone.
+secrecy on attack too; the entropy module loads where ranks are read,
+in attack and in sizing a secure encode's precode, and the capacity
+formulas inside secrecy.attack_report, so on attack alone.
 """
 
 from __future__ import annotations

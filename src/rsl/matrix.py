@@ -6,14 +6,13 @@ pivoting, so results are deterministic functions of the input.
 Zero-row and zero-column matrices are legal and have rank 0.
 
 Over GF(2^w) with w in {1, 2, 4, 8}, where the field's packed kernel
-exists, elimination runs on rows packed one element per byte into an
-integer, column j in byte j: scaling a row is one bytes.translate and
-subtracting is one XOR.  Every other field, extensions included, keeps
-the loop on element lists, which is also the tests' reference.  The
-reduced row echelon form is unique, so both give the same rows.  The
-step that reduces one packed row into the pivot rows found so far,
-_reduce, also serves extend_row_space(), which ranks many stacks that
-share rows by reducing the shared rows once.
+exists, rows are packed one element per byte into an integer, column j
+in byte j: scaling a row is one bytes.translate and adding is one XOR.
+Every other field, extensions included, keeps the loop on element lists,
+which is also the tests' reference; both give the same reduced rows.
+The row arithmetic of every module lives here: the region product
+_combine serves Matrix @ and the codec, and the incremental reducer
+extend_row_space() serves Matrix.rank() and worst-case leakage.
 """
 
 from __future__ import annotations
@@ -21,15 +20,13 @@ from __future__ import annotations
 from .errors import FieldMismatch, Inconsistent, LengthMismatch, Singular
 
 
-def _echelon(field, rows, pivot_cols, reduced=True):
+def _echelon(field, rows, pivot_cols):
     """Row echelon form of rows, pivoting in the first pivot_cols columns.
 
     Returns (pivots, out).  out[i] for i < len(pivots) has a leading one
     at column pivots[i], ascending, and zeros left of it; the rows after
     those are zero in the first pivot_cols columns.  The pivot rows are
     also zero at each other's pivot columns (reduced row echelon form).
-    With reduced false only the pivots are wanted: the packed path then
-    skips back-substitution and returns None for out.
     """
     packed = field.packed()
     if packed is None:
@@ -38,13 +35,11 @@ def _echelon(field, rows, pivot_cols, reduced=True):
     width = len(rows[0]) if rows else 0
     pivots, out = _packed_echelon(
         packed, [int.from_bytes(bytes(row), "little") for row in rows],
-        width, pivot_cols, reduced)
-    if not reduced:
-        return pivots, None
+        width, pivot_cols)
     return pivots, [tuple(x.to_bytes(width, "little")) for x in out]
 
 
-def _packed_echelon(packed, rows, width, pivot_cols, reduced):
+def _packed_echelon(packed, rows, width, pivot_cols):
     """_echelon on width-byte packed rows, as a list of packed rows.
 
     Each row is reduced in turn by _reduce into the pivot rows found so
@@ -58,8 +53,6 @@ def _packed_echelon(packed, rows, width, pivot_cols, reduced):
         if x is not None:
             rest.append(x)
     pivots = sorted(found)
-    if not reduced:
-        return pivots, None
     tables = packed.tables
     out = [found[c][0] for c in pivots]
     for i in range(len(pivots) - 1, 0, -1):
@@ -100,18 +93,50 @@ def _reduce(packed, found, x, width, pivot_cols):
     return None
 
 
-def extend_row_space(packed, found, rows, width: int) -> dict:
-    """A copy of found, the pivot rows _reduce keeps, extended by rows of
-    width elements of the packed kernel's field; its size is the rank.
+def extend_row_space(field, basis, rows, width: int):
+    """A basis of the row space of basis and rows, rows of width elements
+    of field, as a new object whose len() is the rank.
 
-    Reducing a shared set of rows once and extending copies of the result
-    ranks many stacks with a common part for the price of the rest.
+    basis is () or an earlier result, left as it was: on a packed field
+    _reduce's map of pivot column to pivot row, else _list_echelon's pivot
+    rows.  Extending one reduced shared part ranks many stacks for the
+    price of the rest.
     """
-    found = dict(found)
+    packed = field.packed()
+    if packed is None:
+        out = [list(row) for part in (basis, rows) for row in part]
+        return out[:len(_list_echelon(field, out, width))]
+    basis = dict(basis)
     for row in rows:
-        _reduce(packed, found, int.from_bytes(bytes(row), "little"), width,
+        _reduce(packed, basis, int.from_bytes(bytes(row), "little"), width,
                 width)
-    return found
+    return basis
+
+
+def _combine(field, coeffs, vectors, length: int) -> list[int]:
+    """sum_i coeffs[i] * vectors[i], vectors of length elements.
+
+    Where the field has a packed kernel this is a matrix-region product
+    (Plank, Greenan and Miller, FAST 2013): one bytes.translate scales a
+    whole vector by a nonzero coefficient, and XOR adds.  Every other
+    field keeps the scalar loop, which is also the tests' reference.
+    """
+    packed = field.packed()
+    if packed is not None:
+        acc = 0
+        for c, v in zip(coeffs, vectors):
+            if c:
+                acc ^= int.from_bytes(bytes(v).translate(packed.tables[c]),
+                                      "little")
+        return list(acc.to_bytes(length, "little"))
+    add, mul = field.add, field.mul
+    out = [0] * length
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, y in enumerate(v):
+                if y:
+                    out[j] = add(out[j], mul(c, y))
+    return out
 
 
 def _list_echelon(field, rows, pivot_cols):
@@ -240,23 +265,12 @@ class Matrix:
             raise LengthMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        add, mul = self.field.add, self.field.mul
-        cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix._of(self.field, out, ncols=other.ncols)
+        field, rows, ncols = self.field, other.rows, other.ncols
+        return Matrix._of(field, [_combine(field, row, rows, ncols)
+                                  for row in self.rows], ncols=ncols)
 
     def rank(self) -> int:
-        return len(_echelon(self.field, self.rows, self.ncols,
-                            reduced=False)[0])
+        return len(extend_row_space(self.field, (), self.rows, self.ncols))
 
     def rref(self) -> "Matrix":
         return Matrix._of(self.field,
@@ -284,13 +298,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = [row + (0,) * i + (1,) + (0,) * (n - 1 - i)
-               for i, row in enumerate(self.rows)]
-        pivots, aug = _echelon(self.field, aug, n)
-        if len(pivots) != n:
-            raise Singular(f"rank {len(pivots)} < {n}")
-        return Matrix._of(self.field, [row[n:] for row in aug], ncols=n)
+        rank = self.rank()
+        if rank != self.nrows:
+            raise Singular(f"rank {rank} < {self.nrows}")
+        return self.solve(Matrix.identity(self.field, self.nrows))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

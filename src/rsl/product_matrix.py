@@ -26,9 +26,9 @@ The codec takes any positive whole number of codewords at once, read off
 the input length; codeword s holds copies s*m .. s*m + m - 1.  A secure
 cluster runs it on the B base-field digit stripes of its symbols.
 Encode, repair symbols, the rebuilt share and repair rows are sums of
-scaled vectors (_combine): over GF(2^w), w | 8, one bytes.translate per
-nonzero coefficient scales a whole vector, such as one message position
-across every codeword.
+scaled vectors, rsl.matrix's region product _combine: over GF(2^w),
+w | 8, one bytes.translate per nonzero coefficient scales a whole vector,
+such as one message position across every codeword.
 
 Every stored or transmitted symbol is a linear functional of the message,
 exposed as its coefficient row: observation_rows() lists the rows one
@@ -41,7 +41,7 @@ from __future__ import annotations
 from .errors import (BadSelector, DegenerateLambda, FieldTooSmall,
                      LengthMismatch, Record, SelfRepair, UnknownNode,
                      WrongHelperCount, WrongNodeCount)
-from .matrix import Matrix
+from .matrix import Matrix, _combine
 
 
 class CodeParams(Record):
@@ -116,32 +116,6 @@ def _codewords(counts, unit: int, what: str) -> int:
             f"{what} needs one positive multiple of {unit} symbols, got "
             f"{'/'.join(map(str, sorted(set(counts))))}")
     return counts[0] // unit
-
-
-def _combine(field, coeffs, vectors, length: int) -> list[int]:
-    """sum_i coeffs[i] * vectors[i], vectors of length elements.
-
-    Where the field has a packed kernel this is a matrix-region product
-    (Plank, Greenan and Miller, FAST 2013): one bytes.translate scales a
-    whole vector by a nonzero coefficient, and XOR adds.  Every other
-    field keeps the scalar loop, which is also the tests' reference.
-    """
-    packed = field.packed()
-    if packed is not None:
-        acc = 0
-        for c, v in zip(coeffs, vectors):
-            if c:
-                acc ^= int.from_bytes(bytes(v).translate(packed.tables[c]),
-                                      "little")
-        return list(acc.to_bytes(length, "little"))
-    add, mul = field.add, field.mul
-    out = [0] * length
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, y in enumerate(v):
-                if y:
-                    out[j] = add(out[j], mul(c, y))
-    return out
 
 
 class ProductMatrixCode:

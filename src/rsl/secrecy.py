@@ -13,17 +13,17 @@ c_j = sum_i u_i * g_j^(|F|^i) with g_j = y^(j-1) for y the class of x
 (ExtensionSpec.root), i.e. Moore-matrix evaluations of u = (R || D),
 where R is ell fresh random symbols and ell is the worst-case leakage
 over all models of shape (l1, l2).  worst_case_leakage() ranks every one
-of them, grouped by repaired set F: over a field with a packed kernel,
-F's repair rows are reduced once and each stored set's rows extend a copy
-of that basis.  wrap() builds no Moore matrix: c_j = sum_i u_i *
-z_i^(j-1) with z_i = y^(|F|^i), from one running power per u_i, taken
-through ExtensionSpec.multiplier(z_i), and one Frobenius step per i.
-The eavesdropper's rows A have entries in F, so A @ Moore is the Moore
-matrix of the h_s = sum_j a_sj y^j, whose first ell columns have rank
-min(rank_F A, ell): the view is independent of D iff rank_F A <= ell,
-which verify_perfect() checks over F alone.  unwrap() inverts the Moore
-matrix in closed form, through the basis of L dual to the y^j (Lidl and
-Niederreiter, ch. 2), for the secret rows alone.
+of them, grouped by repaired set F, through rsl.matrix's incremental
+reducer on any field: F's repair rows are reduced once and each stored
+set's rows extend that basis.  wrap() builds no Moore matrix: c_j =
+sum_i u_i * z_i^(j-1) with z_i = y^(|F|^i), from one running power per
+u_i, taken through ExtensionSpec.multiplier(z_i), and one Frobenius step
+per i.  The eavesdropper's rows A have entries in F, so A @ Moore is the
+Moore matrix of the h_s = sum_j a_sj y^j, whose first ell columns have
+rank min(rank_F A, ell): the view is independent of D iff rank_F A <=
+ell, which verify_perfect() checks over F alone.  unwrap() inverts the
+Moore matrix in closed form, through the basis of L dual to the y^j
+(Lidl and Niederreiter, ch. 2), for the secret rows alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .entropy import observed_entropy
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
                      FieldMismatch, LengthMismatch, Record)
 from .matrix import Matrix, extend_row_space
@@ -76,6 +75,7 @@ def eavesdropped_rows(code: ProductMatrixCode,
 
 
 def leakage(code: ProductMatrixCode, model: EavesdropperModel) -> int:
+    from .entropy import observed_entropy  # repair never ranks
     check_model(code, model)
     return observed_entropy(code, Stored(model.stored),
                             RepairTo(model.repaired))
@@ -111,23 +111,24 @@ def enumerate_models(code: ProductMatrixCode, l1: int, l2: int,
 def worst_case_leakage(code: ProductMatrixCode, l1: int, l2: int) -> int:
     """Common leakage across all models of the shape; must not vary.
 
-    Every model is ranked, into the memo leakage() reads.  Over a field
-    with a packed kernel, each repaired set's rows are reduced once and a
-    copy of that basis is extended by each stored set's rows.
+    Every model is ranked, into the memo leakage() reads: each repaired
+    set's rows are reduced once, and each stored set's rows extend that
+    basis.
     """
+    from .entropy import observed_entropy
     one = code.one_copy()
-    packed, width = one.field.packed(), one.params.message_length
+    width = one.params.message_length
     bases = {}  # repaired set -> its rows reduced, see extend_row_space
     values = set()
     for model in enumerate_models(code, l1, l2):
         key = Stored(model.stored), RepairTo(model.repaired)
-        if packed is not None and key not in one.ranks:
+        if key not in one.ranks:
             base = bases.get(key[1])
             if base is None:
                 base = bases[key[1]] = extend_row_space(
-                    packed, {}, one.observation_rows(key[1]), width)
+                    one.field, (), one.observation_rows(key[1]), width)
             one.ranks[key] = len(extend_row_space(
-                packed, base, one.observation_rows(key[0]), width))
+                one.field, base, one.observation_rows(key[0]), width))
         values.add(observed_entropy(code, *key))
     if len(values) > 1:
         lo, hi = min(values), max(values)

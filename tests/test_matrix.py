@@ -1,5 +1,6 @@
 """Linear algebra against a span-counting rank oracle."""
 
+import copy
 import random
 
 import pytest
@@ -127,10 +128,17 @@ def test_inverse():
     inv = a.inverse()
     assert a @ inv == Matrix.identity(GF16, 4)
     assert inv @ a == Matrix.identity(GF16, 4)
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match=r"^rank 1 < 2$"):
         Matrix(GF16, [[1, 2], [1, 2]]).inverse()
-    with pytest.raises(ValueError):
-        Matrix(GF16, [[1, 2]]).inverse()
+    with pytest.raises(Singular, match=r"^rank 0 < 3$"):
+        Matrix.zeros(GF16, 3, 3).inverse()
+    for wide in (Matrix(GF16, [[1, 2]]), Matrix(GF16, [], ncols=3)):
+        with pytest.raises(ValueError,
+                           match=r"^inverse of a non-square matrix$"):
+            wide.inverse()
+    empty = Matrix(GF16, [], ncols=0).inverse()
+    assert (empty.nrows, empty.ncols) == (0, 0)
+    assert empty == Matrix.identity(GF16, 0)
 
 
 def test_transpose():
@@ -440,22 +448,64 @@ def test_other_fields_take_the_list_echelon(field, monkeypatch):
     assert a @ a.solve(b) == b
 
 
-@pytest.mark.parametrize("field", PACKED, ids=repr)
+@pytest.mark.parametrize("field", PACKED + [FieldSpec(2, 3), GF9,
+                                            FieldSpec(5, 2), GF16_3],
+                         ids=repr)
 def test_extended_row_space_ranks_the_stack(field):
     # a shared part reduced once, then extended by several others: each
     # extension has the list echelon's rank of the stacked rows, and
-    # leaves the base alone
+    # leaves the base alone, on packed and list fields alike
     rng = random.Random(repr(field))
     width = 9
     for trial in range(20):
         shared = _low_rank(field, rng, rng.randrange(6), width,
                            rng.randrange(5))
-        base = matrix.extend_row_space(field.packed(), {}, shared, width)
-        before = dict(base)
+        base = matrix.extend_row_space(field, (), shared, width)
+        assert len(base) == len(matrix._list_echelon(
+            field, [list(row) for row in shared], width))
+        before = copy.deepcopy(base)
         for _ in range(3):
             more = _random_rows(field, rng.randrange(5), width, rng.random())
-            found = matrix.extend_row_space(field.packed(), base, more, width)
+            found = matrix.extend_row_space(field, base, more, width)
             stack = [list(row) for row in shared + more]
             assert len(found) == len(matrix._list_echelon(field, stack,
                                                           width)), trial
         assert base == before
+
+
+# -- Matrix @ is the region product row by row: against the schoolbook
+# triple loop, on packed, list and extension fields, through empty
+# inner, row and column dimensions
+
+def _naive_product(a, b):
+    field = a.field
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for t in range(a.ncols):
+                acc = field.add(acc, field.mul(a.rows[i][t], b.rows[t][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("field", [GF2, GF16, GF256, GF7, GF9,
+                                   FieldSpec(2, 3), GF2_3, GF16_3], ids=repr)
+def test_matmul_matches_the_triple_loop(field):
+    rng = random.Random(f"matmul {field!r}")
+    shapes = [(3, 4, 5), (1, 1, 1), (5, 2, 1), (0, 3, 4), (3, 0, 4),
+              (3, 4, 0), (0, 0, 0), (2, 7, 3)]
+    for rows, inner, cols in shapes:
+        a = Matrix(field, _random_rows(field, rows, inner, rng.random()),
+                   ncols=inner)
+        b = Matrix(field, _random_rows(field, inner, cols, rng.random()),
+                   ncols=cols)
+        got = a @ b
+        assert (got.nrows, got.ncols) == (rows, cols)
+        assert got == Matrix(field, _naive_product(a, b), ncols=cols)
+    # sparse factors, whose zero coefficients the region product skips
+    a = Matrix(field, _sparse(field, rng, 3, 5, 6))
+    b = Matrix(field, _sparse(field, rng, 2, 6, 4))
+    assert a @ b == Matrix(field, _naive_product(a, b), ncols=4)

@@ -3,13 +3,15 @@
 rsl/__init__.py resolves its public names on first use, cli.py imports
 the harness and the capacity formulas inside the commands that run them,
 cluster.py imports secrecy on the secure and attack paths only and entropy
-inside attack, and secrecy imports capacity inside attack_report.  The
+inside attack, and secrecy imports entropy inside the functions that rank
+and capacity inside attack_report.  The
 extension field L exists only for the secrecy precode, so rsl.extension
 (polynomials, the sieve, the modulus search, ExtensionSpec) loads on the
 secure paths alone.  What each command loads, beyond cli, cluster, field,
 matrix, product_matrix and errors:
   - plain encode, fail-repair, reconstruct: nothing;
-  - secure encode, fail-repair, reconstruct: secrecy, entropy, extension;
+  - secure encode: secrecy, entropy (to size the precode), extension;
+  - secure fail-repair, reconstruct: secrecy, extension;
   - attack: secrecy, entropy and capacity (with fractions and decimal),
     and extension on a secure cluster;
   - capacity-table: capacity;
@@ -111,6 +113,33 @@ def test_secure_flow_loads_capacity_only_to_attack(tmp_path):
     for module in ("rsl.capacity", "fractions", "decimal"):
         assert module not in reconstruct
     assert "rsl.capacity" in attack  # the report prints the formula value
+
+
+# argv: rsl's arguments; runs them with rsl.entropy refused, so importing
+# it raises ImportError
+NO_ENTROPY = """
+import json, sys
+sys.modules["rsl.entropy"] = None
+from rsl.cli import main
+print(json.dumps(main(sys.argv[1:])))
+"""
+
+
+def test_secure_repair_and_reconstruct_load_no_entropy(tmp_path):
+    # each in its own interpreter: in one flow, encode's ranks would have
+    # loaded rsl.entropy already
+    payload = tmp_path / "data.bin"
+    payload.write_bytes(b"ok")
+    vault = tmp_path / "vault"
+    assert _python("import json, sys\nfrom rsl.cli import main\n"
+                   "print(json.dumps(main(sys.argv[1:])))", "encode",
+                   "--cluster", vault, "--n", "5", "--k", "3", "--d", "4",
+                   "--field", "2,8", *SECURE, payload) == 0
+    assert _python(NO_ENTROPY, "fail-repair", "--cluster", vault,
+                   "--node", "2") == 0
+    assert _python(NO_ENTROPY, "reconstruct", "--cluster", vault,
+                   "--output", tmp_path / "data.out") == 0
+    assert (tmp_path / "data.out").read_bytes() == b"ok"
 
 
 def test_bare_import_loads_no_submodule():
