@@ -9,12 +9,14 @@ Each process compiles only what its command runs.  main() builds the
 parser of the command it is given alone, and every subcommand's for
 --help, an unknown command or none, so help, usage and error texts are
 the full parser's.  Beyond cli, cluster, field, matrix, product_matrix
-and errors, a plain encode, fail-repair or reconstruct loads nothing, a
-secure one secrecy and extension, and a secure encode also entropy;
-attack adds secrecy, entropy and capacity, capacity-table capacity, and
-verify the harness, secrecy and entropy; on a secure cluster each also
-loads extension, as does a base field outside rsl.field's frozen table.
-No command loads dataclasses.
+and errors, an encode, fail-repair or reconstruct loads nothing on a
+plain cluster; on a secure one, encode and reconstruct, which wrap and
+unwrap over the extension L, add secrecy and extension, and encode also
+entropy, while fail-repair still loads nothing.  attack adds secrecy,
+entropy and capacity, and never extension; capacity-table adds capacity,
+and verify the harness, secrecy and entropy, and extension on a secure
+cluster.  A base field outside rsl.field's frozen table also loads
+extension, to find or sieve its modulus.  No command loads dataclasses.
 """
 
 from __future__ import annotations

@@ -11,16 +11,22 @@ a corrupted share.
 A secure share holds alpha symbols of the degree-B extension L, each B
 digits over the base field F.  The code only scales by coefficients in F
 and adds, so it runs over F on the B digit stripes: _stripes() and
-_symbols() convert at the share-file and event-log boundary, and are the
-identity on a plain cluster's symbols of F.
+_symbols() split and pack base-q digits, q = |F|, at the share-file and
+event-log boundary, from q and B alone; on a plain cluster a symbol is
+one digit and they are the identity.  load() makes every check that
+ExtensionSpec.from_json and SecureScheme make on meta.json's secure
+section, but builds no L: encode builds it to wrap, and
+ClusterState.scheme on first use, for reconstruct's unwrap and
+verify_cluster(); attack decides perfect secrecy from the stored ell.
 
 Payloads are framed with a 4-byte big-endian length prefix, then packed
 big-endian-bit-first into field symbols; whatever capacity is left is
 zero padding.  Mutating operations take an advisory lock file that holds
-the writer's pid.  The secrecy module, rsl.extension and the randomness
-a secure encode draws are imported on the secure paths only, and
-secrecy on attack too; the entropy module loads where ranks are read,
-in attack and in sizing a secure encode's precode, and the capacity
+the writer's pid.  The secrecy module and rsl.extension load where L is
+built, with the randomness a secure encode draws, and secrecy on attack
+too: a secure fail-repair loads what a plain one does, and attack never
+loads rsl.extension.  The entropy module loads where ranks are read, in
+attack and in sizing a secure encode's precode, and the capacity
 formulas inside secrecy.attack_report, so on attack alone.
 """
 
@@ -33,8 +39,9 @@ from pathlib import Path
 
 from .errors import (IntegrityError, PayloadTooLarge, SearchLimit, SelfRepair,
                      UnknownNode, WrongHelperCount, WrongNodeCount)
-from .field import FieldSpec
-from .product_matrix import CodeParams, ProductMatrixCode, RepairFromTo, Stored
+from .field import FieldSpec, _checked_modulus
+from .product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
+                             Stored, check_precode)
 
 LAYOUT_VERSION = 1
 
@@ -46,12 +53,13 @@ _EVENT_KEYS = {"epoch": _INT, "event": None, "failed": _INT,
 
 
 def bits_per_symbol(field) -> int:
-    """Payload bits that always fit in one element encoding."""
+    """Payload bits that always fit in one element encoding; field is a
+    field, or a ClusterState, whose order is that of its symbols."""
     return field.order.bit_length() - 1
 
 
 def element_width(field) -> int:
-    """Bytes per element in share files."""
+    """Bytes per element in share files; field as in bits_per_symbol."""
     return ((field.order - 1).bit_length() + 7) // 8
 
 
@@ -117,10 +125,13 @@ def _require(record, keys: dict, where: str) -> dict:
 
 
 def _hex_below(text, order: int) -> bool:
+    """True iff text is format(s, "#x") of some 0 <= s < order, the one
+    spelling fail_repair() writes."""
     try:
-        return isinstance(text, str) and 0 <= int(text, 16) < order
-    except ValueError:
+        value = int(text, 16)
+    except (TypeError, ValueError):
         return False
+    return 0 <= value < order and text == hex(value)
 
 
 def _replace_bytes(path: Path, blob: bytes):
@@ -156,29 +167,57 @@ def _lock(path: Path):
 
 class ClusterState:
     def __init__(self, path: Path, meta: dict, code: ProductMatrixCode,
-                 scheme):
+                 scheme=None):
         self.path = Path(path)
         self.meta = meta
         self.code = code        # code over the base field F
-        self.scheme = scheme    # SecureScheme or None
-        self.symbol_field = code.field if scheme is None else scheme.ext
+        # meta.json's secure section, as load() checked it, or None
+        self._secure = meta["secure"] if meta["mode"] == "secure" else None
+        self._scheme = scheme
+        # a stored symbol is t digits over F, q = |F|: one of L, t = B,
+        # on a secure cluster, one of F, t = 1, on a plain one
+        self._q = code.field.order
+        self._t = 1 if self._secure is None else code.params.message_length
+        self.order = self._q ** self._t
 
-    # -- L symbols and their F digit stripes
+    @property
+    def scheme(self):
+        """The SecureScheme over L, or None on a plain cluster.  create()
+        passes the one it wraps with; after load(), which checks the
+        stored precode without building L, it is built here on first
+        use, by unwrap and verify_cluster(), the paths that compute in L."""
+        if self._scheme is None and self._secure is not None:
+            from . import secrecy
+            from .extension import ExtensionSpec
+            sec = self._secure  # its base is the code's field, by load()
+            self._scheme = secrecy.SecureScheme(
+                self.code, sec["l1"], sec["l2"], sec["ell"],
+                ExtensionSpec(self.code.field, self._t,
+                              sec["extension"]["modulus"]))
+        return self._scheme
+
+    # -- symbols and their F digit stripes
 
     def _stripes(self, symbols) -> list[int]:
-        """Digit s of every symbol, for s = 0 .. B-1 in turn."""
-        if self.scheme is None:
-            return list(symbols)
-        return [x for stripe in zip(*map(self.symbol_field.coeffs, symbols))
-                for x in stripe]
+        """Digit s of every symbol, constant digit first, for s = 0 ..
+        t-1 in turn; each symbol must be below order."""
+        for x in symbols:
+            if not 0 <= x < self.order:
+                power = "" if self._secure is None else f"^{self._t}"
+                raise ValueError(
+                    f"{x} out of range for {self.code.field!r}{power}")
+        q = self._q
+        return [x // q**s % q for s in range(self._t) for x in symbols]
 
     def _symbols(self, stripes) -> list[int]:
         """The symbols whose digit stripes _stripes() lists."""
-        if self.scheme is None:
-            return list(stripes)
-        count = len(stripes) // self.symbol_field.t
-        return [self.symbol_field.from_coeffs(stripes[j::count])
-                for j in range(count)]
+        count = len(stripes) // self._t
+        out = stripes[:count]
+        for s in range(1, self._t):
+            weight = self._q**s
+            out = [x + y * weight
+                   for x, y in zip(out, stripes[s * count:(s + 1) * count])]
+        return out
 
     # -- creation and loading
 
@@ -213,7 +252,7 @@ class ClusterState:
                               "extension": scheme.ext.to_json()}
         state = cls(path, meta, code, scheme)
         framed = frame_payload(payload)
-        bits = bits_per_symbol(state.symbol_field)
+        bits = bits_per_symbol(state)
         data_symbols = bytes_to_symbols(framed, bits, capacity)
         if scheme is None:
             message = data_symbols
@@ -254,10 +293,8 @@ class ClusterState:
         params = CodeParams(shape["n"], shape["k"], shape["d"], shape["m"])
         field = FieldSpec.from_json(
             _require(meta["field"], _FIELD_KEYS, "meta.json field"))
-        code, scheme = ProductMatrixCode(params, field, meta["points"]), None
+        code = ProductMatrixCode(params, field, meta["points"])
         if meta["mode"] == "secure":
-            from . import secrecy
-            from .extension import ExtensionSpec
             sec = _require(meta.get("secure"),
                            {"l1": _INT, "l2": _INT, "ell": _INT,
                             "extension": None}, "meta.json secure")
@@ -266,15 +303,17 @@ class ClusterState:
                            "meta.json secure extension")
             _require(ext["base"], _FIELD_KEYS,
                      "meta.json secure extension base")
-            # the stored modulus is checked irreducible here, not searched
-            # for again; verify_cluster() checks that it is the canonical one
+            # what ExtensionSpec.from_json and SecureScheme check, in their
+            # order, with no arithmetic in L: the stored modulus is checked
+            # irreducible, not searched for again (verify_cluster() checks
+            # that it is the canonical one), and L is built on first use
             try:
-                scheme = secrecy.SecureScheme(code, sec["l1"], sec["l2"],
-                                              sec["ell"],
-                                              ExtensionSpec.from_json(ext))
+                base = FieldSpec.from_json(ext["base"])
+                _checked_modulus(base, ext["t"], ext["modulus"])
+                check_precode(code, sec["ell"], base, ext["t"])
             except ValueError as exc:
                 raise IntegrityError(f"meta.json secure: {exc}") from None
-        return cls(path, meta, code, scheme)
+        return cls(path, meta, code)
 
     # -- share files
 
@@ -283,14 +322,14 @@ class ClusterState:
         return self.path / f"share_{node}.bin"
 
     def write_share(self, node: int, stripes):
-        width = element_width(self.symbol_field)
+        width = element_width(self)
         blob = b"".join(s.to_bytes(width, "little")
                         for s in self._symbols(stripes))
         _replace_bytes(self.share_path(node), blob)
 
     def read_share(self, node: int) -> list[int]:
         """The node's share as the code's digit stripes."""
-        width = element_width(self.symbol_field)
+        width = element_width(self)
         try:
             blob = self.share_path(node).read_bytes()
         except FileNotFoundError:
@@ -300,9 +339,8 @@ class ClusterState:
             raise IntegrityError(
                 f"share_{node}.bin has {len(blob)} bytes, "
                 f"expected {alpha * width}")
-        return self._stripes([self.symbol_field.element(
-            int.from_bytes(blob[i:i + width], "little"))
-            for i in range(0, len(blob), width)])
+        return self._stripes([int.from_bytes(blob[i:i + width], "little")
+                              for i in range(0, len(blob), width)])
 
     # -- event log
 
@@ -344,10 +382,9 @@ class ClusterState:
                 or sorted(symbols) != sorted(map(str, helpers))):
             raise IntegrityError(
                 f"{where} 'symbols' must have exactly the helpers as keys")
-        order = self.symbol_field.order
         for h, sent in symbols.items():
             if not (isinstance(sent, list) and len(sent) == p.beta
-                    and all(_hex_below(s, order) for s in sent)):
+                    and all(_hex_below(s, self.order) for s in sent)):
                 raise IntegrityError(
                     f"{where} symbols of helper {h} must be {p.beta} hex "
                     f"strings of field elements")
@@ -402,7 +439,7 @@ class ClusterState:
             code.reconstruct({n: self.read_share(n) for n in nodes}))
         if self.scheme is not None:
             message = self.scheme.unwrap(message)
-        stream = symbols_to_bytes(message, bits_per_symbol(self.symbol_field))
+        stream = symbols_to_bytes(message, bits_per_symbol(self))
         return unframe_payload(stream)
 
     def attack(self, stored, repaired, epochs=None) -> dict:
@@ -424,9 +461,9 @@ class ClusterState:
             code, Stored(model.stored),
             *(RepairFromTo(h, (f,)) for f, h in helpers.items()))
             for helpers in (seen, first))
+        ell = None if self._secure is None else self._secure["ell"]
         report = secrecy.attack_report(code, model,
-                                       observed_leakage=rank_all,
-                                       scheme=self.scheme)
+                                       observed_leakage=rank_all, ell=ell)
         report["rank_growth"] = rank_all - rank_base
         report["epochs"] = [e["epoch"] for e in picked]
         return report

@@ -3,9 +3,11 @@
 Only the secrecy precode leaves the base field F: it runs over L =
 GF(q^B).  So this module holds what secure clusters alone run, on top
 of rsl.field: polynomials over a field, the irreducibility sieve, the
-canonical modulus search and ExtensionSpec.  It loads from
-ClusterState.load's secure branch, scheme_make and verify_cluster, and
-from rsl.field when a modulus is not in its frozen table.
+canonical modulus search and ExtensionSpec.  It loads where L is built,
+in scheme_make and ClusterState.scheme (for wrap, unwrap and
+verify_cluster), and from rsl.field when a modulus is not in its frozen
+table; loading a cluster whose stored moduli the table certifies does
+not load it.
 
 Polynomials run on coefficient lists, except over GF(2^w) with w in
 {1, 2, 4, 8}, where _PackedPoly works on the integer of w-bit digits with

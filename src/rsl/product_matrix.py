@@ -38,9 +38,9 @@ the Matrix the entropy oracle takes the rank of.
 
 from __future__ import annotations
 
-from .errors import (BadSelector, DegenerateLambda, FieldTooSmall,
-                     LengthMismatch, Record, SelfRepair, UnknownNode,
-                     WrongHelperCount, WrongNodeCount)
+from .errors import (BadSelector, DegenerateLambda, FieldMismatch,
+                     FieldTooSmall, LengthMismatch, Record, SelfRepair,
+                     UnknownNode, WrongHelperCount, WrongNodeCount)
 from .matrix import Matrix, _combine
 
 
@@ -394,3 +394,17 @@ class ProductMatrixCode:
         p = self.params
         return (f"ProductMatrixCode(n={p.n}, k={p.k}, d={p.d}, m={p.m}, "
                 f"field={self.field!r})")
+
+
+def check_precode(code: ProductMatrixCode, ell: int, base, t: int):
+    """Raise unless a secrecy precode of ell random symbols over the
+    degree-t extension of base fits code: 0 <= ell <= B, base is the
+    code's field and t = B.  SecureScheme checks the extension it is
+    given; ClusterState.load() checks meta.json's without building it."""
+    B = code.params.message_length
+    if not 0 <= ell <= B:
+        raise ValueError(f"ell must be in 0..{B}")
+    if base != code.field or t != B:
+        raise FieldMismatch(
+            f"wrapping needs an extension of degree {B} over "
+            f"{code.field!r}, got {base!r}^{t}")

@@ -32,9 +32,10 @@ import functools
 import itertools
 
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
-                     FieldMismatch, LengthMismatch, Record)
+                     LengthMismatch, Record)
 from .matrix import Matrix, extend_row_space
-from .product_matrix import ProductMatrixCode, RepairTo, Stored
+from .product_matrix import (ProductMatrixCode, RepairTo, Stored,
+                             check_precode)
 
 
 class EavesdropperModel(Record):
@@ -141,19 +142,14 @@ class SecureScheme:
     """Moore-matrix pre-coding sized for one eavesdropper shape.
 
     ext is the degree-B extension L of the code's field that the message
-    symbols live in; scheme_make() builds it, ClusterState.load() reads
-    it back from meta.json.
+    symbols live in; scheme_make() builds it, and ClusterState.scheme
+    reads it back from meta.json when unwrap or verify_cluster first
+    needs it.
     """
 
     def __init__(self, code: ProductMatrixCode, l1: int, l2: int, ell: int,
                  ext):
-        B = code.params.message_length
-        if not 0 <= ell <= B:
-            raise ValueError(f"ell must be in 0..{B}")
-        if ext.base != code.field or ext.t != B:
-            raise FieldMismatch(
-                f"wrapping needs an extension of degree {B} over "
-                f"{code.field!r}, got {ext!r}")
+        check_precode(code, ell, ext.base, ext.t)
         self.code = code
         self.l1 = l1
         self.l2 = l2
@@ -258,12 +254,15 @@ def verify_perfect(scheme: SecureScheme, model: EavesdropperModel) -> bool:
 
 def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
                   observed_leakage: int | None = None,
-                  scheme: SecureScheme | None = None) -> dict:
+                  ell: int | None = None) -> dict:
     """JSON-ready summary of what a model learns, vs. the formula value.
 
     observed_leakage, when given, is the rank actually accumulated (for
     example from an event log); the formula comparison always uses the
-    worst case over all potential helpers.
+    worst case over all potential helpers.  ell, when given, is the
+    randomness of the scheme the message is wrapped in, and "perfect"
+    is verify_perfect's verdict for it: that needs only the F-rank, so
+    the report builds nothing over the extension L.
     """
     from . import capacity as cap  # only attacks compare with the formula
     worst = leakage(code, model)
@@ -281,8 +280,7 @@ def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
                   "repaired": list(model.repaired)},
         "leakage": leak,
         "secure_size": B - leak,
-        "perfect": (verify_perfect(scheme, model)
-                    if scheme is not None else None),
+        "perfect": None if ell is None else worst <= ell,
         "formula_value": cap.render_value(formula.value),
         "formula_kind": formula.kind,
         "match": bool(match),

@@ -249,6 +249,25 @@ def test_secure_flows_build_nothing_over_the_extension(tmp_path,
     assert built == []
 
 
+def test_secure_load_repair_and_attack_build_no_extension(tmp_path,
+                                                         monkeypatch):
+    # load checks meta.json's secure section without building L; of the
+    # commands below, reconstruct's unwrap alone computes in L
+    assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
+                                    "--seed", "5"]) == 0
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built an ExtensionSpec")
+    monkeypatch.setattr(ExtensionSpec, "__init__", refuse)
+    cluster = str(tmp_path / "c")
+    ClusterState.load(cluster)
+    assert main(["fail-repair", "--cluster", cluster, "--node", "2"]) == 0
+    assert main(["attack", "--cluster", cluster, "--repair", "2",
+                 "--json"]) == 0
+    with pytest.raises(AssertionError, match="built an ExtensionSpec"):
+        main(["reconstruct", "--cluster", cluster])
+
+
 def test_refused_encode_creates_nothing(tmp_path, capsys):
     # a shape out of range, then a payload too large for the cluster
     assert _encode(tmp_path, name="c6/deep/er",
@@ -369,19 +388,6 @@ def test_error_exit_codes(tmp_path, capsys):
     first = json.loads((tmp_path / "t" / "events.jsonl").read_text())
     with open(tmp_path / "t" / "events.jsonl", "a") as fh:
         fh.write(json.dumps(dict(first, epoch="1")) + "\n")
-    # a stored extension that is reducible, of the wrong degree, or over
-    # another base field
-    secure = ["--field", "2,4", "--secure", "0,1", "--seed", "42"]
-    edits = {
-        "reducible": {"modulus": [0, 0, 0, 0, 0, 0, 1]},
-        "degree": {"t": 2, "modulus": list(ExtensionSpec(GF16, 2).modulus)},
-        "base": {"base": {"p": 2, "w": 1, "modulus": [0, 1]},
-                 "modulus": [1, 1, 0, 0, 0, 0, 1]},
-    }
-    for name, edit in edits.items():
-        _encode(tmp_path, name=name, extra=secure)
-        _edit_meta(tmp_path / name,
-                   lambda meta: meta["secure"]["extension"].update(edit))
     capsys.readouterr()
     for argv, where in (
             (["reconstruct", "--cluster", str(tmp_path / "n")],
@@ -390,9 +396,7 @@ def test_error_exit_codes(tmp_path, capsys):
              "events.jsonl line 2 'epoch' must be an integer"),
             (["attack", "--cluster", typed, "--repair", "1"],
              "events.jsonl line 2"),
-            (["verify", "--cluster", typed], "events.jsonl line 2"),
-            *((["reconstruct", "--cluster", str(tmp_path / name)],
-               "meta.json secure") for name in edits)):
+            (["verify", "--cluster", typed], "events.jsonl line 2")):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err, argv
@@ -426,6 +430,81 @@ def _edit_meta(cluster, edit):
     meta = json.loads(path.read_text())
     edit(meta)
     path.write_text(json.dumps(meta))
+
+
+# a stored precode that load() must refuse on every command, with the
+# texts ExtensionSpec and SecureScheme gave when load() built them: an
+# extension that is reducible, of the wrong degree or over another base
+# field, and randomness outside 0..B, at B = 6
+SECURE_FAULTS = {
+    "reducible": (
+        lambda sec: sec["extension"].update(modulus=[0, 0, 0, 0, 0, 0, 1]),
+        "modulus [0, 0, 0, 0, 0, 0, 1] factors over GF(2^4)"),
+    "degree": (
+        lambda sec: sec["extension"].update(
+            t=2, modulus=list(ExtensionSpec(GF16, 2).modulus)),
+        "wrapping needs an extension of degree 6 over GF(2^4), got "
+        "GF(2^4)^2"),
+    "base": (
+        lambda sec: sec["extension"].update(
+            base={"p": 2, "w": 1, "modulus": [0, 1]},
+            modulus=[1, 1, 0, 0, 0, 0, 1]),
+        "wrapping needs an extension of degree 6 over GF(2^4), got GF(2)^6"),
+    "ell-above-B": (lambda sec: sec.update(ell=7), "ell must be in 0..6"),
+    "ell-negative": (lambda sec: sec.update(ell=-1), "ell must be in 0..6"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SECURE_FAULTS))
+def test_secure_meta_faults_exit_1_on_every_command(tmp_path, capsys, fault):
+    edit, text = SECURE_FAULTS[fault]
+    assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
+                                    "--seed", "42"]) == 0
+    cluster = tmp_path / "c"
+    _edit_meta(cluster, lambda meta: edit(meta["secure"]))
+    before = _snapshot(cluster)
+    capsys.readouterr()
+    for argv in (["fail-repair", "--node", "2"],
+                 ["attack", "--repair", "2", "--json"],
+                 ["reconstruct"], ["verify"]):
+        assert main([argv[0], "--cluster", str(cluster), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: meta.json secure: "
+                                           f"{text}\n"), argv
+    assert _snapshot(cluster) == before
+
+
+def _snapshot(cluster):
+    return {path.name: path.read_bytes() for path in cluster.iterdir()}
+
+
+# spellings int(s, 16) reads as a field element that fail_repair() never
+# writes: it writes format(s, "#x")
+@pytest.mark.parametrize("spelling", [" 0X0013 ", "13", "-0"])
+def test_event_symbols_must_be_canonical_hex(tmp_path, capsys, spelling):
+    assert _encode(tmp_path) == 0
+    cluster = str(tmp_path / "c")
+    for _ in range(2):
+        assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    commands = (["fail-repair", "--cluster", cluster, "--node", "2"],
+                ["attack", "--cluster", cluster, "--repair", "1"],
+                ["verify", "--cluster", cluster])
+    assert main(commands[-1]) == 0  # the log as written passes
+    log = tmp_path / "c" / "events.jsonl"
+    first, second = log.read_text().splitlines()
+    event = json.loads(second)
+    helper = str(event["helpers"][0])
+    event["symbols"][helper] = [spelling]
+    log.write_text(f"{first}\n{json.dumps(event)}\n")
+    before = _snapshot(tmp_path / "c")
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert "PASS cluster.events" not in out, argv
+        assert err == (f"error: events.jsonl line 2 symbols of helper "
+                       f"{helper} must be 1 hex strings of field "
+                       f"elements\n"), argv
+    assert _snapshot(tmp_path / "c") == before
 
 
 def test_unknown_mode_is_refused(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import re
 
 import pytest
 
@@ -157,6 +159,45 @@ def test_secure_roundtrip_and_meta(tmp_path):
     assert state.reconstruct_payload() == b"s"
     loaded = ClusterState.load(tmp_path / "c")
     assert loaded.reconstruct_payload() == b"s"
+
+
+# GF(16)^6, and GF(25)^12 at m = 2: digits of odd characteristic, in
+# symbols of 7 bytes that can hold a value above the order |L| = 25^12
+def _secure_gf25(tmp_path):
+    return ClusterState.create(tmp_path / "c", CodeParams(n=7, k=3, d=4, m=2),
+                               FieldSpec(5, 2), b"25", secure=(0, 1), seed=4)
+
+
+@pytest.mark.parametrize("make", [_secure, _secure_gf25],
+                         ids=["GF(16)^6", "GF(25)^12"])
+def test_stripes_are_the_digits_over_f(tmp_path, make):
+    # the cluster splits and packs base-q digits from q and B alone; they
+    # must be the digits ExtensionSpec.coeffs gives, stripe by stripe
+    state = make(tmp_path)
+    ext = state.scheme.ext
+    rng = random.Random(5)
+    symbols = [rng.randrange(ext.order) for _ in range(3)] + [0, ext.order - 1]
+    stripes = state._stripes(symbols)
+    assert stripes == [x for stripe in zip(*map(ext.coeffs, symbols))
+                       for x in stripe]
+    assert state._symbols(stripes) == symbols
+
+
+def test_out_of_range_share_symbol_names_the_symbol_field(tmp_path):
+    # L's name, GF(5^2)^12, without building L; F's on a plain cluster
+    _secure_gf25(tmp_path / "s")
+    ClusterState.create(tmp_path / "p" / "c", CodeParams(n=5, k=3, d=4, m=2),
+                        GF16, b"")
+    for where, bad, name in (("s", 25**12, "GF(5^2)^12"),
+                             ("p", 16, "GF(2^4)")):
+        state = ClusterState.load(tmp_path / where / "c")
+        share = tmp_path / where / "c" / "share_2.bin"
+        alpha = state.code.params.alpha
+        width = len(share.read_bytes()) // alpha
+        share.write_bytes(bad.to_bytes(width, "little") * alpha)
+        with pytest.raises(ValueError, match=f"^{bad} out of range for "
+                                             f"{re.escape(name)}$"):
+            state.read_share(2)
 
 
 def test_secure_load_runs_no_search(tmp_path, monkeypatch):

@@ -314,7 +314,7 @@ def test_attack_report_exact_shape():
     code = _code()
     scheme = scheme_make(code, 0, 1)
     model = EavesdropperModel((), (2,))
-    report = attack_report(code, model, scheme=scheme)
+    report = attack_report(code, model, ell=scheme.ell)
     assert report["model"] == {"stored": [], "repaired": [2]}
     assert report["leakage"] == 4
     assert report["secure_size"] == 2
@@ -322,6 +322,24 @@ def test_attack_report_exact_shape():
     assert report["formula_value"] == "2"
     assert report["formula_kind"] == "exact"
     assert report["match"] is True
+
+
+def test_attack_report_perfect_is_verify_perfect():
+    # the report decides "perfect" from ell alone, with no scheme over L;
+    # it must agree with verify_perfect on every ell and model shape
+    code = _code()
+    ext = scheme_make(code, 0, 1).ext
+    B = code.params.message_length
+    verdicts = set()
+    for ell in range(B + 1):
+        scheme = SecureScheme(code, 0, 0, ell, ext)
+        for model in (EavesdropperModel((), ()), EavesdropperModel((1,), ()),
+                      EavesdropperModel((), (2,)),
+                      EavesdropperModel((1,), (2,))):
+            perfect = attack_report(code, model, ell=ell)["perfect"]
+            assert perfect is verify_perfect(scheme, model), (ell, model)
+            verdicts.add(perfect)
+    assert verdicts == {True, False}
 
 
 def test_attack_report_observed_leakage_and_no_scheme():

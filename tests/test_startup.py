@@ -2,18 +2,21 @@
 
 rsl/__init__.py resolves its public names on first use, cli.py imports
 the harness and the capacity formulas inside the commands that run them,
-cluster.py imports secrecy on the secure and attack paths only and entropy
-inside attack, and secrecy imports entropy inside the functions that rank
-and capacity inside attack_report.  The
-extension field L exists only for the secrecy precode, so rsl.extension
-(polynomials, the sieve, the modulus search, ExtensionSpec) loads on the
-secure paths alone.  What each command loads, beyond cli, cluster, field,
-matrix, product_matrix and errors:
-  - plain encode, fail-repair, reconstruct: nothing;
+cluster.py imports secrecy where the precode is built and inside attack,
+and entropy inside attack, and secrecy imports entropy inside the
+functions that rank and capacity inside attack_report.  The extension
+field L exists only for the secrecy precode, so rsl.extension
+(polynomials, the sieve, the modulus search, ExtensionSpec) loads only
+where L is computed in: to wrap, to unwrap and to verify a secure
+cluster.  ClusterState.load checks a secure meta.json without it, and
+attack decides perfect secrecy from the stored ell.  What each command
+loads, beyond cli, cluster, field, matrix, product_matrix and errors:
+  - plain encode, fail-repair, reconstruct, and secure fail-repair:
+    nothing;
   - secure encode: secrecy, entropy (to size the precode), extension;
-  - secure fail-repair, reconstruct: secrecy, extension;
+  - secure reconstruct: secrecy, extension;
   - attack: secrecy, entropy and capacity (with fractions and decimal),
-    and extension on a secure cluster;
+    never extension;
   - capacity-table: capacity;
   - verify: the harness, secrecy and entropy, and extension on a secure
     cluster.
@@ -65,7 +68,7 @@ print(json.dumps({"codes": codes, "added": added}))
 SECURE = ["--secure", "0,1", "--seed", "5"]
 
 
-def _python(script, *args):
+def _stdout(script, *args):
     path = [str(ROOT / "src")]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
@@ -74,7 +77,11 @@ def _python(script, *args):
                           env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout
+
+
+def _python(script, *args):
+    return json.loads(_stdout(script, *args).splitlines()[-1])
 
 
 def _flow(tmp_path, options=()):
@@ -115,13 +122,19 @@ def test_secure_flow_loads_capacity_only_to_attack(tmp_path):
     assert "rsl.capacity" in attack  # the report prints the formula value
 
 
-# argv: rsl's arguments; runs them with rsl.entropy refused, so importing
-# it raises ImportError
-NO_ENTROPY = """
+# argv: modules to refuse, comma-separated, then rsl's arguments; runs them
+# with each refused module None in sys.modules, so importing it raises
+# ImportError, and prints the exit code and the rsl modules loaded
+REFUSING = """
 import json, sys
-sys.modules["rsl.entropy"] = None
+refused, *argv = sys.argv[1:]
+for name in filter(None, refused.split(",")):
+    sys.modules[name] = None
 from rsl.cli import main
-print(json.dumps(main(sys.argv[1:])))
+code = main(argv)
+print(json.dumps({"code": code, "loaded": sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("rsl.") and module is not None)}))
 """
 
 
@@ -135,10 +148,59 @@ def test_secure_repair_and_reconstruct_load_no_entropy(tmp_path):
                    "print(json.dumps(main(sys.argv[1:])))", "encode",
                    "--cluster", vault, "--n", "5", "--k", "3", "--d", "4",
                    "--field", "2,8", *SECURE, payload) == 0
-    assert _python(NO_ENTROPY, "fail-repair", "--cluster", vault,
-                   "--node", "2") == 0
-    assert _python(NO_ENTROPY, "reconstruct", "--cluster", vault,
-                   "--output", tmp_path / "data.out") == 0
+    assert _python(REFUSING, "rsl.entropy", "fail-repair", "--cluster",
+                   vault, "--node", "2")["code"] == 0
+    assert _python(REFUSING, "rsl.entropy", "reconstruct", "--cluster",
+                   vault, "--output", tmp_path / "data.out")["code"] == 0
+    assert (tmp_path / "data.out").read_bytes() == b"ok"
+
+
+def _refusing(*args):
+    """stdout of REFUSING before its last line, and that line's record."""
+    *printed, last = _stdout(REFUSING, *args).splitlines(keepends=True)
+    return "".join(printed), json.loads(last)
+
+
+def _files(cluster):
+    return {path.name: path.read_bytes() for path in cluster.iterdir()}
+
+
+def test_secure_repair_and_attack_build_no_extension(tmp_path):
+    # the benchmark's secure shape, GF(16)^20: only wrap and unwrap compute
+    # in L, so fail-repair loads what a plain one does, and attack, whose
+    # verdict needs ell alone, loads no rsl.extension
+    payload = tmp_path / "data.bin"
+    payload.write_bytes(b"ok")
+    plain, vault = tmp_path / "plain", tmp_path / "vault"
+    shape = ["--n", "9", "--k", "5", "--d", "8", "--field", "2,4"]
+    for cluster, options in ((plain, []),
+                             (vault, ["--secure", "1,1", "--seed", "3"])):
+        _, got = _refusing("", "encode", "--cluster", cluster, *shape,
+                           *options, payload)
+        assert got["code"] == 0
+    assert "rsl.extension" in got["loaded"]
+    _, plain_repair = _refusing("", "fail-repair", "--cluster", plain,
+                                "--node", "3")
+    _, repair = _refusing("rsl.extension,rsl.secrecy", "fail-repair",
+                          "--cluster", vault, "--node", "3")
+    assert repair == plain_repair == {
+        "code": 0, "loaded": ["rsl.cli", "rsl.cluster", "rsl.errors",
+                              "rsl.field", "rsl.matrix",
+                              "rsl.product_matrix"]}
+    before = _files(vault)
+    attack = ["attack", "--cluster", vault, "--stored", "1", "--repair",
+              "3", "--json"]
+    free = _refusing("", *attack)
+    assert _files(vault) == before
+    refused = _refusing("rsl.extension", *attack)
+    assert refused == free and free[1]["code"] == 0
+    assert json.loads(free[0])["perfect"] is True
+    assert "rsl.secrecy" in free[1]["loaded"]
+    assert "rsl.extension" not in free[1]["loaded"]
+    assert _files(vault) == before
+    _, got = _refusing("", "reconstruct", "--cluster", vault, "--output",
+                       tmp_path / "data.out")
+    assert got["code"] == 0 and "rsl.extension" in got["loaded"]
     assert (tmp_path / "data.out").read_bytes() == b"ok"
 
 
