@@ -5,18 +5,9 @@ reconstruct, attack, verify) or are pure computations (capacity-table,
 verify without --cluster).  Everything prints deterministic output; all
 randomness is seeded and the seed is recorded in cluster metadata.
 
-Each process compiles only what its command runs.  main() builds the
-parser of the command it is given alone, and every subcommand's for
---help, an unknown command or none, so help, usage and error texts are
-the full parser's.  Beyond cli, cluster, field, matrix, product_matrix
-and errors, an encode, fail-repair or reconstruct loads nothing on a
-plain cluster; on a secure one, encode and reconstruct, which wrap and
-unwrap over the extension L, add secrecy and extension, and encode also
-entropy, while fail-repair still loads nothing.  attack adds secrecy,
-entropy and capacity, and never extension; capacity-table adds capacity,
-and verify the harness, secrecy and entropy, and extension on a secure
-cluster.  A base field outside rsl.field's frozen table also loads
-extension, to find or sieve its modulus.  No command loads dataclasses.
+Each process compiles only what its command runs, down to the one
+subparser main() builds, by the rule the README's "Library" section
+states and tests/test_startup.py enforces.
 """
 
 from __future__ import annotations

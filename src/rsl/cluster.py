@@ -14,20 +14,17 @@ and adds, so it runs over F on the B digit stripes: _stripes() and
 _symbols() split and pack base-q digits, q = |F|, at the share-file and
 event-log boundary, from q and B alone; on a plain cluster a symbol is
 one digit and they are the identity.  load() makes every check that
-ExtensionSpec.from_json and SecureScheme make on meta.json's secure
-section, but builds no L: encode builds it to wrap, and
+building ExtensionSpec and SecureScheme from meta.json's secure section
+makes, but builds no L: encode builds it to wrap, and
 ClusterState.scheme on first use, for reconstruct's unwrap and
 verify_cluster(); attack decides perfect secrecy from the stored ell.
 
 Payloads are framed with a 4-byte big-endian length prefix, then packed
 big-endian-bit-first into field symbols; whatever capacity is left is
 zero padding.  Mutating operations take an advisory lock file that holds
-the writer's pid.  The secrecy module and rsl.extension load where L is
-built, with the randomness a secure encode draws, and secrecy on attack
-too: a secure fail-repair loads what a plain one does, and attack never
-loads rsl.extension.  The entropy module loads where ranks are read, in
-attack and in sizing a secure encode's precode, and the capacity
-formulas inside secrecy.attack_report, so on attack alone.
+the writer's pid.  The secrecy, entropy and extension modules load inside
+the operations that use them, by the rule the README's "Library" section
+states and tests/test_startup.py enforces.
 """
 
 from __future__ import annotations
@@ -303,8 +300,8 @@ class ClusterState:
                            "meta.json secure extension")
             _require(ext["base"], _FIELD_KEYS,
                      "meta.json secure extension base")
-            # what ExtensionSpec.from_json and SecureScheme check, in their
-            # order, with no arithmetic in L: the stored modulus is checked
+            # what ExtensionSpec and SecureScheme check, in their order,
+            # with no arithmetic in L: the stored modulus is checked
             # irreducible, not searched for again (verify_cluster() checks
             # that it is the canonical one), and L is built on first use
             try:
@@ -435,12 +432,16 @@ class ClusterState:
         if len(nodes) != code.params.k:
             raise WrongNodeCount(
                 f"need exactly k={code.params.k} nodes, got {len(nodes)}")
-        message = self._symbols(
+        return self._payload(
             code.reconstruct({n: self.read_share(n) for n in nodes}))
+
+    def _payload(self, stripes) -> bytes:
+        """The payload that a decoded message's digit stripes frame."""
+        message = self._symbols(stripes)
         if self.scheme is not None:
             message = self.scheme.unwrap(message)
-        stream = symbols_to_bytes(message, bits_per_symbol(self))
-        return unframe_payload(stream)
+        return unframe_payload(symbols_to_bytes(message,
+                                                bits_per_symbol(self)))
 
     def attack(self, stored, repaired, epochs=None) -> dict:
         from . import secrecy
@@ -540,9 +541,9 @@ class ClusterState:
         record("events", log_ok, log_detail)
 
         # replay showed every share is encode(message), and any k nodes
-        # decode it, so one k-subset unframing speaks for all of them
+        # decode it, so unframing replay's decode speaks for all of them
         try:
-            self.reconstruct_payload()
+            self._payload(message)
             record("agreement", True, "k-subset payload unframes")
         except Exception as exc:
             record("agreement", False, str(exc))

@@ -128,10 +128,6 @@ class _PackedPoly(_Packed):
         self.sq_lo = bytes(x & 0xFF for x in squares)
         self.sq_hi = bytes(x >> 8 for x in squares)
 
-    def scale(self, a: int, c: int) -> int:
-        data = a.to_bytes((a.bit_length() + 7) >> 3, "little")
-        return int.from_bytes(data.translate(self.tables[c]), "little")
-
     def square(self, a: int) -> int:
         data = a.to_bytes((a.bit_length() + 7) >> 3, "little")
         out = bytearray(2 * len(data))
@@ -220,14 +216,15 @@ class _PackedPoly(_Packed):
         if n == 1:
             yield from range(q)
             return
-        powers = [int.from_bytes(bytes(K.pow(r, j) for r in K.elements()),
-                                 "little") for j in range(n + 1)]
+        powers = [bytes(K.pow(r, j) for r in K.elements())
+                  for j in range(n + 1)]
         for high in range(q ** (n - 1)):
-            g = powers[n]
+            g = int.from_bytes(powers[n], "little")
             for j in range(1, n):
                 c = high >> (j - 1) * w & (q - 1)
                 if c:
-                    g ^= self.scale(powers[j], c)
+                    g ^= int.from_bytes(powers[j].translate(self.tables[c]),
+                                        "little")
             roots = set(g.to_bytes(q, "little"))
             for c0 in range(q):
                 if c0 not in roots:
@@ -355,11 +352,6 @@ class ExtensionSpec(Field):
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "t": self.t,
                 "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExtensionSpec":
-        return cls(FieldSpec.from_json(data["base"]), data["t"],
-                   data["modulus"])
 
     # -- arithmetic
 

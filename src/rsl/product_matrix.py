@@ -288,11 +288,8 @@ class ProductMatrixCode:
     def stored_row(self, node: int, slot: int) -> tuple[int, ...]:
         """Coefficient row of the node's stored symbol in the given slot."""
         row = self._rows.get((node, slot))
-        if row is None:
-            row = self._rows[node, slot] = self._stored_row(node, slot)
-        return row
-
-    def _stored_row(self, node: int, slot: int) -> tuple[int, ...]:
+        if row is not None:
+            return row
         i = self._node_index(node, BadSelector)
         p = self.params
         if not 0 <= slot < p.alpha:
@@ -309,21 +306,17 @@ class ProductMatrixCode:
             row[i1] = add(row[i1], c)
             i2 = self.message_index(copy, 1, j, a)
             row[i2] = add(row[i2], mul(lam, c))
-        return tuple(row)
-
-    def repair_row(self, helper: int, failed: int, copy: int) -> tuple[int, ...]:
-        """Coefficient row of one repair symbol (one per copy)."""
-        row = self._rows.get((helper, failed, copy))
-        if row is None:
-            row = self._rows[helper, failed, copy] = self._repair_row(
-                helper, failed, copy)
+        row = self._rows[node, slot] = tuple(row)
         return row
 
-    def _repair_row(self, helper: int, failed: int,
-                    copy: int) -> tuple[int, ...]:
-        """The phi_f-combination of the helper's stored rows for copy,
-        as repair_symbol() combines its share.  The rows are read through
+    def repair_row(self, helper: int, failed: int, copy: int) -> tuple[int, ...]:
+        """Coefficient row of one repair symbol (one per copy): the
+        phi_f-combination of the helper's stored rows for copy, as
+        repair_symbol() combines its share.  The rows are read through
         this class's memo, so a subclass's stored_row() cannot alter them."""
+        row = self._rows.get((helper, failed, copy))
+        if row is not None:
+            return row
         fi = self._node_index(failed, BadSelector)
         if self._node_index(helper, BadSelector) == fi:
             raise BadSelector("helper and failed node coincide")
@@ -333,8 +326,9 @@ class ProductMatrixCode:
         stored = [ProductMatrixCode.stored_row(self, helper,
                                                copy * p.base_alpha + a)
                   for a in range(p.base_alpha)]
-        return tuple(_combine(self.field, self.phi[fi], stored,
-                              p.message_length))
+        row = self._rows[helper, failed, copy] = tuple(
+            _combine(self.field, self.phi[fi], stored, p.message_length))
+        return row
 
     def observation_rows(self, selector) -> list[tuple[int, ...]]:
         """Coefficient rows of the symbols one selector picks.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rsl import extension
+from rsl import extension, field
 
 
 @pytest.fixture
@@ -15,4 +15,19 @@ def search_calls(monkeypatch):
         calls.append((K, degree))
         return find(K, degree)
     monkeypatch.setattr(extension, "_find_modulus", counted)
+    return calls
+
+
+@pytest.fixture
+def sieve_calls(monkeypatch):
+    """The (K, modulus) of every irreducibility sieve, in order, from an
+    empty record of sieved moduli, as in a fresh process."""
+    calls = []
+    sieve = extension._sieve_irreducible
+
+    def counted(K, f):
+        calls.append((K, tuple(f)))
+        return sieve(K, f)
+    monkeypatch.setattr(extension, "_sieve_irreducible", counted)
+    monkeypatch.setattr(field, "_SIEVED", set())
     return calls

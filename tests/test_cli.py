@@ -801,28 +801,68 @@ GOLDEN_CLUSTERS = {
                   '"model": {"repaired": [5], "stored": []}, '
                   '"perfect": true, "rank_growth": 0, "secure_size": 4}\n',
     },
+    # secure over GF(8)^12: a characteristic-2 base with no packed
+    # kernel, so the list codec, the sieve and the modulus search run
+    # on a stored modulus outside the frozen table
+    "secure-gf8": {
+        "encode": ["--n", "7", "--k", "3", "--d", "4", "--m", "2",
+                   "--field", "2,3", "--secure", "0,1", "--seed", "6"],
+        "payload": b"g8",
+        "node": "2",
+        "files": {
+            "events.jsonl": "8bfb778b4d99e9a50b90115d9e2d0052"
+                            "a51cdba55f809b018b9284b259bf0e86",
+            "meta.json": "870f4d8ec39d8c91d60d63f288fe7741"
+                         "e377995f867d14a514cabea6c1bf0a13",
+            "share_1.bin": "f5a32eb3165974359a34ca2e33d10ac8"
+                           "a5663ba46ed174f1edb6270bdfcb83de",
+            "share_2.bin": "72e694baadf222c182424ee668a0d603"
+                           "ef495b5cbd924f8f98f58dd3ca4c7cd9",
+            "share_3.bin": "c7cf344ec55de3caa70ca3d0930e42f9"
+                           "a2d99f566560048fab5e505ef5fa9c83",
+            "share_4.bin": "6c98294842cf0ecdf928bd0731d74ad3"
+                           "372d18aa2b2c6275de47eef6880a2ec6",
+            "share_5.bin": "8737069de49773ff670a7f099f4737b4"
+                           "e16cd4e86c4fb490579d639479c5d808",
+            "share_6.bin": "5a6cdc6df2a6e7f43d6bbd2d62a875c1"
+                           "5bd54791715c10a41c49b3ebe0abf9fe",
+            "share_7.bin": "54b79d7bc7e57bf59bb7a47340c5d3b8"
+                           "08dfe4d9f9ee9d7ee16886ceb768b395",
+        },
+        "attack": '{"epochs": [1], "formula_kind": "exact", '
+                  '"formula_value": "4", "leakage": 8, "match": true, '
+                  '"model": {"repaired": [2], "stored": []}, '
+                  '"perfect": true, "rank_growth": 0, "secure_size": 4}\n',
+    },
 }
+
+
+def _golden_cluster(tmp_path, name) -> str:
+    """The named golden cluster, encoded and with its node repaired."""
+    want = GOLDEN_CLUSTERS[name]
+    src = tmp_path / "payload.bin"
+    src.write_bytes(want["payload"])
+    cluster = str(tmp_path / name)
+    assert main(["encode", "--cluster", cluster, *want["encode"],
+                 str(src)]) == 0
+    assert main(["fail-repair", "--cluster", cluster,
+                 "--node", want["node"]]) == 0
+    return cluster
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CLUSTERS))
 def test_cluster_bytes_golden(tmp_path, capsys, name):
     want = GOLDEN_CLUSTERS[name]
-    src = tmp_path / "payload.bin"
-    src.write_bytes(want["payload"])
-    cluster = tmp_path / name
-    assert main(["encode", "--cluster", str(cluster), *want["encode"],
-                 str(src)]) == 0
-    assert main(["fail-repair", "--cluster", str(cluster),
-                 "--node", want["node"]]) == 0
+    cluster = _golden_cluster(tmp_path, name)
     capsys.readouterr()
-    assert main(["attack", "--cluster", str(cluster), "--repair",
+    assert main(["attack", "--cluster", cluster, "--repair",
                  want["node"], "--json"]) == 0
     assert capsys.readouterr().out == want["attack"]
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in cluster.iterdir()}
+           for path in (tmp_path / name).iterdir()}
     assert got == want["files"]
     out = tmp_path / "out.bin"
-    assert main(["reconstruct", "--cluster", str(cluster),
+    assert main(["reconstruct", "--cluster", cluster,
                  "--output", str(out)]) == 0
     assert out.read_bytes() == want["payload"]
 
@@ -872,10 +912,62 @@ def test_reducible_stored_modulus_exits_1(tmp_path, capsys, extra, where,
     path.write_text(json.dumps(meta))
     share = (tmp_path / "c" / "share_2.bin").read_bytes()
     capsys.readouterr()
-    assert main(["fail-repair", "--cluster", str(tmp_path / "c"),
-                 "--node", "2"]) == 1
-    assert capsys.readouterr() == ("", err)
+    # the process remembers only moduli the sieve passed, so a second
+    # command sieves this one again and fails alike
+    for argv in (["fail-repair", "--node", "2"],
+                 ["reconstruct", "--output", str(tmp_path / "out.bin")]):
+        assert main([argv[0], "--cluster", str(tmp_path / "c"),
+                     *argv[1:]]) == 1, argv
+        assert capsys.readouterr() == ("", err), argv
     assert (tmp_path / "c" / "share_2.bin").read_bytes() == share
+
+
+def test_each_stored_modulus_is_sieved_once(tmp_path, monkeypatch,
+                                            sieve_calls):
+    # GF(8) and GF(8)^12 are outside the frozen table.  meta.json stores
+    # GF(8)'s modulus twice, and reconstruct meets L's at load and again
+    # where it builds L, yet one command sieves each once
+    cluster = _golden_cluster(tmp_path, "secure-gf8")
+    meta = json.loads((tmp_path / "secure-gf8" / "meta.json").read_text())
+    moduli = [(FieldSpec(2, 1), tuple(meta["field"]["modulus"])),
+              (FieldSpec(2, 3), tuple(meta["secure"]["extension"]["modulus"]))]
+    out = tmp_path / "out.bin"
+    for argv in (["fail-repair", "--cluster", cluster, "--node", "3"],
+                 ["reconstruct", "--cluster", cluster, "--output", str(out)]):
+        # as in a fresh process, which knows only the frozen moduli
+        monkeypatch.setattr(field, "_MODULUS_CACHE",
+                            {key: field._MODULUS_CACHE[key]
+                             for key in field._FROZEN})
+        monkeypatch.setattr(field, "_SIEVED", set())
+        sieve_calls.clear()
+        assert main(argv) == 0, argv
+        assert sieve_calls == moduli, argv
+    assert out.read_bytes() == b"g8"
+
+
+@pytest.mark.parametrize("name", ["plain", "secure-gf8"])
+def test_verify_cluster_reads_each_share_once_and_decodes_once(
+        tmp_path, capsys, monkeypatch, name):
+    cluster = _golden_cluster(tmp_path, name)
+    reads, decodes = [], []
+    read_share, reconstruct = (ClusterState.read_share,
+                               ProductMatrixCode.reconstruct)
+
+    def counted_read(self, node):
+        reads.append(node)
+        return read_share(self, node)
+
+    def counted_decode(self, shares):
+        decodes.append(sorted(shares))
+        return reconstruct(self, shares)
+    monkeypatch.setattr(ClusterState, "read_share", counted_read)
+    monkeypatch.setattr(ProductMatrixCode, "reconstruct", counted_decode)
+    capsys.readouterr()
+    assert main(["verify", "--cluster", cluster]) == 0
+    assert "PASS cluster.agreement" in capsys.readouterr().out
+    n = len(list((tmp_path / name).glob("share_*.bin")))
+    assert sorted(reads) == list(range(1, n + 1))
+    assert decodes == [[1, 2, 3]]
 
 
 def test_modulus_search_limit_exits_1(tmp_path, capsys, monkeypatch):
