@@ -303,9 +303,11 @@ class ClusterState:
             # what ExtensionSpec and SecureScheme check, in their order,
             # with no arithmetic in L: the stored modulus is checked
             # irreducible, not searched for again (verify_cluster() checks
-            # that it is the canonical one), and L is built on first use
+            # that it is the canonical one), and L is built on first use;
+            # a base stored as the code's field is not built twice
             try:
-                base = FieldSpec.from_json(ext["base"])
+                base = (field if ext["base"] == meta["field"]
+                        else FieldSpec.from_json(ext["base"]))
                 _checked_modulus(base, ext["t"], ext["modulus"])
                 check_precode(code, sec["ell"], base, ext["t"])
             except ValueError as exc:

@@ -218,8 +218,9 @@ class _PackedPoly(_Packed):
             return
         powers = [bytes(K.pow(r, j) for r in K.elements())
                   for j in range(n + 1)]
+        top = int.from_bytes(powers[n], "little")
         for high in range(q ** (n - 1)):
-            g = int.from_bytes(powers[n], "little")
+            g = top
             for j in range(1, n):
                 c = high >> (j - 1) * w & (q - 1)
                 if c:

@@ -23,7 +23,7 @@ GF(256) and for the extensions of the README's and the benchmark's
 secure clusters, as Conway-polynomial tables do; other shapes are
 searched.  The table also certifies a given modulus: one equal to a
 canonical modulus the process knows needs no sieve, so loading a cluster
-of a table shape sieves nothing; any other is sieved once per process.
+of a table shape sieves nothing.
 """
 
 from __future__ import annotations
@@ -141,16 +141,13 @@ _FROZEN = {(2, _GF2, 4): 0x3, (2, _GF2, 8): 0x1b,
 # table, and what rsl.extension._search_modulus has found since
 _MODULUS_CACHE: dict = {key: _monic(key[0], key[2], v)
                         for key, v in _FROZEN.items()}
-# the given moduli rsl.extension's sieve has passed in this process, each
-# as (cache key, modulus), so a modulus a command meets twice sieves once
-_SIEVED: set = set()
 
 
 def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
     """The modulus of K[x]/(f) at degree t: the canonical one when none is
     given, else the given one, checked to hold t + 1 elements of K, to be
     monic and, for t >= 2, irreducible over K: a known canonical modulus
-    is, and any other goes through rsl.extension's sieve once."""
+    is, and any other goes through rsl.extension's sieve."""
     if t < 1:
         raise ValueError("extension degree must be >= 1")
     if modulus is None:
@@ -167,14 +164,10 @@ def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
             f"modulus needs {t + 1} coefficients, got {len(modulus)}")
     if modulus[-1] != 1:
         raise ValueError("modulus must be monic")
-    if t == 1:
-        return modulus
-    key = (K.order, K.modulus, t)
-    if modulus != _MODULUS_CACHE.get(key) and (key, modulus) not in _SIEVED:
+    if t >= 2 and modulus != _MODULUS_CACHE.get((K.order, K.modulus, t)):
         from .extension import _sieve_irreducible
         if not _sieve_irreducible(K, list(modulus)):
             raise Reducible(f"modulus {list(modulus)} factors over {K!r}")
-        _SIEVED.add((key, modulus))
     return modulus
 
 

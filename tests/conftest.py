@@ -2,7 +2,7 @@
 
 import pytest
 
-from rsl import extension, field
+from rsl import extension
 
 
 @pytest.fixture
@@ -20,8 +20,7 @@ def search_calls(monkeypatch):
 
 @pytest.fixture
 def sieve_calls(monkeypatch):
-    """The (K, modulus) of every irreducibility sieve, in order, from an
-    empty record of sieved moduli, as in a fresh process."""
+    """The (K, modulus) of every irreducibility sieve, in order."""
     calls = []
     sieve = extension._sieve_irreducible
 
@@ -29,5 +28,4 @@ def sieve_calls(monkeypatch):
         calls.append((K, tuple(f)))
         return sieve(K, f)
     monkeypatch.setattr(extension, "_sieve_irreducible", counted)
-    monkeypatch.setattr(field, "_SIEVED", set())
     return calls

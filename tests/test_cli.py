@@ -912,8 +912,7 @@ def test_reducible_stored_modulus_exits_1(tmp_path, capsys, extra, where,
     path.write_text(json.dumps(meta))
     share = (tmp_path / "c" / "share_2.bin").read_bytes()
     capsys.readouterr()
-    # the process remembers only moduli the sieve passed, so a second
-    # command sieves this one again and fails alike
+    # every command that loads the cluster refuses it alike
     for argv in (["fail-repair", "--node", "2"],
                  ["reconstruct", "--output", str(tmp_path / "out.bin")]):
         assert main([argv[0], "--cluster", str(tmp_path / "c"),
@@ -922,27 +921,21 @@ def test_reducible_stored_modulus_exits_1(tmp_path, capsys, extra, where,
     assert (tmp_path / "c" / "share_2.bin").read_bytes() == share
 
 
-def test_each_stored_modulus_is_sieved_once(tmp_path, monkeypatch,
-                                            sieve_calls):
-    # GF(8) and GF(8)^12 are outside the frozen table.  meta.json stores
-    # GF(8)'s modulus twice, and reconstruct meets L's at load and again
-    # where it builds L, yet one command sieves each once
+def test_fail_repair_sieves_each_stored_modulus_once(tmp_path, monkeypatch,
+                                                     sieve_calls):
+    # GF(8) and GF(8)^12 are outside the frozen table, and meta.json
+    # stores GF(8)'s modulus twice, as the field and as L's base
     cluster = _golden_cluster(tmp_path, "secure-gf8")
     meta = json.loads((tmp_path / "secure-gf8" / "meta.json").read_text())
-    moduli = [(FieldSpec(2, 1), tuple(meta["field"]["modulus"])),
-              (FieldSpec(2, 3), tuple(meta["secure"]["extension"]["modulus"]))]
-    out = tmp_path / "out.bin"
-    for argv in (["fail-repair", "--cluster", cluster, "--node", "3"],
-                 ["reconstruct", "--cluster", cluster, "--output", str(out)]):
-        # as in a fresh process, which knows only the frozen moduli
-        monkeypatch.setattr(field, "_MODULUS_CACHE",
-                            {key: field._MODULUS_CACHE[key]
-                             for key in field._FROZEN})
-        monkeypatch.setattr(field, "_SIEVED", set())
-        sieve_calls.clear()
-        assert main(argv) == 0, argv
-        assert sieve_calls == moduli, argv
-    assert out.read_bytes() == b"g8"
+    # as in a fresh process, which knows only the frozen moduli
+    monkeypatch.setattr(field, "_MODULUS_CACHE",
+                        {key: field._MODULUS_CACHE[key]
+                         for key in field._FROZEN})
+    sieve_calls.clear()
+    assert main(["fail-repair", "--cluster", cluster, "--node", "3"]) == 0
+    assert sieve_calls == [
+        (FieldSpec(2, 1), tuple(meta["field"]["modulus"])),
+        (FieldSpec(2, 3), tuple(meta["secure"]["extension"]["modulus"]))]
 
 
 @pytest.mark.parametrize("name", ["plain", "secure-gf8"])
