@@ -32,8 +32,11 @@ from .errors import DivideByZero, LengthMismatch, NotPrime, Reducible
 
 _TABLE_LIMIT = 1 << 16
 
-# deterministic Miller-Rabin witnesses, sound for n < 3.3e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# deterministic Miller-Rabin witnesses, the primes to 41: sound below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 2017); no fixed-base test is proven above it
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
@@ -292,6 +295,9 @@ class FieldSpec(Field):
     __slots__ = ("p", "w", "_mod_int", "_exp", "_log")
 
     def __init__(self, p: int, w: int, modulus=None):
+        if p >= _MR_LIMIT:
+            raise NotPrime(f"characteristic {p} is too large: primality is "
+                           f"decided only below {_MR_LIMIT}")
         if not _is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
         self._digit_field = self if w == 1 else FieldSpec(p, 1)

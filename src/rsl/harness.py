@@ -10,8 +10,9 @@ PROPERTY_IDS list the properties in definition order.
 
 draw() enumerates every subset when the node count is small (n <=
 budget.exhaustive_n) and otherwise samples deterministically from a fixed
-seed, which the result then records.  Properties whose statement presumes
-n = d+1 run on the code's truncation to nodes 1..d+1.
+seed, which the result then records.  Six properties run on the code's
+truncation to nodes 1..d+1, enumerate every case there and ignore the
+budget: lemma.truncation and the five whose statement presumes n = d+1.
 
 check_all() returns results in registry order; report_jsonl() renders
 them byte-stably, one JSON object per line.
@@ -123,59 +124,55 @@ def _shape_pairs(k: int):
             yield l1, l2
 
 
-def _sampled_models(code, shapes, draw, label: str):
-    """secrecy.enumerate_models over the (l1, l2) shapes, with E and F
-    subsets drawn under the property's budget."""
+def _models(code, shapes, draw=None, label: str = ""):
+    """secrecy.enumerate_models over the (l1, l2) shapes: every model,
+    lazily, or given draw, E and F drawn up front so the seed is kept."""
     def choose(pool, size, what):
         return draw(pool, size, f"{label}:{what}")
-    return [model for l1, l2 in shapes
-            for model in secrecy.enumerate_models(code, l1, l2, choose)]
+    picks = () if draw is None else (choose,)
+    models = (model for l1, l2 in shapes
+              for model in secrecy.enumerate_models(code, l1, l2, *picks))
+    return models if draw is None else list(models)
+
+
+def _ranks(code, cases):
+    """One check per (witness fields, expected rank, *selectors) case."""
+    for fields, expected, *selectors in cases:
+        got = observed_entropy(code, *selectors)
+        yield None if got == expected else {**fields, "observed": got,
+                                            "expected": expected}
 
 
 @_property("msr.node_entropy")
 def node_entropy(code, draw):
     """Each share alone carries full entropy alpha."""
-    alpha = code.params.alpha
-    for i in code.nodes:
-        got = observed_entropy(code, Stored((i,)))
-        yield None if got == alpha else {"node": i, "observed": got,
-                                         "expected": alpha}
+    yield from _ranks(code, (({"node": i}, code.params.alpha, Stored((i,)))
+                             for i in code.nodes))
 
 
 @_property("msr.link_entropy")
 def link_entropy(code, draw):
     """Each single repair transmission carries full entropy beta."""
-    beta = code.params.beta
-    for i in code.nodes:
-        for j in code.nodes:
-            if i == j:
-                continue
-            got = observed_entropy(code, RepairFromTo((i,), (j,)))
-            yield None if got == beta else {"helper": i, "failed": j,
-                                            "observed": got,
-                                            "expected": beta}
+    pairs = itertools.permutations(code.nodes, 2)  # every i != j, in order
+    yield from _ranks(code, (({"helper": i, "failed": j}, code.params.beta,
+                              RepairFromTo((i,), (j,))) for i, j in pairs))
 
 
 @_property("msr.reconstruction")
 def reconstruction(code, draw):
     """Any k shares determine the whole message."""
     p = code.params
-    for group in draw(code.nodes, p.k, "reconstruction"):
-        got = observed_entropy(code, Stored(group))
-        yield None if got == p.message_length else {
-            "nodes": list(group), "observed": got,
-            "expected": p.message_length}
+    groups = draw(code.nodes, p.k, "reconstruction")
+    yield from _ranks(code, (({"nodes": list(g)}, p.message_length, Stored(g))
+                             for g in groups))
 
 
 @_property("lemma.repair_independence")
 def repair_independence(code, draw):
     """All repair data toward one node has rank exactly d*beta."""
     p = code.params
-    expected = p.d * p.beta
-    for f in code.nodes:
-        got = observed_entropy(code, RepairTo((f,)))
-        yield None if got == expected else {"failed": f, "observed": got,
-                                            "expected": expected}
+    yield from _ranks(code, (({"failed": f}, p.d * p.beta, RepairTo((f,)))
+                             for f in code.nodes))
 
 
 @_property("lemma.repair_determinism")
@@ -197,35 +194,32 @@ def secure_size(code, draw):
     """H(repairs to F | shares of E and F) equals H(repairs from G to F)."""
     t = code.truncate()
     k = t.params.k
-    nodes = list(t.nodes)
-    for l1, l2 in _shape_pairs(k):
-        for model in secrecy.enumerate_models(t, l1, l2):
-            stored, repaired = model.stored, model.repaired
-            rest = [x for x in nodes if x not in stored + repaired]
-            given = Stored(stored + repaired)
-            lhs = (observed_entropy(t, RepairTo(repaired), given)
-                   - observed_entropy(t, given))
-            for group in itertools.combinations(rest, k - l1 - l2):
-                rhs = observed_entropy(t, RepairFromTo(group, repaired))
-                yield None if lhs == rhs else {
-                    "stored": list(stored), "repaired": list(repaired),
-                    "fresh": list(group), "conditional": lhs, "direct": rhs}
+    for model in _models(t, _shape_pairs(k)):
+        stored, repaired = model.stored, model.repaired
+        rest = [x for x in t.nodes if x not in stored + repaired]
+        given = Stored(stored + repaired)
+        lhs = (observed_entropy(t, RepairTo(repaired), given)
+               - observed_entropy(t, given))
+        for group in itertools.combinations(rest, k - model.l1 - model.l2):
+            rhs = observed_entropy(t, RepairFromTo(group, repaired))
+            yield None if lhs == rhs else {
+                "stored": list(stored), "repaired": list(repaired),
+                "fresh": list(group), "conditional": lhs, "direct": rhs}
 
 
 @_property("lemma.helper_symmetry")
 def helper_symmetry(code, draw):
     """Every helper's transmissions toward F carry the same entropy."""
     t = code.truncate()
-    nodes = list(t.nodes)
-    for size in range(1, t.params.k):
-        for repaired in itertools.combinations(nodes, size):
-            outside = [x for x in nodes if x not in repaired]
-            values = {h: observed_entropy(t, RepairFromTo((h,), repaired))
-                      for h in outside}
-            # one check per helper; the last compares them all
-            yield from [None] * (len(outside) - 1)
-            yield None if len(set(values.values())) == 1 else {
-                "repaired": list(repaired), "values": values}
+    for model in _models(t, [(0, size) for size in range(1, t.params.k)]):
+        repaired = model.repaired
+        outside = [x for x in t.nodes if x not in repaired]
+        values = {h: observed_entropy(t, RepairFromTo((h,), repaired))
+                  for h in outside}
+        # one check per helper; the last compares them all
+        yield from [None] * (len(outside) - 1)
+        yield None if len(set(values.values())) == 1 else {
+            "repaired": list(repaired), "values": values}
 
 
 @_property("lemma.express")
@@ -253,26 +247,20 @@ def scalar_repair_rank(code, draw):
     """In the exact regime, one helper's view of repairs to F has rank |F|beta."""
     t = code.truncate()
     p = t.params
-    nodes = list(t.nodes)
-    for size in range(1, p.k):
-        if p.beta * (size - 1) >= p.d - p.k + 1:
-            continue  # only claimed in the exact regime
-        for repaired in itertools.combinations(nodes, size):
-            for helper in nodes:
-                if helper in repaired:
-                    continue
-                got = observed_entropy(t, RepairFromTo((helper,), repaired))
-                yield None if got == size * p.beta else {
-                    "helper": helper, "repaired": list(repaired),
-                    "observed": got, "expected": size * p.beta}
+    exact = [(0, size) for size in range(1, p.k)  # only claimed there
+             if p.beta * (size - 1) < p.d - p.k + 1]
+    yield from _ranks(t, (({"helper": h, "repaired": list(model.repaired)},
+                           model.l2 * p.beta,
+                           RepairFromTo((h,), model.repaired))
+                          for model in _models(t, exact)
+                          for h in t.nodes if h not in model.repaired))
 
 
 @_property("thm.simple_bound")
 def simple_bound(code, draw):
     """Achieved secure size never exceeds (k-l1-l2)(alpha - H(one helper's view))."""
     p = code.params
-    for model in _sampled_models(code, _shape_pairs(p.k), draw,
-                                 "simple_bound"):
+    for model in _models(code, _shape_pairs(p.k), draw, "simple_bound"):
         achieved = secrecy.achieved_secure_size(code, model)
         survivors = p.k - model.l1 - model.l2
         outside = [x for x in code.nodes
@@ -291,8 +279,7 @@ def simple_bound(code, draw):
 def capacity_exact(code, draw):
     """Exact-regime models achieve (k-l1-l2)(alpha - l2*beta) exactly."""
     p = code.params
-    for model in _sampled_models(code, _shape_pairs(p.k), draw,
-                                 "capacity_exact"):
+    for model in _models(code, _shape_pairs(p.k), draw, "capacity_exact"):
         if p.beta * (model.l2 - 1) >= p.d - p.k + 1:
             continue
         achieved = secrecy.achieved_secure_size(code, model)
@@ -328,14 +315,12 @@ def truncation(code, draw):
     if p.n == p.d + 1:
         return {"note": "n == d+1, nothing to truncate"}
     small = code.truncate()
-    for l1, l2 in _shape_pairs(p.k):
-        for model in secrecy.enumerate_models(small, l1, l2):
-            full = secrecy.leakage(code, model)
-            reduced = secrecy.leakage(small, model)
-            yield None if full == reduced else {
-                "stored": list(model.stored),
-                "repaired": list(model.repaired),
-                "full": full, "truncated": reduced}
+    for model in _models(small, _shape_pairs(p.k)):
+        full = secrecy.leakage(code, model)
+        reduced = secrecy.leakage(small, model)
+        yield None if full == reduced else {
+            "stored": list(model.stored), "repaired": list(model.repaired),
+            "full": full, "truncated": reduced}
 
 
 @_property("scheme.perfect_secrecy")
@@ -347,13 +332,13 @@ def perfect_secrecy(code, draw):
         except AsymmetricLeakage:
             # no single ell covers the shape; every rank is memoized now
             leaks = {secrecy.leakage(code, model)
-                     for model in secrecy.enumerate_models(code, l1, l2)}
+                     for model in _models(code, [(l1, l2)])}
             yield {"l1": l1, "l2": l2, "lowest": min(leaks),
                    "highest": max(leaks)}
             return
         if ell >= code.params.message_length:
             continue  # nothing can be stored at this shape
-        for model in _sampled_models(code, [(l1, l2)], draw, "shape"):
+        for model in _models(code, [(l1, l2)], draw, "shape"):
             # verify_perfect's F-rank criterion, for a scheme of size ell
             yield None if secrecy.leakage(code, model) <= ell else {
                 "l1": l1, "l2": l2, "stored": list(model.stored),

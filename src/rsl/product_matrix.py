@@ -136,15 +136,14 @@ class ProductMatrixCode:
                     f"need {params.n} points, got {len(points)}")
             if 0 in points or len(set(points)) != params.n:
                 raise ValueError("points must be distinct and nonzero")
-            if len({field.pow(x, a0) for x in points}) != params.n:
-                raise DegenerateLambda(
-                    "alpha0-th powers of the points collide")
         self.params = params
         self.field = field
         self.points = tuple(points)
         self.psi = Matrix.vandermonde(field, self.points, params.d).rows
         self.phi = tuple(psi[:a0] for psi in self.psi)
-        self.lam = tuple(psi[a0] for psi in self.psi)
+        self.lam = tuple(psi[a0] for psi in self.psi)  # x^alpha0 per point
+        if len(set(self.lam)) != params.n:
+            raise DegenerateLambda("alpha0-th powers of the points collide")
         self.ranks = {}  # selector tuple -> rank, see entropy.observed_entropy
         self._rows = {}  # stored_row / repair_row arguments -> row
         self._variants = {}  # params -> code, see _variant()

@@ -76,7 +76,7 @@ def eavesdropped_rows(code: ProductMatrixCode,
 
 
 def leakage(code: ProductMatrixCode, model: EavesdropperModel) -> int:
-    from .entropy import observed_entropy  # repair never ranks
+    from .entropy import observed_entropy  # secure reconstruct never ranks
     check_model(code, model)
     return observed_entropy(code, Stored(model.stored),
                             RepairTo(model.repaired))

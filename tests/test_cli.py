@@ -63,6 +63,8 @@ def test_fail_repair_and_attack_json(tmp_path, capsys):
     _encode(tmp_path)
     cluster = str(tmp_path / "c")
     assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    with open(tmp_path / "c" / "events.jsonl", "a") as fh:
+        fh.write("\n")  # a blank line in the log is skipped
     assert main(["fail-repair", "--cluster", cluster, "--node", "1",
                  "--helpers", "2,3,4,6"]) == 0
     capsys.readouterr()
@@ -102,6 +104,9 @@ def test_secure_flow(tmp_path, capsys):
     rc = main(["attack", "--cluster", cluster, "--repair", "4", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert report["perfect"] is True
+    assert main(["attack", "--cluster", cluster, "--repair", "4"]) == 0
+    assert ("wrapping perfect against this model: True"
+            in capsys.readouterr().out)
     out = tmp_path / "rec.bin"
     rc = main(["reconstruct", "--cluster", cluster, "--nodes", "1,2,3",
                "--output", str(out)])
@@ -345,6 +350,33 @@ def test_error_exit_codes(tmp_path, capsys):
                  ["reconstruct", "--cluster", cluster, "--nodes", ""]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+    # a field with too few distinct alpha0-th powers, and psi_12, a
+    # composite that is a strong pseudoprime to every prime below 41
+    psi12 = "318665857834031151167461"
+    for argv, where in (
+            (fresh + ["--n", "5", "--k", "3", "--d", "4", "--field", "7,1",
+                      small],
+             "cannot find 5 points with distinct alpha0-th powers in GF(7)"),
+            (fresh + ["--n", "6", "--k", "3", "--d", "4", "--field",
+                      f"{psi12},1", small],
+             f"characteristic {psi12} is not prime")):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err, argv
+    # a truncated share names the file and both sizes
+    _encode(tmp_path, name="z")
+    short = tmp_path / "z" / "share_2.bin"
+    short.write_bytes(short.read_bytes()[:1])
+    capsys.readouterr()
+    for argv in (["fail-repair", "--cluster", str(tmp_path / "z"),
+                  "--node", "1"],
+                 ["reconstruct", "--cluster", str(tmp_path / "z")]):
+        assert main(argv) == 1, argv
+        assert ("share_2.bin has 1 bytes, expected 2"
+                in capsys.readouterr().err), argv
+    assert main(["verify", "--cluster", str(tmp_path / "z")]) == 1
+    assert ("FAIL cluster.shares: share_2.bin has 1 bytes, expected 2"
+            in capsys.readouterr().out)
     # a torn last line in the event log names the line
     assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
     with open(tmp_path / "c" / "events.jsonl", "a") as fh:
@@ -359,6 +391,8 @@ def test_error_exit_codes(tmp_path, capsys):
     _encode(tmp_path, name="m")
     meta = str(tmp_path / "m")
     (tmp_path / "m" / "meta.json").write_text('{"layout": 1}\n')
+    _encode(tmp_path, name="j")
+    (tmp_path / "j" / "meta.json").write_text('[1,2]\n')
     _encode(tmp_path, name="e")
     log = str(tmp_path / "e")
     assert main(["fail-repair", "--cluster", log, "--node", "1"]) == 0
@@ -370,6 +404,8 @@ def test_error_exit_codes(tmp_path, capsys):
             (["fail-repair", "--cluster", meta, "--node", "1"], "meta.json"),
             (["attack", "--cluster", meta, "--repair", "1"], "meta.json"),
             (["verify", "--cluster", meta], "meta.json"),
+            (["reconstruct", "--cluster", str(tmp_path / "j")],
+             "meta.json is not a JSON object"),
             (["fail-repair", "--cluster", log, "--node", "2"],
              "events.jsonl line 2 lacks 'event'"),
             (["attack", "--cluster", log, "--repair", "1"],
@@ -401,9 +437,15 @@ def test_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err, argv
     assert (tmp_path / "t" / "events.jsonl").read_text().count("\n") == 2
-    # event lines whose symbols lack a helper, or with fewer than d helpers
-    for name, edit in (("s", {"symbols": {}}),
-                       ("h", {"helpers": [2], "symbols": {"2": ["0x1"]}})):
+    # event lines whose symbols lack a helper, with fewer than d helpers,
+    # with a symbol that is not hex, or naming a node outside the cluster
+    hexless = {"2": ["zz"], "3": ["0x1"], "4": ["0x1"], "5": ["0x1"]}
+    for name, edit, where in (
+            ("s", {"symbols": {}}, ""),
+            ("h", {"helpers": [2], "symbols": {"2": ["0x1"]}}, ""),
+            ("x", {"symbols": hexless}, " symbols of helper 2 must be 1 hex "
+             "strings of field elements"),
+            ("f", {"failed": 99}, " failed node 99 not in 1..6")):
         _encode(tmp_path, name=name)
         assert main(["fail-repair", "--cluster", str(tmp_path / name),
                      "--node", "1"]) == 0
@@ -421,7 +463,7 @@ def test_error_exit_codes(tmp_path, capsys):
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error:"), argv
-            assert "events.jsonl line 2" in err, argv
+            assert "events.jsonl line 2" + where in err, argv
         assert log.read_bytes() == before
 
 

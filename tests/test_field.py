@@ -255,6 +255,27 @@ def test_bad_characteristic():
         FieldSpec(2, 0)
 
 
+# psi_12 and psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 2017): the least strong pseudoprimes to every
+# prime up to 37, and up to 41
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
+
+def test_characteristic_primality():
+    for p in (41, 65537, 2**31 - 1, 2**61 - 1):
+        assert FieldSpec(p, 1).order == p
+    # a Carmichael number, then the least strong pseudoprimes to the
+    # primes up to 2, 7 and 31, and psi_12
+    for n in (561, 2047, 3215031751, 3825123056546413051, PSI12):
+        with pytest.raises(NotPrime, match=f"characteristic {n} is not prime"):
+            FieldSpec(n, 1)
+    # no fixed-base test is proven from psi_13 on, prime or not
+    for n in (PSI13, 2**89 - 1):
+        with pytest.raises(NotPrime, match=f"decided only below {PSI13}"):
+            FieldSpec(n, 1)
+
+
 def test_bad_modulus_shape():
     with pytest.raises(LengthMismatch):
         FieldSpec(2, 4, modulus=(1, 1, 1))

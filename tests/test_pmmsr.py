@@ -9,7 +9,7 @@ from rsl.entropy import joint_entropy
 from rsl.errors import (BadSelector, DegenerateLambda, FieldTooSmall,
                         LengthMismatch, SelfRepair, UnknownNode,
                         WrongHelperCount, WrongNodeCount)
-from rsl.field import ExtensionSpec, FieldSpec
+from rsl.field import ExtensionSpec, Field, FieldSpec
 from rsl.matrix import Matrix
 from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
                                 RepairTo, Stored)
@@ -86,6 +86,25 @@ def test_supplied_points_validation():
     with pytest.raises(DegenerateLambda):
         ProductMatrixCode(CodeParams(n=5, k=3, d=4), f25,
                           points=(1, 4, 2, 3, 6))  # 1^2 == 4^2 == 1 mod 5
+
+
+def test_given_points_take_no_pow(monkeypatch):
+    # the lambda check reads psi's alpha0 column, so a code on given
+    # points, such as one_copy()'s variant, takes no power
+    calls = []
+    real = Field.pow
+
+    def counted(self, a, e):
+        calls.append(e)
+        return real(self, a, e)
+    monkeypatch.setattr(Field, "pow", counted)
+    code = _code(n=17, k=9, d=16, m=4, field=GF256)
+    assert len(calls) > 0  # picking the points takes powers
+    calls.clear()
+    assert _code(n=17, k=9, d=16, field=GF256, points=code.points).lam \
+        == code.lam
+    assert code.one_copy().lam == code.lam
+    assert calls == []
 
 
 @pytest.mark.parametrize("code", [

@@ -9,6 +9,7 @@ repair-determinism argument.  They are frozen as constants on purpose.
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +431,10 @@ def test_asymmetric_leakage_detected_on_every_path(field):
     with pytest.raises(AsymmetricLeakage,
                        match=r"leakage varies across \(0,1\) models: "):
         worst_case_leakage(code, 0, 1)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
