@@ -1,6 +1,8 @@
 """Closed-form secure-capacity values and comparison bounds.
 
-All arithmetic is exact: values are fractions.Fraction, never floats.
+All arithmetic is exact, never floats: a value that is an integer by
+construction is an int, any other a fractions.Fraction, imported only
+where one is built.
 A query fixes the code shape (k, d, n, alpha, beta at the minimum-storage
 point alpha = (d-k+1)beta) and the eavesdropper strength (l1 nodes read
 at rest, l2 nodes observed through every repair sent to them).
@@ -19,8 +21,6 @@ value is then an upper bound.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import BadQuery, Record
 
@@ -53,12 +53,12 @@ class CapacityQuery(Record):
 
 
 class CapacityValue(Record):
-    """value is a Fraction; kind is EXACT or UPPER_BOUND; category 1 or 2;
-    t and e are set in category 2 only."""
+    """value is an int in category 1 and a Fraction in category 2; kind is
+    EXACT or UPPER_BOUND; t and e are set in category 2 only."""
 
     __slots__ = ("value", "kind", "category", "t", "e")
 
-    def __init__(self, value: Fraction, kind: str, category: int,
+    def __init__(self, value: int | Fraction, kind: str, category: int,
                  t: int | None = None, e: int | None = None):
         super().__init__(value, kind, category, t, e)
 
@@ -73,7 +73,8 @@ def pi_of(k: int, d: int, beta: int, l2: int) -> CapacityValue:
     """
     dk1 = d - k + 1
     if beta * (l2 - 1) < dk1:
-        return CapacityValue(Fraction(l2 * beta), EXACT, 1)
+        return CapacityValue(l2 * beta, EXACT, 1)
+    from fractions import Fraction  # category 2 alone needs division
     if dk1 % beta == 0:
         t = dk1 // beta
     else:
@@ -95,34 +96,33 @@ def secrecy_capacity(query: CapacityQuery) -> CapacityValue:
     return CapacityValue(value, term.kind, term.category, term.t, term.e)
 
 
-def cutset_bound(query: CapacityQuery) -> Fraction:
+def cutset_bound(query: CapacityQuery) -> int:
     """Secure cut-set bound: sum of min(alpha, (d-i+1)beta) over i > l1+l2."""
-    l = query.l1 + query.l2
-    total = 0
-    for i in range(l + 1, query.k + 1):
-        total += min(query.alpha, (query.d - i + 1) * query.beta)
-    return Fraction(total)
+    return sum(min(query.alpha, (query.d - i + 1) * query.beta)
+               for i in range(query.l1 + query.l2 + 1, query.k + 1))
 
 
-def bounds_table(query: CapacityQuery) -> list[tuple[str, Fraction | None]]:
+def bounds_table(
+        query: CapacityQuery) -> list[tuple[str, int | Fraction | None]]:
     """Named comparison values for one query, in fixed column order.
 
     None marks a bound that does not apply to the query's shape (and an
     empty CSV cell).
     """
+    from fractions import Fraction  # tandon, rawat at l2 = 2, goparaju
     k, d, n = query.k, query.d, query.n
     alpha, beta = query.alpha, query.beta
     l1, l2 = query.l1, query.l2
     survivors = k - l1 - l2
 
-    pawar = Fraction(survivors * alpha)
+    pawar = survivors * alpha
     tandon = None
     if n == d + 1 and l1 == 0 and 1 <= l2 < k:
         tandon = (k - l2) * (1 - Fraction(1, d)) * alpha
-    shah = Fraction(survivors * (alpha - l2 * beta))
+    shah = survivors * (alpha - l2 * beta)
     rawat = None
     if l2 == 1:
-        rawat = Fraction(survivors * (alpha - beta))
+        rawat = survivors * (alpha - beta)
     elif l2 == 2:
         theta = 2 * beta - Fraction(beta, d + 1 - k)
         rawat = survivors * (alpha - theta)
@@ -138,7 +138,7 @@ def bounds_table(query: CapacityQuery) -> list[tuple[str, Fraction | None]]:
     ]
 
 
-def render_value(value: Fraction | None) -> str:
+def render_value(value: int | Fraction | None) -> str:
     if value is None:
         return ""
     if value.denominator == 1:

@@ -28,6 +28,8 @@ of a table shape sieves nothing.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import DivideByZero, LengthMismatch, NotPrime, Reducible
 
 _TABLE_LIMIT = 1 << 16
@@ -62,18 +64,61 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
+def _divide_out(n: int, f: int, stop: int) -> tuple[list[int], int]:
+    """The primes in [f, stop) that divide n, ascending, and n with them
+    divided out; past sqrt(n) what is left is 1 or a prime."""
     out = []
-    f = 2
-    while f * f <= n:
+    while f < stop and f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return out, n
+
+
+def _rho(n: int) -> int:
+    """A proper factor of n, composite and free of primes below 64:
+    Pollard's rho on x^2 + c with Brent's cycle search (Brent, BIT 1980),
+    for c = 1, 2, ... until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        g, steps, power = 1, 0, 1
+        while g == 1:
+            if steps == power:  # save y at each power of two
+                x, steps, power = y, 0, 2 * power
+            y = (y * y + c) % n
+            steps += 1
+            g = gcd(x - y, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending.
+
+    Trial division takes the primes below 64, and rho splits the rest
+    until _is_prime, sound below _MR_LIMIT, accepts every piece; so the
+    time grows as n^(1/4), not sqrt(n).  A piece at or above _MR_LIMIT
+    that passes every witness is not proven prime, so it is trial-divided.
+    """
+    out, n = _divide_out(n, 2, 64)
+    pieces, found = [n] if n > 1 else [], set(out)
+    while pieces:
+        m = pieces.pop()
+        if m < 64 * 64:  # free of primes below 64
+            found.add(m)
+        elif not _is_prime(m):
+            f = _rho(m)
+            pieces += [f, m // f]
+        elif m < _MR_LIMIT:
+            found.add(m)
+        else:
+            primes, rest = _divide_out(m, 64, m)
+            found.update(primes, [rest] if rest > 1 else [])
+    return sorted(found)
 
 
 # -- byte tables over GF(2^w) for w in {1, 2, 4, 8}

@@ -161,6 +161,18 @@ class NaiveExtension(NaiveField):
         return self.to_int(prod[:self.t])
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1 by trial division, ascending."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
 def span_size(nf: NaiveField, rows) -> int:
     """|span of rows| by exhaustive closure; equals order**rank."""
     width = len(rows[0]) if rows else 0

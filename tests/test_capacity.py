@@ -1,5 +1,6 @@
 """Closed-form capacity values, bounds, and the CSV contract."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,38 @@ def test_secrecy_capacity_examples():
     w = secrecy_capacity(_q(beta=2, l1=0, l2=2))
     assert (w.value, w.kind) == (1, UPPER_BOUND)
     assert (w.t, w.e) == (1, 1)
+
+
+def test_integral_values_are_ints():
+    # an integer by construction is an int equal to the Fraction the
+    # formula gives; a category-2 value stays a Fraction, integral or not
+    seen = set()
+    for k in range(2, 6):
+        for d in range(k, 2 * k + 1):
+            for beta in (1, 2, 3):
+                alpha = (d - k + 1) * beta
+                for l2 in range(k):
+                    v = pi_of(k, d, beta, l2)
+                    seen.add(v.category)
+                    if v.category == 2:
+                        assert type(v.value) is Fraction
+                        continue
+                    assert type(v.value) is int
+                    assert v.value == Fraction(l2 * beta)
+                    for l1 in range(k - l2):
+                        c = secrecy_capacity(CapacityQuery(
+                            k, d, d + 1, alpha, beta, l1, l2))
+                        assert type(c.value) is int
+                        assert c.value == ((k - l1 - l2)
+                                           * (alpha - Fraction(l2 * beta)))
+    assert seen == {1, 2}
+    for query in (_q(l2=1), _q(l2=2), _q(n=6, beta=3, l1=1, l2=1)):
+        for name, value in bounds_table(query):
+            if name in ("cutset", "pawar", "shah") or (
+                    name == "rawat" and query.l2 == 1):
+                assert type(value) is int, name
+            elif value is not None and name != "this_paper":
+                assert type(value) is Fraction, name
 
 
 def test_bad_queries():
@@ -202,6 +235,22 @@ GOLDEN_CSV = (
 def test_csv_golden():
     queries = [_q(l2=l2) for l2 in range(3)]
     assert capacity_csv(queries) == GOLDEN_CSV
+
+
+# sha256 of the CSV over every query of k 2:5, d k:2k, n d+1:d+2, beta 1:3,
+# l1 0:2, l2 0:3 (864 rows), frozen when every value was a Fraction
+SWEEP_SHA256 = (
+    "4040576527a64226e69f7ef6e56b5ebd0bc1afc0170b40f3b87bff902291ba74")
+
+
+def test_csv_sweep_digest():
+    queries = [CapacityQuery(k, d, n, (d - k + 1) * beta, beta, l1, l2)
+               for k in range(2, 6) for d in range(k, 2 * k + 1)
+               for n in (d + 1, d + 2) for beta in (1, 2, 3)
+               for l1 in range(3) for l2 in range(4) if l1 + l2 < k]
+    assert len(queries) == 864
+    text = capacity_csv(queries)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
 
 
 def test_csv_byte_stable():

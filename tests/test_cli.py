@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -32,6 +33,21 @@ def test_encode_reconstruct_roundtrip(tmp_path, capsys):
     rc = main(["reconstruct", "--cluster", str(tmp_path / "c"),
                "--nodes", "2,4,6", "--output", str(out)])
     assert rc == 0
+    assert out.read_bytes() == b"xy"
+
+
+# safe primes p = 2q + 1: the generator the points are powers of needs the
+# prime factors of p - 1, which trial division took 4 s to find at 10^15
+@pytest.mark.parametrize("p,seconds", [(1000000000005719, 1),
+                                       (1000000000000000000004903, 5)])
+def test_encode_over_a_safe_prime_field(tmp_path, p, seconds):
+    assert field._is_prime(p) and field._is_prime((p - 1) // 2)
+    start = time.perf_counter()
+    assert _encode(tmp_path, extra=["--field", f"{p},1"]) == 0
+    assert time.perf_counter() - start < seconds
+    out = tmp_path / "out.bin"
+    assert main(["reconstruct", "--cluster", str(tmp_path / "c"),
+                 "--output", str(out)]) == 0
     assert out.read_bytes() == b"xy"
 
 

@@ -1,6 +1,7 @@
 """Field construction and arithmetic against naive polynomial oracles."""
 
 import itertools
+import math
 import random
 import re
 
@@ -14,7 +15,7 @@ from rsl.extension import (ExtensionSpec, _search_modulus,
 from rsl.field import FieldSpec
 
 from oracles import (NaiveExtension, NaiveField, irreducible_over_prime,
-                     smallest_irreducible)
+                     prime_factors, smallest_irreducible)
 
 GF16 = FieldSpec(2, 4)
 
@@ -351,6 +352,47 @@ def test_generator_has_full_order():
             x = f.mul(x, g)
         assert len(seen) == f.order - 1
         assert x == 1
+
+
+# safe primes p = 2q + 1 near 10^15 and 10^24: factoring p - 1 by trial
+# division runs to sqrt(q)
+SAFE_PRIMES = (1000000000005719, 1000000000000000000004903)
+
+
+def test_prime_factors_match_trial_division(monkeypatch):
+    # every n below 10^4, and every n below 10^5 free of the primes below
+    # 64: the pieces rho and _is_prime see, which trial division leaves of
+    # any other n below 10^5
+    below_64 = math.prod(p for p in range(2, 64) if prime_factors(p) == [p])
+    for n in range(1, 10**5):
+        if n < 10**4 or math.gcd(n, below_64) == 1:
+            assert field._prime_factors(n) == prime_factors(n), n
+    # semiprimes and prime powers past trial division's reach; m31*m61 and
+    # m31^2*m61 lie above psi_13, where a witness proves them composite
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    for primes in ([998244353, 1000000007], [4294967291, 4294967291],
+                   [m61], [m31, m61], [m31, m31, m61],
+                   [2, (SAFE_PRIMES[0] - 1) // 2],
+                   [2, (SAFE_PRIMES[1] - 1) // 2]):
+        assert all(map(field._is_prime, primes))
+        n = math.prod(primes)
+        assert field._prime_factors(n) == sorted(set(primes))
+    # a piece at or above _MR_LIMIT that passes every witness is not
+    # proven prime, so it is trial-divided: a lying test costs time only
+    monkeypatch.setattr(field, "_MR_LIMIT", 64 * 64)
+    monkeypatch.setattr(field, "_is_prime", lambda n: True)
+    for n in range(1, 2 * 10**4):
+        assert field._prime_factors(n) == prime_factors(n), n
+
+
+def test_generator_of_a_safe_prime_field():
+    p = SAFE_PRIMES[0]
+    radicals = (2, (p - 1) // 2)
+    g = FieldSpec(p, 1).generator()
+    # the least c whose (p-1)/r-th power is not 1 for any prime r | p - 1
+    assert all(pow(g, (p - 1) // r, p) != 1 for r in radicals)
+    assert all(any(pow(c, (p - 1) // r, p) == 1 for r in radicals)
+               for c in range(1, g))
 
 
 def test_untabled_field_consistent_with_naive():

@@ -15,9 +15,9 @@ loads, beyond cli, cluster, field, matrix, product_matrix and errors:
     nothing;
   - secure encode: secrecy, entropy (to size the precode), extension;
   - secure reconstruct: secrecy, extension;
-  - attack: secrecy, entropy and capacity (with fractions and decimal),
-    never extension;
-  - capacity-table: capacity;
+  - attack: secrecy, entropy and capacity, never extension; fractions
+    and decimal only for a fractional formula value (category 2);
+  - capacity-table: capacity, fractions and decimal;
   - verify: the harness, secrecy and entropy, and extension on a secure
     cluster.
 A base field outside rsl.field's frozen table, such as GF(25), also loads
@@ -120,6 +120,41 @@ def test_secure_flow_loads_capacity_only_to_attack(tmp_path):
     for module in ("rsl.capacity", "fractions", "decimal"):
         assert module not in reconstruct
     assert "rsl.capacity" in attack  # the report prints the formula value
+
+
+# argv: rsl's arguments; runs them in a fresh interpreter and prints the
+# exit code and the modules added since start-up
+FRESH = """
+import json, sys
+before = set(sys.modules)
+from rsl.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+@pytest.mark.parametrize("options", [[], SECURE], ids=["plain", "secure"])
+def test_attack_loads_no_rational_arithmetic(tmp_path, options):
+    # category 1: the formula value (k-l1-l2)(alpha - l2*beta) is an int
+    payload = tmp_path / "data.bin"
+    payload.write_bytes(b"ok")
+    vault = tmp_path / "vault"
+    assert _python(FRESH, "encode", "--cluster", vault, "--n", "5", "--k",
+                   "3", "--d", "4", *options, payload)["code"] == 0
+    for argv in (["--stored", "1", "--repair", "2", "--json"],
+                 ["--repair", "2"]):
+        got = _python(FRESH, "attack", "--cluster", vault, *argv)
+        assert got["code"] == 0 and "rsl.capacity" in got["added"]
+        for module in ("fractions", "decimal"):
+            assert module not in got["added"]
+
+
+def test_capacity_table_loads_rational_arithmetic():
+    got = _python(FRESH, "capacity-table", "--k", "3", "--d", "4", "--n",
+                  "5", "--beta", "1", "--l1", "0", "--l2", "0:2")
+    assert got["code"] == 0
+    for module in ("rsl.capacity", "fractions", "decimal"):
+        assert module in got["added"]
 
 
 # argv: modules to refuse, comma-separated, then rsl's arguments; runs them
