@@ -5,18 +5,23 @@ reconstruct, attack, verify) or are pure computations (capacity-table,
 verify without --cluster).  Everything prints deterministic output; all
 randomness is seeded and the seed is recorded in cluster metadata.
 
-Each process compiles only what its command runs, down to the one
-subparser main() builds, by the rule the README's "Library" section
-states and tests/test_startup.py enforces.
+Each process compiles only what its command runs, by the rule the
+README's "Library" section states and tests/test_startup.py enforces.
+_TABLE describes every command and option once.  main() parses a
+well-formed command line from it directly (_parse), so a plain call
+never imports argparse, whose import and parser build cost more than
+most commands' own work; anything else (help, abbreviations, errors)
+goes to the argparse parser _build_parser() makes from the same table,
+so every help, usage and error text is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .cluster import ClusterState
 from .errors import BadQuery
@@ -58,71 +63,120 @@ def _parse_field(text: str) -> FieldSpec:
     return FieldSpec(*_parse_pair(text, "--field"))
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The rsl parser; given a command name, with that subcommand alone."""
+# each command once, as (help, {name: add_argument keywords}):
+# _build_parser builds argparse's parser from it and _parse reads it
+_RANGE = {"required": True, "metavar": "A[:B]"}
+_TABLE = {
+    "encode": ("create a cluster from a payload", {
+        "--cluster": {"required": True},
+        "--n": {"type": int, "required": True},
+        "--k": {"type": int, "required": True},
+        "--d": {"type": int, "required": True},
+        "--m": {"type": int, "default": 1},
+        "--field": {"default": "2,8", "metavar": "P,W"},
+        "--secure": {"metavar": "L1,L2",
+                     "help": "wrap against an (l1,l2)-eavesdropper"},
+        "--seed": {"type": int, "help": "seed for the wrapping randomness"},
+        "input": {"help": "payload file, or - for stdin"},
+    }),
+    "fail-repair": ("fail a node and repair it", {
+        "--cluster": {"required": True},
+        "--node": {"type": int, "required": True},
+        "--helpers": {"metavar": "I,J,...",
+                      "help": "defaults to the first d live nodes"},
+    }),
+    "reconstruct": ("decode the payload from k nodes", {
+        "--cluster": {"required": True},
+        "--nodes": {"metavar": "I,J,..."},
+        "--output": {"help": "defaults to stdout"},
+    }),
+    "attack": ("measure what an eavesdropper learned", {
+        "--cluster": {"required": True},
+        "--stored": {"default": "", "metavar": "I,J,..."},
+        "--repair": {"default": "", "metavar": "I,J,..."},
+        "--epochs": {"metavar": "A:B"},
+        "--json": {"action": "store_true"},
+    }),
+    "capacity-table": ("tabulate secrecy-capacity bounds", {
+        "--k": _RANGE,
+        "--d": _RANGE,
+        "--n": _RANGE,
+        "--beta": _RANGE,
+        "--l1": _RANGE,
+        "--l2": _RANGE,
+        "--csv": {"help": "write CSV here instead of stdout"},
+    }),
+    "verify": ("run the property checks, and the integrity checks when "
+               "given a cluster", {
+        "--cluster": {},
+        "--n": {"type": int},
+        "--k": {"type": int},
+        "--d": {"type": int},
+        "--m": {"type": int, "default": 1},
+        "--field": {"default": "2,8", "metavar": "P,W"},
+        "--samples": {"type": int},
+        "--seed": {"type": int},
+        "--report": {"help": "write the JSONL report here"},
+    }),
+}
+
+
+def _build_parser():
+    """The rsl parser, for help, usage and errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="rsl",
         description="regenerating-code clusters with secure wrapping")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    if command in (None, "encode"):
-        enc = sub.add_parser("encode", help="create a cluster from a payload")
-        enc.add_argument("--cluster", required=True)
-        enc.add_argument("--n", type=int, required=True)
-        enc.add_argument("--k", type=int, required=True)
-        enc.add_argument("--d", type=int, required=True)
-        enc.add_argument("--m", type=int, default=1)
-        enc.add_argument("--field", default="2,8", metavar="P,W")
-        enc.add_argument("--secure", metavar="L1,L2",
-                         help="wrap against an (l1,l2)-eavesdropper")
-        enc.add_argument("--seed", type=int,
-                         help="seed for the wrapping randomness")
-        enc.add_argument("input", help="payload file, or - for stdin")
-
-    if command in (None, "fail-repair"):
-        rep = sub.add_parser("fail-repair", help="fail a node and repair it")
-        rep.add_argument("--cluster", required=True)
-        rep.add_argument("--node", type=int, required=True)
-        rep.add_argument("--helpers", metavar="I,J,...",
-                         help="defaults to the first d live nodes")
-
-    if command in (None, "reconstruct"):
-        rec = sub.add_parser("reconstruct",
-                             help="decode the payload from k nodes")
-        rec.add_argument("--cluster", required=True)
-        rec.add_argument("--nodes", metavar="I,J,...")
-        rec.add_argument("--output", help="defaults to stdout")
-
-    if command in (None, "attack"):
-        atk = sub.add_parser("attack",
-                             help="measure what an eavesdropper learned")
-        atk.add_argument("--cluster", required=True)
-        atk.add_argument("--stored", default="", metavar="I,J,...")
-        atk.add_argument("--repair", default="", metavar="I,J,...")
-        atk.add_argument("--epochs", metavar="A:B")
-        atk.add_argument("--json", action="store_true")
-
-    if command in (None, "capacity-table"):
-        cap = sub.add_parser("capacity-table",
-                             help="tabulate secrecy-capacity bounds")
-        for flag in ("--k", "--d", "--n", "--beta", "--l1", "--l2"):
-            cap.add_argument(flag, required=True, metavar="A[:B]")
-        cap.add_argument("--csv", help="write CSV here instead of stdout")
-
-    if command in (None, "verify"):
-        ver = sub.add_parser("verify",
-                             help="run the property checks, and the integrity "
-                                  "checks when given a cluster")
-        ver.add_argument("--cluster")
-        ver.add_argument("--n", type=int)
-        ver.add_argument("--k", type=int)
-        ver.add_argument("--d", type=int)
-        ver.add_argument("--m", type=int, default=1)
-        ver.add_argument("--field", default="2,8", metavar="P,W")
-        ver.add_argument("--samples", type=int)
-        ver.add_argument("--seed", type=int)
-        ver.add_argument("--report", help="write the JSONL report here")
+    for command, (text, options) in _TABLE.items():
+        cmd = sub.add_parser(command, help=text)
+        for name, keywords in options.items():
+            cmd.add_argument(name, **keywords)
     return parser
+
+
+def _parse(argv):
+    """What argparse would parse from argv if argv is in the plain form,
+    else None.
+
+    The plain form is the command name, then each option at most once as
+    two words, --flag value, or one for a store_true flag, and encode's
+    input among them, with no value or input starting with "-".  Every
+    required option is there and every int option's value passes int().
+    Anything else (help, an abbreviation, --flag=value, a repeat, "--",
+    a value starting with "-", a bad int) is left to argparse.
+    """
+    if not argv or argv[0] not in _TABLE:
+        return None
+    options = _TABLE[argv[0]][1]
+    given, words = {}, iter(argv[1:])
+    for word in words:
+        name, value = word, True
+        if not word.startswith("-"):  # encode's input
+            name = next((n for n in options if not n.startswith("-")), None)
+            value = word
+        elif options.get(word, {}).get("action") != "store_true":
+            value = next(words, "-")
+        if (name not in options or name in given
+                or value is not True and value.startswith("-")):
+            return None
+        given[name] = value
+    values = {"command": argv[0]}
+    for name, keywords in options.items():
+        if name in given:
+            value = given[name]
+            if keywords.get("type") is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+        elif keywords.get("required") or not name.startswith("-"):
+            return None
+        else:
+            value = keywords.get("default",
+                                 False if "action" in keywords else None)
+        values[name.lstrip("-")] = value
+    return SimpleNamespace(**values)
 
 
 def _cmd_encode(args) -> int:
@@ -188,8 +242,9 @@ def _cmd_attack(args) -> int:
 def _cmd_capacity_table(args) -> int:
     from .capacity import CapacityQuery, capacity_csv
     queries = []
-    ranges = [_parse_range(getattr(args, name), f"--{name}")
-              for name in ("k", "d", "n", "beta", "l1", "l2")]
+    ranges = [_parse_range(getattr(args, name[2:]), name)
+              for name, keywords in _TABLE["capacity-table"][1].items()
+              if keywords is _RANGE]
     for k, d, n, beta, l1, l2 in itertools.product(*ranges):
         try:
             queries.append(CapacityQuery(k=k, d=d, n=n,
@@ -249,10 +304,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extra = _build_parser(command).parse_known_args(argv)
-    if extra:  # the error's usage line lists every command
-        _build_parser().parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # RslError is a ValueError

@@ -63,7 +63,9 @@ class Reducible(RslError):
 
 
 class SearchLimit(RslError):
-    """Canonical modulus search gave up at its cap on candidates."""
+    """A search gave up at its bound: the canonical modulus search at its
+    cap on candidates, or factoring a group order at a piece too large to
+    prove prime."""
 
 
 class FieldMismatch(RslError):

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DivideByZero, LengthMismatch, NotPrime, Reducible
+from .errors import (DivideByZero, LengthMismatch, NotPrime, Reducible,
+                     SearchLimit)
 
 _TABLE_LIMIT = 1 << 16
 
@@ -64,19 +65,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _divide_out(n: int, f: int, stop: int) -> tuple[list[int], int]:
-    """The primes in [f, stop) that divide n, ascending, and n with them
-    divided out; past sqrt(n) what is left is 1 or a prime."""
-    out = []
-    while f < stop and f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out, n
-
-
 def _rho(n: int) -> int:
     """A proper factor of n, composite and free of primes below 64:
     Pollard's rho on x^2 + c with Brent's cycle search (Brent, BIT 1980),
@@ -102,10 +90,17 @@ def _prime_factors(n: int) -> list[int]:
     Trial division takes the primes below 64, and rho splits the rest
     until _is_prime, sound below _MR_LIMIT, accepts every piece; so the
     time grows as n^(1/4), not sqrt(n).  A piece at or above _MR_LIMIT
-    that passes every witness is not proven prime, so it is trial-divided.
+    that passes every witness is not proven prime, and trial division
+    would not end in time (2^127 - 1 is one), so it raises SearchLimit.
     """
-    out, n = _divide_out(n, 2, 64)
-    pieces, found = [n] if n > 1 else [], set(out)
+    found, rest, f = set(), n, 2
+    while f < 64 and f * f <= rest:  # past sqrt, rest is 1 or a prime
+        if rest % f == 0:
+            found.add(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    pieces = [rest] if rest > 1 else []
     while pieces:
         m = pieces.pop()
         if m < 64 * 64:  # free of primes below 64
@@ -116,8 +111,9 @@ def _prime_factors(n: int) -> list[int]:
         elif m < _MR_LIMIT:
             found.add(m)
         else:
-            primes, rest = _divide_out(m, 64, m)
-            found.update(primes, [rest] if rest > 1 else [])
+            raise SearchLimit(f"cannot factor {n}: {m} passes every "
+                              f"primality witness, but primality is decided "
+                              f"only below {_MR_LIMIT}")
     return sorted(found)
 
 

@@ -1,12 +1,15 @@
 """Command-line flows end to end, in process."""
 
+import ast
 import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
-from rsl import extension, field, secrecy
+from rsl import cli, extension, field, secrecy
 from rsl.capacity import CapacityQuery, capacity_csv
 from rsl.cli import main
 from rsl.cluster import ClusterState
@@ -366,16 +369,22 @@ def test_error_exit_codes(tmp_path, capsys):
                  ["reconstruct", "--cluster", cluster, "--nodes", ""]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
-    # a field with too few distinct alpha0-th powers, and psi_12, a
-    # composite that is a strong pseudoprime to every prime below 41
+    # a field with too few distinct alpha0-th powers; psi_12, a composite
+    # that is a strong pseudoprime to every prime below 41; and GF(2^127),
+    # whose group order 2^127 - 1 is a prime too large to prove so
     psi12 = "318665857834031151167461"
+    m127 = 2**127 - 1
     for argv, where in (
             (fresh + ["--n", "5", "--k", "3", "--d", "4", "--field", "7,1",
                       small],
              "cannot find 5 points with distinct alpha0-th powers in GF(7)"),
             (fresh + ["--n", "6", "--k", "3", "--d", "4", "--field",
                       f"{psi12},1", small],
-             f"characteristic {psi12} is not prime")):
+             f"characteristic {psi12} is not prime"),
+            (fresh + ["--n", "6", "--k", "3", "--d", "4", "--field", "2,127",
+                      small],
+             f"cannot factor {m127}: {m127} passes every primality witness, "
+             "but primality is decided only below 3317044064679887385961981")):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err, argv
@@ -670,6 +679,101 @@ def test_verify_cluster_checks_wrapping(tmp_path, capsys, monkeypatch):
 def test_bad_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# -- the plain-form parser against argparse's
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _literal_argvs(path):
+    """Every list literal in a test file that starts with a command name,
+    each word that is not a string literal read as "1" (a path or an int
+    alike) and each starred part left out."""
+    argvs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.List) and node.elts
+                and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in cli._TABLE):
+            argvs.append([elt.value if isinstance(elt, ast.Constant)
+                          else "1" for elt in node.elts
+                          if not isinstance(elt, ast.Starred)])
+    return argvs
+
+
+def _readme_argvs():
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in text.splitlines() if line.startswith("rsl ")]
+
+
+# the benchmark's calls, one cycle of each workload
+_BENCH = ["--cluster", "g1"]
+BENCH_ARGVS = [
+    ["encode", *_BENCH, "--n", "17", "--k", "9", "--d", "16", "--m", "4",
+     "--field", "2,8", "../inputs/g1.bin"],
+    ["encode", *_BENCH, "--n", "9", "--k", "5", "--d", "8", "--m", "1",
+     "--field", "2,4", "--secure", "1,1", "--seed", "3", "../inputs/g1.bin"],
+    ["encode", *_BENCH, "--n", "6", "--k", "3", "--d", "4", "--m", "1",
+     "--field", "2,8", "../inputs/g1.bin"],
+    ["fail-repair", *_BENCH, "--node", "3", "--helpers",
+     "1,2,4,5,6,7,8,9,10,11,12,13,14,15,16,17"],
+    ["fail-repair", *_BENCH, "--node", "2", "--helpers", "1,3,4,5,6,7,8,9"],
+    ["reconstruct", *_BENCH, "--nodes", "1,2,3,4,5,6,7,8,9"],
+    ["reconstruct", *_BENCH, "--nodes", "2,4,6"],
+    ["attack", *_BENCH, "--stored", "5", "--repair", "3", "--json"],
+    ["verify", *_BENCH],
+]
+
+# (argv, whether the plain form takes it)
+_REPAIR = ["fail-repair", "--cluster", "c", "--node", "1"]
+MUTATIONS = [
+    (["encode", "in", "--d", "4", "--k", "3", "--n", "6", "--cluster", "c"],
+     True),
+    (["attack", "--json", "--repair", "2", "--cluster", "c"], True),
+    (["verify", "--seed", "2", "--n", "5", "--k", "3", "--d", "4"], True),
+    (_REPAIR + ["--node", "2"], False),
+    (["fail-repair", "--cluster", "c", "--node=1"], False),
+    (["fail-repair", "--clus", "c", "--node", "1"], False),
+    (["encode", "--cluster", "c", "--n", "6", "--k", "3", "--d", "4",
+      "--seed", "-5", "in"], False),
+    (["encode", "--cluster", "c", "--n", "6", "--k", "3", "--d", "4", "-"],
+     False),
+    (_REPAIR + ["--helpers", ""], True),
+    (["verify", "--n", " 3", "--k", "2", "--d", "2"], True),
+    (["verify", "--n", "x"], False),
+    (_REPAIR + ["--"], False),
+    (["attack", "--cluster", "c", "--json", "--json"], False),
+    (["attack", "--cluster", "c", "--json", "x"], False),
+    (["encode", "--cluster", "c", "--n", "6", "--k", "3", "--d", "4", "a",
+      "b"], False),
+    (["reconstruct", "--cluster", "c", "out"], False),
+    (["reconstruct", "--cluster", "c", "--output"], False),
+    (["reconstruct", "--cluster", "c", "-h"], False),
+    (["capacity-table", "--k", "3", "--d", "4"], False),
+    (["--help"], False),
+    ([], False),
+]
+
+
+def test_plain_form_parses_as_argparse():
+    argvs = [argv for path in sorted((ROOT / "tests").glob("*.py"))
+             for argv in _literal_argvs(path)]
+    assert len(argvs) > 100
+    argvs += _readme_argvs() + BENCH_ARGVS
+    argvs += [argv for argv, _ in MUTATIONS]
+    parsed = 0
+    for argv in argvs:
+        got = cli._parse(argv)
+        if got is not None:
+            assert vars(got) == vars(cli._build_parser().parse_args(argv)), \
+                argv
+            parsed += 1
+    assert parsed > 100
+    for argv in _readme_argvs() + BENCH_ARGVS:
+        assert cli._parse(argv) is not None, argv
+    for argv, plain in MUTATIONS:
+        assert (cli._parse(argv) is not None) == plain, argv
 
 
 # sha256 of every cluster file after encode and one fail-repair, and the

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -378,11 +379,37 @@ def test_prime_factors_match_trial_division(monkeypatch):
         n = math.prod(primes)
         assert field._prime_factors(n) == sorted(set(primes))
     # a piece at or above _MR_LIMIT that passes every witness is not
-    # proven prime, so it is trial-divided: a lying test costs time only
+    # proven prime, so it raises rather than be trial-divided: under a
+    # lying test, what is left of n past the primes below 64 is a prime
+    # below 64^2 = _MR_LIMIT (answered right), or 1, or it raises
     monkeypatch.setattr(field, "_MR_LIMIT", 64 * 64)
     monkeypatch.setattr(field, "_is_prime", lambda n: True)
     for n in range(1, 2 * 10**4):
-        assert field._prime_factors(n) == prime_factors(n), n
+        rest = n
+        for p in range(2, 64):
+            while rest % p == 0:
+                rest //= p
+        if rest < 64 * 64:
+            assert field._prime_factors(n) == prime_factors(n), n
+        else:
+            with pytest.raises(SearchLimit, match=f"cannot factor {n}: "
+                               f"{rest} passes every primality witness, "
+                               "but primality is decided only below 4096"):
+                field._prime_factors(n)
+
+
+def test_unproven_factor_of_the_group_order_raises():
+    # 2^127 - 1, GF(2^127)'s group order, is a Mersenne prime above
+    # psi_13: trial division would not end, so generator() names the bound
+    f = FieldSpec(2, 127)
+    start = time.perf_counter()
+    m127 = str(2**127 - 1)
+    with pytest.raises(SearchLimit, match=f"cannot factor {m127}: {m127} "
+                       "passes every primality witness, but primality is "
+                       "decided only below 3317044064679887385961981"):
+        f.generator()
+    assert time.perf_counter() - start < 1
+    assert FieldSpec(2, 61).generator() == 2  # 2^61 - 1 lies below psi_13
 
 
 def test_generator_of_a_safe_prime_field():

@@ -28,8 +28,11 @@ loads its stored moduli without a sieve or a search.
 
 Each flow runs in a fresh interpreter and reports the modules each step
 added to sys.modules since start-up, so what site preloads never counts.
-main() builds the parser of the named command alone; the help, usage and
-error texts of the full parser are frozen below and must not change.
+main() parses a well-formed command line from cli._TABLE without
+importing argparse (or the gettext and locale its texts load), and hands
+anything else to the argparse parser built from the same table; the
+help, usage and error texts of that parser, some of them for forms only
+it reads, are frozen below and must not change.
 """
 
 import json
@@ -131,6 +134,18 @@ from rsl.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
 """
+
+
+@pytest.mark.parametrize("options", [[], SECURE], ids=["plain", "secure"])
+def test_well_formed_commands_load_no_argparse(tmp_path, options):
+    # the plain-form parser reads them; argparse, with the gettext and
+    # locale its texts load, is for help and errors
+    steps = _flow(tmp_path, options)
+    verify = _python(FRESH, "verify", "--cluster", tmp_path / "vault")
+    assert verify["code"] == 0
+    for added in [*steps, verify["added"]]:
+        for module in ("argparse", "gettext", "locale"):
+            assert module not in added
 
 
 @pytest.mark.parametrize("options", [[], SECURE], ids=["plain", "secure"])
@@ -342,6 +357,20 @@ options:
                           "'verify')\n", 2),
     "no-command": ([], "", _USAGE + "rsl: error: the following arguments are "
                                     "required: command\n", 2),
+    # forms the plain-form parser leaves to argparse
+    "bad-int": (["fail-repair", "--cluster", "x", "--node", "one"], "",
+                _REPAIR_USAGE + "rsl fail-repair: error: argument --node: "
+                                "invalid int value: 'one'\n", 2),
+    "equals-value": (["fail-repair", "--node=1"], "", _REPAIR_USAGE
+                     + "rsl fail-repair: error: the following arguments are "
+                       "required: --cluster\n", 2),
+    "abbreviation": (["fail-repair", "--clus", "x"], "", _REPAIR_USAGE
+                     + "rsl fail-repair: error: the following arguments are "
+                       "required: --node\n", 2),
+    "repeated": (["fail-repair", "--cluster", "x", "--node", "1", "--node",
+                  "two"], "", _REPAIR_USAGE + "rsl fail-repair: error: "
+                                              "argument --node: invalid int "
+                                              "value: 'two'\n", 2),
     "unrecognized": (["fail-repair", "--cluster", "x", "--node", "1",
                       "--bogus"], "", _USAGE + "rsl: error: unrecognized "
                                                "arguments: --bogus\n", 2),
@@ -371,8 +400,8 @@ def _texts(how, argv):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TEXTS))
 def test_texts_are_the_full_parsers(name):
-    # on any Python: building one subparser changes no help, usage or
-    # error text
+    # on any Python: main's texts are the full parser's, including for
+    # the forms the plain-form parser leaves to it
     argv = GOLDEN_TEXTS[name][0]
     assert _texts("main", argv) == _texts("full", argv)
 
