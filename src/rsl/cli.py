@@ -121,8 +121,9 @@ _TABLE = {
 }
 
 
-def _build_parser():
-    """The rsl parser, for help, usage and errors."""
+def _build_parser(subcommand=None):
+    """The rsl parser, or that of its subcommand, for help, usage and
+    errors."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="rsl",
@@ -132,7 +133,7 @@ def _build_parser():
         cmd = sub.add_parser(command, help=text)
         for name, keywords in options.items():
             cmd.add_argument(name, **keywords)
-    return parser
+    return parser if subcommand is None else sub.choices[subcommand]
 
 
 def _parse(argv):
@@ -276,9 +277,11 @@ def _cmd_verify(args) -> int:
             print(f"{tag} cluster.{check['check']}: {check['detail']}")
     else:
         if args.n is None or args.k is None or args.d is None:
-            print("error: verify needs --cluster or --n/--k/--d",
-                  file=sys.stderr)
-            return 2
+            try:
+                _build_parser("verify").error(
+                    "verify needs --cluster or --n/--k/--d")
+            except SystemExit as exc:  # argparse's usage and error text
+                return exc.code
         params = CodeParams(n=args.n, k=args.k, d=args.d, m=args.m)
         code = ProductMatrixCode(params, _parse_field(args.field))
     results = harness.check_all(code, budget)

@@ -5,14 +5,17 @@ all owned by a single field spec.  Elimination uses first-nonzero
 pivoting, so results are deterministic functions of the input.
 Zero-row and zero-column matrices are legal and have rank 0.
 
-Over GF(2^w) with w in {1, 2, 4, 8}, where the field's packed kernel
-exists, rows are packed one element per byte into an integer, column j
-in byte j: scaling a row is one bytes.translate and adding is one XOR.
-Every other field, extensions included, keeps the loop on element lists,
-which is also the tests' reference; both give the same reduced rows.
-The row arithmetic of every module lives here: the region product
-_combine serves Matrix @ and the codec, and the incremental reducer
-extend_row_space() serves Matrix.rank() and worst-case leakage.
+Every elimination runs one step: a row's first nonzero entry is
+cancelled against a map of pivot rows until the row opens a new pivot
+column or reaches zero.  Over GF(2^w) with w in {1, 2, 4, 8}, where the
+field's packed kernel exists, _reduce runs it on rows packed one element
+per byte into an integer, column j in byte j: scaling a row is one
+bytes.translate and adding is one XOR.  Every other field, extensions
+included, runs _reduce_list on element lists; both give the same reduced
+rows.  The step alone is extend_row_space(), the incremental reducer
+behind Matrix.rank() and worst-case leakage; solve, rref and inverse add
+one back-substitution.  The region product _combine serves Matrix @ and
+the codec.
 """
 
 from __future__ import annotations
@@ -20,97 +23,117 @@ from __future__ import annotations
 from .errors import FieldMismatch, Inconsistent, LengthMismatch, Singular
 
 
-def _echelon(field, rows, pivot_cols):
-    """Row echelon form of rows, pivoting in the first pivot_cols columns.
-
-    Returns (pivots, out).  out[i] for i < len(pivots) has a leading one
-    at column pivots[i], ascending, and zeros left of it; the rows after
-    those are zero in the first pivot_cols columns.  The pivot rows are
-    also zero at each other's pivot columns (reduced row echelon form).
-    """
-    packed = field.packed()
-    if packed is None:
-        out = [list(row) for row in rows]
-        return _list_echelon(field, out, pivot_cols), out
-    width = len(rows[0]) if rows else 0
-    pivots, out = _packed_echelon(
-        packed, [int.from_bytes(bytes(row), "little") for row in rows],
-        width, pivot_cols)
-    return pivots, [tuple(x.to_bytes(width, "little")) for x in out]
-
-
-def _packed_echelon(packed, rows, width, pivot_cols):
-    """_echelon on width-byte packed rows, as a list of packed rows.
-
-    Each row is reduced in turn by _reduce into the pivot rows found so
-    far.  Back-substitution, last pivot first, then clears each pivot
-    column from the pivot rows above it.
-    """
-    found = {}  # pivot column -> (packed row, its bytes), leading one
-    rest = []
-    for x in rows:
-        x = _reduce(packed, found, x, width, pivot_cols)
-        if x is not None:
-            rest.append(x)
-    pivots = sorted(found)
-    tables = packed.tables
-    out = [found[c][0] for c in pivots]
-    for i in range(len(pivots) - 1, 0, -1):
-        shift = pivots[i] << 3
-        data = out[i].to_bytes(width, "little")
-        for j in range(i):
-            f = out[j] >> shift & 0xFF
-            if f:
-                out[j] ^= int.from_bytes(data.translate(tables[f]), "little")
-    return pivots, out + rest
-
-
-def _reduce(packed, found, x, width, pivot_cols):
+def _reduce(packed, found, x, width):
     """Reduce the packed row x into found, a map of pivot column to
     (pivot row, its bytes) with leading ones.
 
     x's first nonzero byte is cancelled while it lies in a pivot column.
-    If it then lies in a new column below pivot_cols, x is scaled to a
-    leading one there, becomes that column's pivot row, and None is
-    returned; otherwise the remainder is returned.
+    If x is then nonzero, it is scaled to a leading one in that new
+    column and becomes its pivot row.
     """
     tables = packed.tables
     while x:
         c = ((x & -x).bit_length() - 1) >> 3
         top = found.get(c)
         if top is None:
-            break
+            data = x.to_bytes(width, "little")
+            lead = x >> (c << 3) & 0xFF
+            if lead != 1:
+                data = data.translate(tables[packed.inv[lead]])
+                x = int.from_bytes(data, "little")
+            found[c] = (x, data)
+            return
         x ^= int.from_bytes(
             top[1].translate(tables[x >> (c << 3) & 0xFF]), "little")
-    if not x or c >= pivot_cols:
-        return x
-    data = x.to_bytes(width, "little")
-    lead = x >> (c << 3) & 0xFF
-    if lead != 1:
-        data = data.translate(tables[packed.inv[lead]])
-        x = int.from_bytes(data, "little")
-    found[c] = (x, data)
-    return None
+
+
+def _reduce_list(field, found, row):
+    """_reduce on a list of elements of field, reduced in place: found
+    maps pivot column to (pivot row, the nonzero (column, value) pairs
+    right of its leading one), so a cancellation pays for the pivot
+    row's nonzeros, not its width."""
+    sub, mul = field.sub, field.mul
+    width = len(row)
+    c = 0
+    while True:
+        while c < width and not row[c]:
+            c += 1
+        if c == width:
+            return
+        top = found.get(c)
+        if top is None:
+            break
+        f = row[c]
+        row[c] = 0
+        for j, y in top[1]:
+            row[j] = sub(row[j], mul(f, y))
+    tail = [(j, row[j]) for j in range(c + 1, width) if row[j]]
+    if row[c] != 1:
+        f = field.inv(row[c])
+        tail = [(j, mul(f, y)) for j, y in tail]
+        row[c] = 1
+        for j, y in tail:
+            row[j] = y
+    found[c] = (row, tail)
 
 
 def extend_row_space(field, basis, rows, width: int):
     """A basis of the row space of basis and rows, rows of width elements
     of field, as a new object whose len() is the rank.
 
-    basis is () or an earlier result, left as it was: on a packed field
-    _reduce's map of pivot column to pivot row, else _list_echelon's pivot
-    rows.  Extending one reduced shared part ranks many stacks for the
-    price of the rest.
+    basis is () or an earlier result, left as it was: the map of pivot
+    column to pivot row that _reduce or _reduce_list keeps.  Extending
+    one reduced shared part ranks many stacks for the price of the rest.
+    """
+    return _reduce_rows(field, field.packed(), dict(basis), rows, width)
+
+
+def _reduce_rows(field, packed, found, rows, width):
+    """found, with each of rows reduced into it by _reduce where packed
+    is field's packed kernel, else by _reduce_list."""
+    for row in rows:
+        if packed is None:
+            _reduce_list(field, found, list(row))
+        else:
+            _reduce(packed, found, int.from_bytes(bytes(row), "little"),
+                    width)
+    return found
+
+
+def _echelon(field, rows, width):
+    """(pivots, out): out is the nonzero rows of the reduced row echelon
+    form of rows, each with a leading one at pivots[i], ascending.
+
+    The rows are reduced as extend_row_space reduces them;
+    back-substitution, last pivot first, then clears each pivot column
+    from the pivot rows above it.
     """
     packed = field.packed()
+    found = _reduce_rows(field, packed, {}, rows, width)
+    pivots = sorted(found)
+    out = [found[c][0] for c in pivots]
+    sub, mul = field.sub, field.mul
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        if packed is None:
+            tail = [(j, y) for j, y in enumerate(out[i]) if y and j > c]
+            for row in out[:i]:
+                f = row[c]
+                if f:
+                    row[c] = 0
+                    for j, y in tail:
+                        row[j] = sub(row[j], mul(f, y))
+        else:
+            shift = c << 3
+            data = out[i].to_bytes(width, "little")
+            for j in range(i):
+                f = out[j] >> shift & 0xFF
+                if f:
+                    out[j] ^= int.from_bytes(data.translate(packed.tables[f]),
+                                             "little")
     if packed is None:
-        out = [list(row) for part in (basis, rows) for row in part]
-        return out[:len(_list_echelon(field, out, width))]
-    basis = dict(basis)
-    for row in rows:
-        _reduce(packed, basis, int.from_bytes(bytes(row), "little"), width,
-                width)
-    return basis
+        return pivots, out
+    return pivots, [tuple(x.to_bytes(width, "little")) for x in out]
 
 
 def _combine(field, coeffs, vectors, length: int) -> list[int]:
@@ -137,51 +160,6 @@ def _combine(field, coeffs, vectors, length: int) -> list[int]:
                 if y:
                     out[j] = add(out[j], mul(c, y))
     return out
-
-
-def _list_echelon(field, rows, pivot_cols):
-    """Reduce rows in place to reduced row echelon form.
-
-    Pivots are searched only in the first pivot_cols columns; returns the
-    list of pivot column indices.  Each pivot row's nonzero (column, value)
-    pairs are listed once, and every other row with a nonzero entry in the
-    pivot column is updated in place at those columns only, so sparse and
-    block-diagonal systems pay for their nonzeros, not their width.
-    """
-    sub, mul, inv = field.sub, field.mul, field.inv
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(pivot_cols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        # columns left of c are zero in every row from r down
-        support = [(j, top[j]) for j in range(c, len(top)) if top[j]]
-        lead = top[c]
-        if lead != 1:
-            f = inv(lead)
-            support = [(j, mul(f, y)) for j, y in support]
-            for j, y in support:
-                top[j] = y
-        for i in range(nrows):
-            row = rows[i]
-            f = row[c]
-            if f == 0 or i == r:
-                continue
-            for j, y in support:
-                row[j] = sub(row[j], mul(f, y))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
 
 class Matrix:
@@ -273,9 +251,10 @@ class Matrix:
         return len(extend_row_space(self.field, (), self.rows, self.ncols))
 
     def rref(self) -> "Matrix":
-        return Matrix._of(self.field,
-                          _echelon(self.field, self.rows, self.ncols)[1],
-                          ncols=self.ncols)
+        out = _echelon(self.field, self.rows, self.ncols)[1]
+        return Matrix._of(
+            self.field, out + [(0,) * self.ncols] * (self.nrows - len(out)),
+            ncols=self.ncols)
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """One solution of self @ x = rhs, free variables set to zero."""
@@ -284,24 +263,24 @@ class Matrix:
         if rhs.nrows != self.nrows:
             raise LengthMismatch(
                 f"rhs has {rhs.nrows} rows, expected {self.nrows}")
+        n = self.ncols
         pivots, aug = _echelon(
             self.field, [a + b for a, b in zip(self.rows, rhs.rows)],
-            self.ncols)
-        for i in range(len(pivots), self.nrows):
-            if any(aug[i][self.ncols:]):
-                raise Inconsistent("no solution")
-        out = [(0,) * rhs.ncols] * self.ncols
-        for r, c in enumerate(pivots):
-            out[c] = aug[r][self.ncols:]
+            n + rhs.ncols)
+        if pivots and pivots[-1] >= n:  # a row 0 = nonzero
+            raise Inconsistent("no solution")
+        out = [(0,) * rhs.ncols] * n
+        for c, row in zip(pivots, aug):
+            out[c] = row[n:]
         return Matrix._of(self.field, out, ncols=rhs.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        rank = self.rank()
-        if rank != self.nrows:
-            raise Singular(f"rank {rank} < {self.nrows}")
-        return self.solve(Matrix.identity(self.field, self.nrows))
+        try:
+            return self.solve(Matrix.identity(self.field, self.nrows))
+        except Inconsistent:
+            raise Singular(f"rank {self.rank()} < {self.nrows}") from None
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

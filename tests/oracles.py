@@ -197,6 +197,28 @@ def naive_rank(nf: NaiveField, rows) -> int:
     return rank
 
 
+def gauss_jordan_rank(field, rows) -> int:
+    """Rank by textbook Gauss-Jordan on a copy of rows, column by column,
+    with only the field's sub, mul and inv: each pivot column is cleared
+    from every other row."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        f = field.inv(rows[rank][c])
+        rows[rank] = [field.mul(f, y) for y in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                g = row[c]
+                rows[i] = [field.sub(y, field.mul(g, z))
+                           for y, z in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
 # -- product-matrix shares straight off the documented layout
 
 def build_matrices(field, params, message):

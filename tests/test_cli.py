@@ -707,6 +707,33 @@ def _readme_argvs():
             for line in text.splitlines() if line.startswith("rsl ")]
 
 
+def _readme_demo():
+    """The Command line section's fenced block, continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Command line"):]
+    block = section[section.index("```sh\n") + 6:]
+    return block[:block.index("```")].replace("\\\n", " ").splitlines()
+
+
+def test_readme_demo_runs_as_written(tmp_path, monkeypatch, capsysbinary):
+    # each line in order, in a fresh directory: `echo -n X > F` writes F,
+    # and every rsl command exits 0
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in _readme_demo():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        if words[:2] == ["echo", "-n"]:
+            assert words[3] == ">" and len(words) == 5, line
+            Path(words[4]).write_text(words[2])
+            continue
+        assert words[0] == "rsl", line
+        assert main(words[1:]) == 0, (line, capsysbinary.readouterr().err)
+        ran += 1
+    assert ran == len(_readme_argvs())
+
+
 # the benchmark's calls, one cycle of each workload
 _BENCH = ["--cluster", "g1"]
 BENCH_ARGVS = [

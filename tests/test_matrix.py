@@ -11,7 +11,8 @@ from rsl.errors import (FieldMismatch, Inconsistent, LengthMismatch,
 from rsl.field import ExtensionSpec, FieldSpec
 from rsl.matrix import Matrix
 
-from oracles import NaiveExtension, NaiveField, naive_rank
+from oracles import (NaiveExtension, NaiveField, gauss_jordan_rank,
+                     naive_rank)
 
 GF2 = FieldSpec(2, 1)
 GF4 = FieldSpec(2, 2)
@@ -293,8 +294,9 @@ def test_sparse_solve_inverse_rref_round_trip(field):
         assert a @ a.solve(b) == b
 
 
-# -- the packed echelon over GF(2^w), w | 8, and the list echelon: each
-# against the span oracle and independent checks, then against each other
+# -- the packed reduction step over GF(2^w), w | 8, and the list one:
+# each against the span oracle and independent checks, then against each
+# other
 
 PACKED = [GF2, GF4, GF16, GF256]
 # the largest rank whose span the oracle counts quickly
@@ -302,17 +304,18 @@ ORACLE_RANK = {GF2: 8, GF4: 5, GF16: 3, GF256: 1}
 
 
 def _unreachable(*args):
-    raise AssertionError("the other echelon ran")
+    raise AssertionError("the other reduction step ran")
 
 
 @pytest.fixture(params=["packed", "list"])
 def kernel(request, monkeypatch):
-    """Pins elimination to one echelon; the other one fails if it runs."""
+    """Pins elimination to one reduction step; the other one fails if it
+    runs."""
     if request.param == "list":
         monkeypatch.setattr(FieldSpec, "packed", lambda self: None)
-        monkeypatch.setattr(matrix, "_packed_echelon", _unreachable)
+        monkeypatch.setattr(matrix, "_reduce", _unreachable)
     else:
-        monkeypatch.setattr(matrix, "_list_echelon", _unreachable)
+        monkeypatch.setattr(matrix, "_reduce_list", _unreachable)
     return request.param
 
 
@@ -439,7 +442,7 @@ def test_packed_and_list_echelons_agree(field, monkeypatch):
                                    GF16_3], ids=repr)
 def test_other_fields_take_the_list_echelon(field, monkeypatch):
     assert field.packed() is None
-    monkeypatch.setattr(matrix, "_packed_echelon", _unreachable)
+    monkeypatch.setattr(matrix, "_reduce", _unreachable)
     a = Matrix(field, _invertible_sparse(field, random.Random(5), 6))
     assert a.rank() == 6
     assert a.rref() == Matrix.identity(field, 6)
@@ -453,24 +456,53 @@ def test_other_fields_take_the_list_echelon(field, monkeypatch):
                          ids=repr)
 def test_extended_row_space_ranks_the_stack(field):
     # a shared part reduced once, then extended by several others: each
-    # extension has the list echelon's rank of the stacked rows, and
-    # leaves the base alone, on packed and list fields alike
+    # extension has a from-scratch Gauss-Jordan's rank of the stacked
+    # rows, and leaves the base alone, on packed and list fields alike
     rng = random.Random(repr(field))
     width = 9
     for trial in range(20):
         shared = _low_rank(field, rng, rng.randrange(6), width,
                            rng.randrange(5))
         base = matrix.extend_row_space(field, (), shared, width)
-        assert len(base) == len(matrix._list_echelon(
-            field, [list(row) for row in shared], width))
+        assert len(base) == gauss_jordan_rank(field, shared)
         before = copy.deepcopy(base)
         for _ in range(3):
             more = _random_rows(field, rng.randrange(5), width, rng.random())
             found = matrix.extend_row_space(field, base, more, width)
-            stack = [list(row) for row in shared + more]
-            assert len(found) == len(matrix._list_echelon(field, stack,
-                                                          width)), trial
+            assert len(found) == gauss_jordan_rank(field,
+                                                   shared + more), trial
         assert base == before
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2, 3), FieldSpec(5, 2)],
+                         ids=repr)
+def test_list_extension_leaves_the_basis_rows_alone(field, monkeypatch):
+    # pivots at columns 0 and 1, both rows nonzero in the free column 2:
+    # a row that opens column 2 with a leading one needs no arithmetic,
+    # where a from-scratch Gauss-Jordan would clear column 2 from both
+    assert field.packed() is None
+    width = 5
+    base = matrix.extend_row_space(field, (), [[1, 0, 2, 0, 1],
+                                               [0, 1, 3, 1, 0]], width)
+    calls = []
+
+    def counted(name):
+        op = getattr(FieldSpec, name)
+        return lambda self, a, b: calls.append(name) or op(self, a, b)
+    for name in ("mul", "sub"):
+        monkeypatch.setattr(FieldSpec, name, counted(name))
+    found = matrix.extend_row_space(field, base, [[0, 0, 1, 0, 0]], width)
+    assert len(found) == 3
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [GF16, FieldSpec(5, 2), GF16_3], ids=repr)
+def test_inverse_reduces_once(field, monkeypatch):
+    # an invertible matrix is inverted by one solve for the identity; the
+    # rank only words the error of a singular one
+    a = Matrix(field, _invertible_sparse(field, random.Random(7), 5))
+    monkeypatch.setattr(Matrix, "rank", _unreachable)
+    assert a @ a.inverse() == Matrix.identity(field, 5)
 
 
 # -- Matrix @ is the region product row by row: against the schoolbook

@@ -412,3 +412,20 @@ def test_texts_are_the_full_parsers(name):
 def test_texts_golden(name):
     argv, *expected = GOLDEN_TEXTS[name]
     assert _texts("main", argv) == tuple(expected)
+
+
+# bare verify parses (no option of verify is required) and only then
+# finds no target: its usage error is the verify subparser's own
+_VERIFY_NEEDS_TARGET = (
+    "usage: rsl verify [-h] [--cluster CLUSTER] [--n N] [--k K] [--d D] "
+    "[--m M]\n                  [--field P,W] [--samples SAMPLES] "
+    "[--seed SEED]\n                  [--report REPORT]\n"
+    "rsl verify: error: verify needs --cluster or --n/--k/--d\n")
+
+
+def test_bare_verify_prints_the_subparsers_usage():
+    out, err, code = _texts("main", ["verify"])
+    assert (out, code) == ("", 2)
+    assert err.startswith("usage: rsl verify ")
+    if sys.version_info[:2] == (3, 11):
+        assert err == _VERIFY_NEEDS_TARGET
