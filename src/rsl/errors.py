@@ -64,8 +64,8 @@ class Reducible(RslError):
 
 class SearchLimit(RslError):
     """A search gave up at its bound: the canonical modulus search at its
-    cap on candidates, or factoring a group order at a piece too large to
-    prove prime."""
+    cap on candidates, or factoring a group order at a piece that no
+    certificate proves prime."""
 
 
 class FieldMismatch(RslError):

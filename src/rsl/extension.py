@@ -331,8 +331,8 @@ def _search_modulus(K, degree: int) -> tuple[int, ...]:
 class ExtensionSpec(Field):
     """GF(q^t) built over a FieldSpec with q = p^w.
 
-    Its digit field is the base, so embed() of a base element is the
-    identity on its integer encoding.
+    Its digit field is the base, so a base element is the extension
+    element of the same integer encoding.
     """
 
     __slots__ = ("base", "t", "_rem")
@@ -391,12 +391,8 @@ class ExtensionSpec(Field):
         """The class of x, a root of the modulus that generates the field."""
         return self.base.order if self.t > 1 else self.base.neg(self.modulus[0])
 
-    def embed(self, a: int) -> int:
-        """Lift a base-field element; identity on the integer encoding."""
-        return self.base.element(a)
-
     def frobenius(self, a: int, i: int = 1) -> int:
-        """a raised to the |base|^i power; fixes embedded base elements.
+        """a raised to the |base|^i power; fixes the base elements.
 
         On the packed path that is i*w squarings, each a packed square
         and one reduction; elsewhere it is pow().

@@ -84,14 +84,23 @@ def _rho(n: int) -> int:
             return g
 
 
+def _certified(m: int) -> bool:
+    """Whether a Lehmer certificate proves m prime: for every prime q of
+    m - 1, some a in 2..63 has a^(m-1) = 1 and a^((m-1)/q) != 1 (mod m)
+    (Brillhart, Lehmer and Selfridge, Math. Comp. 1975, Theorem 1)."""
+    return all(any(pow(a, m - 1, m) == 1 and pow(a, (m - 1) // q, m) != 1
+                   for a in range(2, 64)) for q in _prime_factors(m - 1))
+
+
 def _prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending.
 
     Trial division takes the primes below 64, and rho splits the rest
-    until _is_prime, sound below _MR_LIMIT, accepts every piece; so the
-    time grows as n^(1/4), not sqrt(n).  A piece at or above _MR_LIMIT
-    that passes every witness is not proven prime, and trial division
-    would not end in time (2^127 - 1 is one), so it raises SearchLimit.
+    until every piece is proven prime: by _is_prime below _MR_LIMIT, and
+    at or above it, for a piece that passes every witness (2^127 - 1 is
+    one), by _certified, which factors the piece less one in turn; so
+    the time grows as n^(1/4), not sqrt(n).  A piece no certificate
+    proves prime raises SearchLimit.
     """
     found, rest, f = set(), n, 2
     while f < 64 and f * f <= rest:  # past sqrt, rest is 1 or a prime
@@ -108,12 +117,12 @@ def _prime_factors(n: int) -> list[int]:
         elif not _is_prime(m):
             f = _rho(m)
             pieces += [f, m // f]
-        elif m < _MR_LIMIT:
+        elif m < _MR_LIMIT or _certified(m):
             found.add(m)
         else:
             raise SearchLimit(f"cannot factor {n}: {m} passes every "
-                              f"primality witness, but primality is decided "
-                              f"only below {_MR_LIMIT}")
+                              f"primality witness, but no certificate "
+                              f"proves it prime")
     return sorted(found)
 
 

@@ -8,9 +8,9 @@ witness of its passing result.  The driver counts the checks, stops at
 the first witness and builds the PropertyResult; REGISTRY and
 PROPERTY_IDS list the properties in definition order.
 
-draw() enumerates every subset when the node count is small (n <=
-budget.exhaustive_n) and otherwise samples deterministically from a fixed
-seed, which the result then records.  Six properties run on the code's
+draw() enumerates every subset when there are at most budget.samples
+of them and otherwise samples deterministically from a fixed seed, which
+the result then records.  Six properties run on the code's
 truncation to nodes 1..d+1, enumerate every case there and ignore the
 budget: lemma.truncation and the five whose statement presumes n = d+1.
 
@@ -32,17 +32,13 @@ from .product_matrix import ProductMatrixCode, RepairFromTo, RepairTo, Stored
 
 
 class Budget(Record):
-    __slots__ = ("exhaustive_n", "samples", "seed")
+    __slots__ = ("samples", "seed")
 
-    def __init__(self, exhaustive_n: int = 6, samples: int = 80,
-                 seed: int = 7):
-        super().__init__(exhaustive_n, samples, seed)
+    def __init__(self, samples: int = 80, seed: int = 7):
+        super().__init__(samples, seed)
         # a property with no draws would pass on zero checks
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
-        if exhaustive_n < 0:
-            raise ValueError(
-                f"exhaustive_n must be at least 0, got {exhaustive_n}")
 
 
 class PropertyResult(Record):
@@ -66,8 +62,7 @@ def _describe(code: ProductMatrixCode) -> str:
 def _subsets(pool, size: int, budget: Budget, label: str):
     """All size-subsets, or a deterministic sample when too many."""
     pool = sorted(pool)
-    if len(pool) <= budget.exhaustive_n \
-            or math.comb(len(pool), size) <= budget.samples:
+    if math.comb(len(pool), size) <= budget.samples:
         return list(itertools.combinations(pool, size)), None
     rng = random.Random(f"{budget.seed}:{label}")
     picked = {tuple(sorted(rng.sample(pool, size)))
@@ -339,8 +334,7 @@ def perfect_secrecy(code, draw):
         if ell >= code.params.message_length:
             continue  # nothing can be stored at this shape
         for model in _models(code, [(l1, l2)], draw, "shape"):
-            # verify_perfect's F-rank criterion, for a scheme of size ell
-            yield None if secrecy.leakage(code, model) <= ell else {
+            yield None if secrecy.perfect(code, model, ell) else {
                 "l1": l1, "l2": l2, "stored": list(model.stored),
                 "repaired": list(model.repaired)}
 

@@ -194,10 +194,6 @@ class Matrix:
         self.rows = data
 
     @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)]
                            for i in range(n)])
@@ -228,11 +224,6 @@ class Matrix:
                 raise LengthMismatch("stacking matrices of different widths")
             rows.extend(m.rows)
         return cls._of(first.field, rows, ncols=first.ncols)
-
-    def transpose(self) -> "Matrix":
-        # a matrix without rows still has ncols columns, each empty
-        return Matrix._of(self.field, list(zip(*self.rows)) if self.rows
-                          else [()] * self.ncols, ncols=self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):

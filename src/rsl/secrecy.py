@@ -21,19 +21,18 @@ u_i, taken through ExtensionSpec.multiplier(z_i), and one Frobenius step
 per i.  The eavesdropper's rows A have entries in F, so A @ Moore is the
 Moore matrix of the h_s = sum_j a_sj y^j, whose first ell columns have
 rank min(rank_F A, ell): the view is independent of D iff rank_F A <=
-ell, which verify_perfect() checks over F alone.  unwrap() inverts the
+ell, which perfect() checks over F alone.  unwrap() inverts the
 Moore matrix in closed form, through the basis of L dual to the y^j
 (Lidl and Niederreiter, ch. 2), for the secret rows alone.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .errors import (AsymmetricLeakage, BadModel, CapacityZero,
                      LengthMismatch, Record)
-from .matrix import Matrix, extend_row_space
+from .matrix import extend_row_space
 from .product_matrix import (ProductMatrixCode, RepairTo, Stored,
                              check_precode)
 
@@ -67,12 +66,6 @@ def check_model(code: ProductMatrixCode, model: EavesdropperModel):
     if model.l1 + model.l2 > p.k - 1:
         raise BadModel(
             f"l1+l2 = {model.l1 + model.l2} exceeds k-1 = {p.k - 1}")
-
-
-def eavesdropped_rows(code: ProductMatrixCode,
-                      model: EavesdropperModel) -> Matrix:
-    check_model(code, model)
-    return code.observe(Stored(model.stored), RepairTo(model.repaired))
 
 
 def leakage(code: ProductMatrixCode, model: EavesdropperModel) -> int:
@@ -156,18 +149,6 @@ class SecureScheme:
         self.ell = ell
         self.ext = ext
 
-    @functools.cached_property
-    def moore(self) -> Matrix:
-        """Row j, column i: (y^j)^(q^i) = z_i^j with z_i = y^(q^i), the
-        transpose of the Vandermonde matrix on the conjugates z_i of y.
-
-        The y^j are a basis of L over F, so the matrix is invertible.
-        """
-        ext = self.ext
-        B = ext.t
-        return Matrix.vandermonde(
-            ext, [ext.frobenius(ext.root, i) for i in range(B)], B).transpose()
-
     @property
     def secret_size(self) -> int:
         return self.code.params.message_length - self.ell
@@ -242,14 +223,21 @@ def scheme_make(code: ProductMatrixCode, l1: int, l2: int) -> SecureScheme:
                         ExtensionSpec(code.field, code.params.message_length))
 
 
-def verify_perfect(scheme: SecureScheme, model: EavesdropperModel) -> bool:
-    """True iff the model's view is independent of the wrapped secret.
+def perfect(code: ProductMatrixCode, model: EavesdropperModel,
+            ell: int) -> bool:
+    """True iff the model's view is independent of a secret wrapped with
+    ell random symbols.
 
     The view A @ Moore @ u is independent of the data iff its first ell
     (randomness) columns have the rank of the whole, which for A over F
     is min(rank_F A, ell) against rank_F A: the F-rank must not exceed ell.
     """
-    return leakage(scheme.code, model) <= scheme.ell
+    return leakage(code, model) <= ell
+
+
+def verify_perfect(scheme: SecureScheme, model: EavesdropperModel) -> bool:
+    """perfect() for the scheme's code and randomness ell."""
+    return perfect(scheme.code, model, scheme.ell)
 
 
 def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
@@ -261,8 +249,8 @@ def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
     example from an event log); the formula comparison always uses the
     worst case over all potential helpers.  ell, when given, is the
     randomness of the scheme the message is wrapped in, and "perfect"
-    is verify_perfect's verdict for it: that needs only the F-rank, so
-    the report builds nothing over the extension L.
+    is perfect()'s verdict for it: that needs only the F-rank, so the
+    report builds nothing over the extension L.
     """
     from . import capacity as cap  # only attacks compare with the formula
     worst = leakage(code, model)
@@ -280,7 +268,7 @@ def attack_report(code: ProductMatrixCode, model: EavesdropperModel,
                   "repaired": list(model.repaired)},
         "leakage": leak,
         "secure_size": B - leak,
-        "perfect": None if ell is None else worst <= ell,
+        "perfect": None if ell is None else perfect(code, model, ell),
         "formula_value": cap.render_value(formula.value),
         "formula_kind": formula.kind,
         "match": bool(match),

@@ -219,6 +219,14 @@ def gauss_jordan_rank(field, rows) -> int:
     return rank
 
 
+def moore(ext):
+    """The Moore matrix of the wrapping over ext = L, by definition: row j,
+    column i is (y^j)^(q^i), y = ext.root and q the base field's order.
+    The y^j are a basis of L over the base, so it is invertible."""
+    return [[ext.frobenius(ext.pow(ext.root, j), i) for i in range(ext.t)]
+            for j in range(ext.t)]
+
+
 # -- product-matrix shares straight off the documented layout
 
 def build_matrices(field, params, message):

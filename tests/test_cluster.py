@@ -16,9 +16,8 @@ from rsl.errors import (BadModel, IntegrityError, PayloadTooLarge, SelfRepair,
 from rsl.field import FieldSpec
 from rsl.matrix import Matrix
 from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
-                                Stored)
-from rsl.secrecy import (EavesdropperModel, SecureScheme, eavesdropped_rows,
-                         leakage)
+                                RepairTo, Stored)
+from rsl.secrecy import EavesdropperModel, leakage
 
 GF16 = FieldSpec(2, 4)
 GF256 = FieldSpec(2, 8)
@@ -210,19 +209,6 @@ def test_secure_load_runs_no_search(tmp_path, monkeypatch):
     assert state.reconstruct_payload() == b"s"
     state.fail_repair(3)
     assert state.attack([], [3])["perfect"] is True
-
-
-def test_secure_attack_builds_no_moore(tmp_path, monkeypatch):
-    _secure(tmp_path)
-
-    def no_moore(self):
-        raise AssertionError("Moore matrix built during attack")
-    monkeypatch.setattr(SecureScheme, "moore", property(no_moore))
-    state = ClusterState.load(tmp_path / "c")
-    state.fail_repair(3)
-    report = state.attack([], [3])
-    assert report["perfect"] is True
-    assert report["leakage"] == 4
 
 
 def test_secure_seed_reproducible(tmp_path):
@@ -429,7 +415,8 @@ def _full_width_attack_ranks(state, model, epochs):
     width = code.params.message_length
     return (Matrix(code.field, stored_rows + event_rows, ncols=width).rank(),
             Matrix(code.field, baseline, ncols=width).rank(),
-            eavesdropped_rows(code, model).rank())
+            code.observe(Stored(model.stored),
+                         RepairTo(model.repaired)).rank())
 
 
 @pytest.mark.parametrize("shape", [(7, 3, 4, 2), (8, 4, 6, 3)])

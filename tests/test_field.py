@@ -378,36 +378,52 @@ def test_prime_factors_match_trial_division(monkeypatch):
         assert all(map(field._is_prime, primes))
         n = math.prod(primes)
         assert field._prime_factors(n) == sorted(set(primes))
-    # a piece at or above _MR_LIMIT that passes every witness is not
-    # proven prime, so it raises rather than be trial-divided: under a
-    # lying test, what is left of n past the primes below 64 is a prime
-    # below 64^2 = _MR_LIMIT (answered right), or 1, or it raises
+    # a piece at or above _MR_LIMIT that passes every witness counts
+    # only once a Lehmer certificate proves it prime: under a lying test,
+    # what is left of n past the primes below 64 is a prime below 64^2 =
+    # _MR_LIMIT, or 1 (answered right), or a prime whose certificate
+    # holds (answered right), or it raises
+    def free(m):
+        for p in range(2, 64):
+            while m % p == 0:
+                m //= p
+        return m
+
+    def proven(m):
+        # the lie passes rest = free(m - 1) whole, so its certificate is
+        # needed too
+        rest = free(m - 1)
+        return prime_factors(m) == [m] and (rest < 64 * 64 or proven(rest))
+
     monkeypatch.setattr(field, "_MR_LIMIT", 64 * 64)
     monkeypatch.setattr(field, "_is_prime", lambda n: True)
+    outcomes = set()
     for n in range(1, 2 * 10**4):
-        rest = n
-        for p in range(2, 64):
-            while rest % p == 0:
-                rest //= p
-        if rest < 64 * 64:
+        rest = free(n)
+        if rest < 64 * 64 or proven(rest):
             assert field._prime_factors(n) == prime_factors(n), n
-        else:
+            outcomes.add("proven" if rest >= 64 * 64 else "small")
+        elif prime_factors(rest) != [rest]:
             with pytest.raises(SearchLimit, match=f"cannot factor {n}: "
                                f"{rest} passes every primality witness, "
-                               "but primality is decided only below 4096"):
+                               "but no certificate proves it prime"):
                 field._prime_factors(n)
+            outcomes.add("composite")
+        else:  # a composite piece of rest - 1 fails its own certificate
+            with pytest.raises(SearchLimit):
+                field._prime_factors(n)
+            outcomes.add("unproven")
+    assert outcomes == {"small", "proven", "composite", "unproven"}
 
 
-def test_unproven_factor_of_the_group_order_raises():
-    # 2^127 - 1, GF(2^127)'s group order, is a Mersenne prime above
-    # psi_13: trial division would not end, so generator() names the bound
-    f = FieldSpec(2, 127)
+@pytest.mark.parametrize("w", [89, 107, 127])
+def test_mersenne_group_orders_are_certified(w):
+    # 2^w - 1, GF(2^w)'s group order, is a Mersenne prime above psi_13:
+    # a certificate proves it prime, so every element but 0 and 1
+    # generates, and trial division never runs
+    f = FieldSpec(2, w)
     start = time.perf_counter()
-    m127 = str(2**127 - 1)
-    with pytest.raises(SearchLimit, match=f"cannot factor {m127}: {m127} "
-                       "passes every primality witness, but primality is "
-                       "decided only below 3317044064679887385961981"):
-        f.generator()
+    assert f.generator() == 2
     assert time.perf_counter() - start < 1
     assert FieldSpec(2, 61).generator() == 2  # 2^61 - 1 lies below psi_13
 
@@ -514,9 +530,8 @@ def test_extension_basic():
     L = ExtensionSpec(GF16, 3)
     assert L.order == 16 ** 3
     assert L.char == 2
-    # base elements embed as themselves and are fixed by frobenius
+    # base elements, the integers below 16, are fixed by frobenius
     for a in range(16):
-        assert L.embed(a) == a
         assert L.frobenius(a) == a
     # frobenius is the q-power map
     for v in (17, 4095, 2**12 - 3):
@@ -613,7 +628,7 @@ def test_extension_root_is_a_root_of_the_modulus(name, t, modulus):
     L = ExtensionSpec(base, t, modulus)
     value = 0
     for coeff in reversed(L.modulus):
-        value = L.add(L.mul(value, L.root), L.embed(coeff))
+        value = L.add(L.mul(value, L.root), coeff)
     assert value == 0
     if t > 1:  # x itself, the digit 1 in place 1
         assert L.coeffs(L.root) == (0, 1) + (0,) * (t - 2)

@@ -92,28 +92,37 @@ def test_report_jsonl_shape_and_stability():
 
 def test_sampling_records_seed_and_is_deterministic():
     code = _code(n=7, field=GF256)
-    budget = Budget(exhaustive_n=4, samples=6, seed=11)
+    budget = Budget(samples=6, seed=11)
     first = run_property("msr.reconstruction", code, budget)
     assert first.passed
     assert first.seed == 11  # comb(7,3) = 35 > 6 forces sampling
     again = run_property("msr.reconstruction", code, budget)
     assert report_jsonl([first]) == report_jsonl([again])
-    wider = run_property("msr.reconstruction", code,
-                         Budget(exhaustive_n=7, samples=100))
+    wider = run_property("msr.reconstruction", code, Budget(samples=100))
     assert wider.seed is None
     assert wider.checks == 35
 
 
+def test_few_samples_sample_a_small_pool():
+    # the subsets decide, not the node count: 5 samples of the C(6,3) = 20
+    # reconstruction groups are drawn, and the seed recorded
+    result = run_property("msr.reconstruction", _code(n=6),
+                          Budget(samples=5, seed=3))
+    assert result.passed
+    assert result.seed == 3
+    assert result.checks <= 5
+
+
 def test_budget_rejects_sizes_that_check_nothing():
     # samples=0 would make every sampled property pass on zero checks
-    for bad in ({"samples": 0}, {"samples": -3}, {"exhaustive_n": -1}):
+    for bad in ({"samples": 0}, {"samples": -3}):
         with pytest.raises(ValueError):
             Budget(**bad)
-    Budget(exhaustive_n=0, samples=1)
+    Budget(samples=1)
 
 
 def test_seed_zero_is_recorded(monkeypatch):
-    budget = Budget(exhaustive_n=4, samples=6, seed=0)
+    budget = Budget(samples=6, seed=0)
     code = _code(n=7)  # C(6,4) = 15 helper sets per node > 6 samples
     for pid in ("def.stability", "scheme.perfect_secrecy"):
         result = run_property(pid, code, budget)
@@ -188,8 +197,9 @@ GOLDEN_SAMPLED = (
 
 
 def test_sampled_report_golden():
-    # n=7 > exhaustive_n forces sampling in the five seeded properties
-    budget = Budget(exhaustive_n=4, samples=6, seed=11)
+    # 6 samples, fewer than the subsets of n=7 nodes, force sampling in
+    # the five seeded properties
+    budget = Budget(samples=6, seed=11)
     assert report_jsonl(check_all(_code(n=7), budget)) == GOLDEN_SAMPLED
 
 

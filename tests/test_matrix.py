@@ -41,7 +41,7 @@ def test_rank_edge_cases():
     assert Matrix(GF16, [], ncols=4).rank() == 0
     assert Matrix(GF16, [[0, 0, 0]]).rank() == 0
     assert Matrix.identity(GF16, 5).rank() == 5
-    assert Matrix.zeros(GF16, 3, 4).rank() == 0
+    assert Matrix(GF16, [[0] * 4] * 3).rank() == 0
     dup = Matrix(GF16, [[1, 2], [1, 2], [2, 4]])
     assert dup.rank() == 1  # third row is twice the first
 
@@ -132,7 +132,7 @@ def test_inverse():
     with pytest.raises(Singular, match=r"^rank 1 < 2$"):
         Matrix(GF16, [[1, 2], [1, 2]]).inverse()
     with pytest.raises(Singular, match=r"^rank 0 < 3$"):
-        Matrix.zeros(GF16, 3, 3).inverse()
+        Matrix(GF16, [[0] * 3] * 3).inverse()
     for wide in (Matrix(GF16, [[1, 2]]), Matrix(GF16, [], ncols=3)):
         with pytest.raises(ValueError,
                            match=r"^inverse of a non-square matrix$"):
@@ -140,12 +140,6 @@ def test_inverse():
     empty = Matrix(GF16, [], ncols=0).inverse()
     assert (empty.nrows, empty.ncols) == (0, 0)
     assert empty == Matrix.identity(GF16, 0)
-
-
-def test_transpose():
-    a = Matrix(GF16, [[1, 2, 3], [4, 5, 6]])
-    assert a.transpose().rows == ((1, 4), (2, 5), (3, 6))
-    assert a.transpose().transpose() == a
 
 
 def test_construction_validation():
@@ -333,7 +327,7 @@ def _matrices(field, rng, most):
     """Random, sparse, rank-deficient, zero-row and zero-column matrices,
     none of rank above most."""
     out = [Matrix(field, [], ncols=5), Matrix(field, [[], [], []]),
-           Matrix.zeros(field, 3, 4), Matrix(field, [[0, 0, 1, 0]])]
+           Matrix(field, [[0] * 4] * 3), Matrix(field, [[0, 0, 1, 0]])]
     for shape in [(most, most + 3), (most + 2, most), (1, 7)]:
         if min(shape) <= most:
             out.append(Matrix(field, _random_rows(field, *shape,

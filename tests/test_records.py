@@ -41,9 +41,8 @@ CASES = [
     (secrecy_capacity(CapacityQuery(5, 5, 6, 1, 1, 0, 3)),
      "CapacityValue(value=Fraction(0, 1), kind='upper_bound', category=2, "
      "t=1, e=2)", (Fraction(0), "upper_bound", 2, 1, 2)),
-    (Budget(), "Budget(exhaustive_n=6, samples=80, seed=7)", (6, 80, 7)),
-    (Budget(exhaustive_n=4, samples=6, seed=11),
-     "Budget(exhaustive_n=4, samples=6, seed=11)", (4, 6, 11)),
+    (Budget(), "Budget(samples=80, seed=7)", (80, 7)),
+    (Budget(samples=6, seed=11), "Budget(samples=6, seed=11)", (6, 11)),
     (PropertyResult("lemma.express", "n=5 k=3", True, 4),
      "PropertyResult(property='lemma.express', instance='n=5 k=3', "
      "passed=True, checks=4, witness=None, seed=None)",
@@ -135,8 +134,7 @@ def test_capacity_query_messages(args, message):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"samples": 0}, "samples must be at least 1, got 0"),
-    ({"exhaustive_n": -1}, "exhaustive_n must be at least 0, got -1"),
-    ({"samples": -3, "exhaustive_n": -1}, "samples must be at least 1, got -3"),
+    ({"samples": -3}, "samples must be at least 1, got -3"),
 ])
 def test_budget_messages(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

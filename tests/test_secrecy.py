@@ -13,16 +13,18 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from rsl import secrecy
 from rsl.errors import (AsymmetricLeakage, BadModel, CapacityZero,
                         FieldMismatch, LengthMismatch)
 from rsl.field import ExtensionSpec, FieldSpec
 from rsl.matrix import Matrix
 from rsl.product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
-                                RepairTo)
+                                RepairTo, Stored)
 from rsl.secrecy import (EavesdropperModel, SecureScheme,
                          achieved_secure_size, attack_report, check_model,
-                         eavesdropped_rows, enumerate_models, leakage,
-                         scheme_make, verify_perfect, worst_case_leakage)
+                         enumerate_models, leakage, scheme_make,
+                         verify_perfect, worst_case_leakage)
 
 GF16 = FieldSpec(2, 4)
 
@@ -196,7 +198,6 @@ def test_moore_from_powers_matches_frobenius(n, k, modulus):
     code = ProductMatrixCode(CodeParams(n=n, k=k, d=2 * k - 2), GF16)
     B = code.params.message_length
     ext = ExtensionSpec(GF16, B, modulus)
-    scheme = SecureScheme(code, 0, 0, 0, ext)
     # row j, column i: (y^j)^(16^i), each entry one frobenius step on
     # the one to its left
     slow = []
@@ -206,13 +207,14 @@ def test_moore_from_powers_matches_frobenius(n, k, modulus):
             row.append(v)
             v = ext.frobenius(v)
         slow.append(row)
-    assert scheme.moore == Matrix(ext, slow)
+    assert oracles.moore(ext) == slow
 
 
-def _unwrap_slow(scheme, message):
+def _unwrap_slow(ext, message):
     # the reference: solve the Moore system over L by list elimination
-    column = Matrix(scheme.ext, [[c] for c in message], ncols=1)
-    return [row[0] for row in scheme.moore.solve(column).rows]
+    column = Matrix(ext, [[c] for c in message], ncols=1)
+    return [row[0] for row in
+            Matrix(ext, oracles.moore(ext)).solve(column).rows]
 
 
 # (field, n, k): GF(16)^20 and GF(256)^6 run packed, GF(8)^6, GF(11)^6 and
@@ -230,10 +232,11 @@ def test_wrap_closed_form_matches_moore_product(field, n, k):
     B = code.params.message_length
     ext = ExtensionSpec(field, B)
     rng = random.Random(B)
+    moore = Matrix(ext, oracles.moore(ext))
     for ell in sorted({0, B // 2, B}):
         scheme = SecureScheme(code, 0, 0, ell, ext)
         u = [rng.randrange(ext.order) for _ in range(B)]
-        want = scheme.moore @ Matrix(ext, [[x] for x in u], ncols=1)
+        want = moore @ Matrix(ext, [[x] for x in u], ncols=1)
         assert scheme.wrap(u[ell:], u[:ell]) == [row[0] for row in want.rows]
 
 
@@ -245,7 +248,7 @@ def test_unwrap_closed_form_matches_moore_solve(field, n, k):
     rng = random.Random(B)
     for _ in range(2):
         message = [rng.randrange(ext.order) for _ in range(B)]
-        u = _unwrap_slow(SecureScheme(code, 0, 0, 0, ext), message)
+        u = _unwrap_slow(ext, message)
         for ell in range(B + 1):
             scheme = SecureScheme(code, 0, 0, ell, ext)
             assert scheme.unwrap(message) == u[ell:], ell
@@ -286,12 +289,13 @@ def _moore_verdicts(code):
     """
     B = code.params.message_length
     ext = ExtensionSpec(code.field, B)
-    moore = SecureScheme(code, 0, 0, 0, ext).moore
+    moore = Matrix(ext, oracles.moore(ext))
     models = [model for l1 in range(code.params.k)
               for l2 in range(code.params.k - l1)
               for model in enumerate_models(code, l1, l2)]
     for model in models:
-        rows = eavesdropped_rows(code, model).rows
+        rows = code.observe(Stored(model.stored),
+                            RepairTo(model.repaired)).rows
         composed = Matrix(ext, rows, ncols=B) @ moore
         full = composed.rank()
         for ell in range(B):
@@ -438,3 +442,21 @@ def test_readme_library_example_runs():
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     block = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_verdict_goes_through_perfect(monkeypatch):
+    # one place compares a model's leakage with ell: the attack report,
+    # verify_perfect and the harness's scheme.perfect_secrecy all ask it
+    from rsl.harness import run_property
+    calls = []
+    monkeypatch.setattr(secrecy, "perfect",
+                        lambda code, model, ell: calls.append(ell) or False)
+    code = _code()
+    scheme = scheme_make(code, 0, 1)
+    model = EavesdropperModel((), (2,))
+    assert attack_report(code, model, ell=scheme.ell)["perfect"] is False
+    assert not verify_perfect(scheme, model)
+    assert calls == [scheme.ell, scheme.ell]
+    result = run_property("scheme.perfect_secrecy", code)
+    assert not result.passed
+    assert len(calls) == 3
