@@ -273,10 +273,12 @@ class ClusterState:
     def load(cls, path) -> "ClusterState":
         path = Path(path)
         try:
-            meta = json.loads((path / "meta.json").read_text())
+            meta = json.loads((path / "meta.json").read_text("utf-8"))
         except FileNotFoundError:
             raise IntegrityError(f"no cluster at {path}")
-        _require(meta, {"layout": None}, "meta.json")
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise IntegrityError("meta.json is not valid JSON") from None
+        _require(meta, {"layout": _INT}, "meta.json")
         if meta["layout"] != LAYOUT_VERSION:
             raise IntegrityError(f"unknown layout {meta['layout']}")
         _require(meta, {"params": None, "field": None, "points": _INTS,
@@ -344,14 +346,14 @@ class ClusterState:
     # -- event log
 
     def events(self) -> list[dict]:
-        lines = (self.path / "events.jsonl").read_text().splitlines()
+        lines = (self.path / "events.jsonl").read_bytes().splitlines()
         out = []
         for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
+                event = json.loads(line.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 raise IntegrityError(
                     f"events.jsonl line {number} is not valid JSON "
                     f"(torn write?)") from None
@@ -524,7 +526,11 @@ class ClusterState:
 
         last = 0
         log_ok, log_detail = True, "event log consistent"
-        for e in self.events():
+        try:
+            events = self.events()
+        except (IntegrityError, OSError) as exc:
+            log_ok, log_detail, events = False, str(exc), []
+        for e in events:
             if e["epoch"] <= last:
                 log_ok, log_detail = False, f"epoch {e['epoch']} not increasing"
                 break

@@ -11,9 +11,10 @@ not load it.
 
 Polynomials run on coefficient lists, except over GF(2^w) with w in
 {1, 2, 4, 8}, where _PackedPoly works on the integer of w-bit digits with
-rsl.field's byte tables.  The sieve, the search, ExtensionSpec.mul,
-frobenius and multiplier take that path; every other base, such as GF(8)
-or GF(25), keeps the list path, the reference the tests check against.
+rsl.field's byte tables.  The sieve, the search and ExtensionSpec's mul,
+inv, frobenius and multiplier take that path, so coefficient lists serve
+only bases without that kernel, such as GF(8) or GF(25), and are the
+reference the tests check against.
 The search gives up with SearchLimit after _SEARCH_LIMIT candidates, so
 a shape whose sparse candidates are all reducible, such as GF(256)^20,
 fails in seconds instead of running for hours.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 
-from . import field
 from .errors import DivideByZero, SearchLimit
 from .field import (Field, FieldSpec, _byte_map, _checked_modulus, _monic,
                     _Packed)
@@ -296,8 +296,9 @@ def _find_modulus(K, degree: int) -> tuple[int, ...]:
     Candidates are ordered by the integer encoding of their low coefficients
     in base |K|, so the result is a deterministic function of (K, degree).
     This search is the definition of the canonical modulus; it caches
-    nothing, and verify_cluster runs it to check a stored modulus.  It
-    raises SearchLimit after _SEARCH_LIMIT candidates.
+    nothing (rsl.field._checked_modulus records what it finds), and
+    verify_cluster runs it to check a stored modulus.  It raises
+    SearchLimit after _SEARCH_LIMIT candidates.
     """
     q = K.order
     packed = _kernel(K)
@@ -315,17 +316,6 @@ def _find_modulus(K, degree: int) -> tuple[int, ...]:
         f"no canonical modulus for GF({q})^{degree}, (q, t) = ({q}, "
         f"{degree}), in {_SEARCH_LIMIT:,} candidates; the table "
         f"rsl.field._FROZEN does not list it")
-
-
-def _search_modulus(K, degree: int) -> tuple[int, ...]:
-    """The canonical modulus of the degree over K: from rsl.field's cache,
-    which starts as the frozen table, else found by _find_modulus and
-    remembered there for the process."""
-    key = (K.order, K.modulus, degree)
-    hit = field._MODULUS_CACHE.get(key)
-    if hit is None:
-        hit = field._MODULUS_CACHE[key] = _find_modulus(K, degree)
-    return hit
 
 
 class ExtensionSpec(Field):
@@ -366,23 +356,17 @@ class ExtensionSpec(Field):
         return self._list_mul(a, b)
 
     def inv(self, a: int) -> int:
-        """Extended Euclid over the base field against the modulus."""
+        """a^-1 by the norm (Lidl and Niederreiter, Finite Fields, ch. 2):
+        with q = |base| and r = (q^t - 1)/(q - 1), a^(r-1) is the product
+        of the conjugates a^(q^i), 0 < i < t, and N(a) = a * a^(r-1) lies
+        in the base, so a^-1 = a^(r-1) * N(a)^-1."""
         if a == 0:
             raise DivideByZero("inverse of zero")
-        base = self.base
-        # invariant: r == s * a modulo the modulus, for both (r0, s0), (r1, s1)
-        r0, s0 = list(self.modulus), []
-        r1, s1 = _ptrim(list(self.coeffs(a))), [1]
-        while len(r1) > 1:
-            lead_inv = base.inv(r1[-1])
-            while len(r0) >= len(r1):
-                term = [0] * (len(r0) - len(r1)) + [base.mul(r0[-1], lead_inv)]
-                r0 = _psub(base, r0, _pmul(base, term, r1))
-                s0 = _psub(base, s0, _pmul(base, term, s1))
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        # the modulus is irreducible, so the last remainder is a nonzero unit
-        scale = base.inv(r1[0])
-        return self._pack(base.mul(c, scale) for c in s1)
+        conjugate, rest = a, 1
+        for _ in range(self.t - 1):
+            conjugate = self.frobenius(conjugate)
+            rest = self.mul(rest, conjugate)
+        return self.mul(rest, self.base.inv(self.mul(a, rest)))
 
     # -- structure
 

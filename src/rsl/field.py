@@ -191,7 +191,7 @@ _FROZEN = {(2, _GF2, 4): 0x3, (2, _GF2, 8): 0x1b,
            (16, _GF16, 6): 0x12d, (16, _GF16, 20): 0x1089,
            (256, _GF256, 6): 0x10131}
 # the canonical moduli this process knows, each irreducible: the frozen
-# table, and what rsl.extension._search_modulus has found since
+# table, then what _checked_modulus, its one reader and writer, has found
 _MODULUS_CACHE: dict = {key: _monic(key[0], key[2], v)
                         for key, v in _FROZEN.items()}
 
@@ -200,17 +200,18 @@ def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
     """The modulus of K[x]/(f) at degree t: the canonical one when none is
     given, else the given one, checked to hold t + 1 elements of K, to be
     monic and, for t >= 2, irreducible over K: a known canonical modulus
-    is, and any other goes through rsl.extension's sieve."""
+    is, and any other goes through rsl.extension's sieve.  It owns
+    _MODULUS_CACHE, recording each canonical modulus _find_modulus finds."""
     if t < 1:
         raise ValueError("extension degree must be >= 1")
     if modulus is None:
         if t == 1:
             return (0, 1)
-        known = _MODULUS_CACHE.get((K.order, K.modulus, t))
-        if known is None:
-            from .extension import _search_modulus
-            known = _search_modulus(K, t)
-        return known
+        key = (K.order, K.modulus, t)
+        if key not in _MODULUS_CACHE:
+            from .extension import _find_modulus
+            _MODULUS_CACHE[key] = _find_modulus(K, t)
+        return _MODULUS_CACHE[key]
     modulus = tuple(K.element(int(c)) for c in modulus)
     if len(modulus) != t + 1:
         raise LengthMismatch(

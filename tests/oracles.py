@@ -161,6 +161,32 @@ class NaiveExtension(NaiveField):
         return self.to_int(prod[:self.t])
 
 
+def extension_inverse(ext: NaiveExtension, a):
+    """a^-1 in ext by the extended Euclidean algorithm against its
+    modulus, on coefficient lists over ext.base."""
+    K = ext.base
+
+    def sub(u, v):
+        u, v = u + [0] * (len(v) - len(u)), v + [0] * (len(u) - len(v))
+        return poly_trim(K.add(x, K.neg(y)) for x, y in zip(u, v))
+
+    def times(c, shift, u):
+        return [0] * shift + [K.mul(c, x) for x in u]
+    # invariant: r == s * a modulo the modulus, for (r0, s0) and (r1, s1)
+    r0, s0 = list(ext.modulus), []
+    r1, s1 = poly_trim(ext.to_poly(a)), [1]
+    while len(r1) > 1:
+        lead = K.inv(r1[-1])
+        while len(r0) >= len(r1):
+            c, shift = K.mul(r0[-1], lead), len(r0) - len(r1)
+            r0 = sub(r0, times(c, shift, r1))
+            s0 = sub(s0, times(c, shift, s1))
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    # the modulus is irreducible, so the last remainder is a nonzero unit
+    scale = K.inv(r1[0])
+    return ext.to_int([K.mul(c, scale) for c in s1])
+
+
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1 by trial division, ascending."""
     out, f = [], 2

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rsl import cli, extension, field, secrecy
+from rsl import cli, extension, field, harness, secrecy
 from rsl.capacity import CapacityQuery, capacity_csv
 from rsl.cli import main
 from rsl.cluster import ClusterState
@@ -27,6 +27,20 @@ def _encode(tmp_path, name="c", payload=b"xy", extra=()):
     argv = ["encode", "--cluster", str(tmp_path / name),
             "--n", "6", "--k", "3", "--d", "4", *extra, str(src)]
     return main(argv)
+
+
+def _log_refusal(argv, capsys) -> str:
+    """What a command says of a refused event log, newline-terminated:
+    fail-repair and attack stop with an error line; verify reports a
+    failed events check and still runs the rest."""
+    out, err = capsys.readouterr()
+    if argv[0] != "verify":
+        assert err.startswith("error: "), argv
+        return err.removeprefix("error: ")
+    assert err == "" and "PASS cluster.agreement" in out, argv
+    prefix = "FAIL cluster.events: "
+    return next(line.removeprefix(prefix) for line in out.splitlines(True)
+                if line.startswith(prefix))
 
 
 def test_encode_reconstruct_roundtrip(tmp_path, capsys):
@@ -210,13 +224,13 @@ def test_verify_cluster_agreement_fails_on_bad_frame(tmp_path, capsys):
 def test_verify_params_builds_no_extension(monkeypatch, capsys):
     # B = 12: a search for GF(256^12) would run for over ten minutes;
     # only GF(256) itself may be searched for, over GF(2)
-    search = extension._search_modulus
+    search = extension._find_modulus
 
     def prime_base_only(K, degree):
         if K.order != K.char:
             raise AssertionError(f"modulus search over {K!r}")
         return search(K, degree)
-    monkeypatch.setattr(extension, "_search_modulus", prime_base_only)
+    monkeypatch.setattr(extension, "_find_modulus", prime_base_only)
     rc = main(["verify", "--n", "8", "--k", "3", "--d", "4", "--m", "2"])
     assert rc == 0
     assert "PASS scheme.perfect_secrecy" in capsys.readouterr().out
@@ -414,7 +428,7 @@ def test_error_exit_codes(tmp_path, capsys):
                  ["attack", "--cluster", cluster, "--repair", "1"],
                  ["verify", "--cluster", cluster]):
         assert main(argv) == 1, argv
-        assert "events.jsonl line 2" in capsys.readouterr().err, argv
+        assert "events.jsonl line 2" in _log_refusal(argv, capsys), argv
     # valid JSON that lacks keys: meta.json, then an event line
     _encode(tmp_path, name="m")
     meta = str(tmp_path / "m")
@@ -433,15 +447,16 @@ def test_error_exit_codes(tmp_path, capsys):
             (["attack", "--cluster", meta, "--repair", "1"], "meta.json"),
             (["verify", "--cluster", meta], "meta.json"),
             (["reconstruct", "--cluster", str(tmp_path / "j")],
-             "meta.json is not a JSON object"),
-            (["fail-repair", "--cluster", log, "--node", "2"],
-             "events.jsonl line 2 lacks 'event'"),
-            (["attack", "--cluster", log, "--repair", "1"],
-             "events.jsonl line 2"),
-            (["verify", "--cluster", log], "events.jsonl line 2")):
+             "meta.json is not a JSON object")):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err, argv
+    for argv in (["fail-repair", "--cluster", log, "--node", "2"],
+                 ["attack", "--cluster", log, "--repair", "1"],
+                 ["verify", "--cluster", log]):
+        assert main(argv) == 1, argv
+        assert _log_refusal(argv, capsys).startswith(
+            "events.jsonl line 2 lacks 'event'"), argv
     assert (tmp_path / "e" / "events.jsonl").read_text().count("\n") == 2
     # values of the wrong type: a parameter, then an event line's epoch
     _encode(tmp_path, name="n")
@@ -453,17 +468,15 @@ def test_error_exit_codes(tmp_path, capsys):
     with open(tmp_path / "t" / "events.jsonl", "a") as fh:
         fh.write(json.dumps(dict(first, epoch="1")) + "\n")
     capsys.readouterr()
-    for argv, where in (
-            (["reconstruct", "--cluster", str(tmp_path / "n")],
-             "meta.json params 'n' must be an integer"),
-            (["fail-repair", "--cluster", typed, "--node", "2"],
-             "events.jsonl line 2 'epoch' must be an integer"),
-            (["attack", "--cluster", typed, "--repair", "1"],
-             "events.jsonl line 2"),
-            (["verify", "--cluster", typed], "events.jsonl line 2")):
+    assert main(["reconstruct", "--cluster", str(tmp_path / "n")]) == 1
+    assert ("meta.json params 'n' must be an integer"
+            in capsys.readouterr().err)
+    for argv in (["fail-repair", "--cluster", typed, "--node", "2"],
+                 ["attack", "--cluster", typed, "--repair", "1"],
+                 ["verify", "--cluster", typed]):
         assert main(argv) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and where in err, argv
+        assert _log_refusal(argv, capsys).startswith(
+            "events.jsonl line 2 'epoch' must be an integer"), argv
     assert (tmp_path / "t" / "events.jsonl").read_text().count("\n") == 2
     # event lines whose symbols lack a helper, with fewer than d helpers,
     # with a symbol that is not hex, or naming a node outside the cluster
@@ -489,9 +502,8 @@ def test_error_exit_codes(tmp_path, capsys):
                       "--repair", "1"],
                      ["verify", "--cluster", str(tmp_path / name)]):
             assert main(argv) == 1, argv
-            err = capsys.readouterr().err
-            assert err.startswith("error:"), argv
-            assert "events.jsonl line 2" + where in err, argv
+            assert _log_refusal(argv, capsys).startswith(
+                "events.jsonl line 2" + where), argv
         assert log.read_bytes() == before
 
 
@@ -569,11 +581,9 @@ def test_event_symbols_must_be_canonical_hex(tmp_path, capsys, spelling):
     capsys.readouterr()
     for argv in commands:
         assert main(argv) == 1, argv
-        out, err = capsys.readouterr()
-        assert "PASS cluster.events" not in out, argv
-        assert err == (f"error: events.jsonl line 2 symbols of helper "
-                       f"{helper} must be 1 hex strings of field "
-                       f"elements\n"), argv
+        assert _log_refusal(argv, capsys) == (
+            f"events.jsonl line 2 symbols of helper {helper} must be 1 hex "
+            f"strings of field elements\n"), argv
     assert _snapshot(tmp_path / "c") == before
 
 
@@ -1075,11 +1085,77 @@ def test_unknown_event_kind_is_refused(tmp_path, capsys):
                  ["attack", "--cluster", cluster, "--repair", "1", "--json"],
                  ["verify", "--cluster", cluster]):
         assert main(argv) == 1, argv
-        out, err = capsys.readouterr()
-        assert "PASS cluster.events" not in out, argv
-        assert err == ('error: events.jsonl line 1 \'event\' must be '
-                       '"repair", got "scrub"\n'), argv
+        assert _log_refusal(argv, capsys) == (
+            'events.jsonl line 1 \'event\' must be "repair", got "scrub"\n'
+        ), argv
     assert log.read_bytes() == before
+
+
+# a damaged event log: what the events check reports for it
+_DAMAGED_LOGS = {
+    "torn": (b'{"epoch":2,"eve',
+             "events.jsonl line 2 is not valid JSON (torn write?)"),
+    "keys": (b'{"epoch": 2}\n', "events.jsonl line 2 lacks 'event', "
+             "'failed', 'helpers', 'symbols'"),
+    "bytes": (b"\xff\n",
+              "events.jsonl line 2 is not valid JSON (torn write?)"),
+    "missing": (None, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_LOGS))
+def test_verify_reports_a_damaged_event_log(tmp_path, capsys, damage):
+    # the events check fails with the log's fault; every other cluster
+    # check and all 14 properties still run
+    tail, detail = _DAMAGED_LOGS[damage]
+    assert _encode(tmp_path) == 0
+    cluster = str(tmp_path / "c")
+    assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    log = tmp_path / "c" / "events.jsonl"
+    if tail is None:
+        log.unlink()
+    else:
+        with open(log, "ab") as fh:
+            fh.write(tail)
+    capsys.readouterr()
+    assert main(["verify", "--cluster", cluster]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == [
+        "PASS cluster.shares", "PASS cluster.replay", "FAIL cluster.events",
+        "PASS cluster.agreement"]
+    assert detail in lines[2]
+    assert [line.split()[1] for line in lines[4:]] == harness.PROPERTY_IDS
+    assert len(harness.PROPERTY_IDS) == 14
+
+
+def test_undecodable_cluster_files_name_the_file(tmp_path, capsys):
+    # meta.json that is not JSON or not UTF-8, and an event line that is
+    # not UTF-8, are refused by name, not with the parser's text
+    for name, blob in (("j", b"x"), ("u", b"\xff")):
+        assert _encode(tmp_path, name=name) == 0
+        (tmp_path / name / "meta.json").write_bytes(blob)
+        cluster = str(tmp_path / name)
+        capsys.readouterr()
+        for argv in (["reconstruct", "--cluster", cluster],
+                     ["fail-repair", "--cluster", cluster, "--node", "1"],
+                     ["attack", "--cluster", cluster, "--repair", "1"],
+                     ["verify", "--cluster", cluster]):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr() == (
+                "", "error: meta.json is not valid JSON\n"), argv
+    assert _encode(tmp_path, name="e") == 0
+    cluster = str(tmp_path / "e")
+    assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    with open(tmp_path / "e" / "events.jsonl", "ab") as fh:
+        fh.write(b"\xff\n")
+    capsys.readouterr()
+    for argv in (["fail-repair", "--cluster", cluster, "--node", "2"],
+                 ["attack", "--cluster", cluster, "--repair", "1"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", "error: events.jsonl line 2 is "
+                                       "not valid JSON (torn write?)\n")
 
 
 # a stored modulus that factors: the frozen table certifies only the

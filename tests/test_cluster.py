@@ -132,6 +132,23 @@ def test_load_rejects_unknown_layout(tmp_path):
         ClusterState.load(tmp_path / "c")
 
 
+@pytest.mark.parametrize("layout,error", [
+    (True, "meta.json 'layout' must be an integer, got true"),
+    (1.0, "meta.json 'layout' must be an integer, got 1.0"),
+    ("1", 'meta.json \'layout\' must be an integer, got "1"'),
+    (2, "unknown layout 2"),
+], ids=["true", "float", "string", "two"])
+def test_load_requires_an_integer_layout(tmp_path, layout, error):
+    # true == 1 == 1.0 in Python, but only the integer 1 is layout 1
+    _plain(tmp_path)
+    meta_path = tmp_path / "c" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["layout"] = layout
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(IntegrityError, match=f"^{re.escape(error)}$"):
+        ClusterState.load(tmp_path / "c")
+
+
 def test_empty_payload(tmp_path):
     state = _plain(tmp_path, payload=b"")
     assert state.reconstruct_payload() == b""
@@ -204,7 +221,7 @@ def test_secure_load_runs_no_search(tmp_path, monkeypatch):
 
     def no_search(*args):
         raise AssertionError("modulus search during load")
-    monkeypatch.setattr(extension, "_search_modulus", no_search)
+    monkeypatch.setattr(extension, "_find_modulus", no_search)
     state = ClusterState.load(tmp_path / "c")
     assert state.reconstruct_payload() == b"s"
     state.fail_repair(3)

@@ -11,12 +11,12 @@ import pytest
 from rsl import extension, field
 from rsl.errors import (DivideByZero, LengthMismatch, NotPrime, Reducible,
                         SearchLimit)
-from rsl.extension import (ExtensionSpec, _search_modulus,
-                           _sieve_irreducible, _sieve_lists)
+from rsl.extension import ExtensionSpec, _sieve_irreducible, _sieve_lists
 from rsl.field import FieldSpec
 
-from oracles import (NaiveExtension, NaiveField, irreducible_over_prime,
-                     prime_factors, smallest_irreducible)
+from oracles import (NaiveExtension, NaiveField, extension_inverse,
+                     irreducible_over_prime, prime_factors,
+                     smallest_irreducible)
 
 GF16 = FieldSpec(2, 4)
 
@@ -129,7 +129,7 @@ def test_rootless_yields_exactly_the_candidates_without_a_root(w, max_degree):
 
 
 def _list_search(K, degree):
-    # the first candidate in _search_modulus order the list path accepts
+    # the first candidate in _find_modulus order the list path accepts
     for v in range(K.order**degree):
         f = _digits(v, K.order, degree) + [1]
         if f[0] and _sieve_lists(K, f):
@@ -142,14 +142,15 @@ def test_packed_search_matches_lists(w, monkeypatch):
     K = FieldSpec(2, w)
     degree = 2
     while K.order**degree <= 1 << 24:
-        assert _search_modulus(K, degree) == _list_search(K, degree), degree
+        assert (field._checked_modulus(K, degree, None)
+                == _list_search(K, degree)), degree
         degree += 1
 
 
 def test_packed_search_gf16_20_is_frozen(monkeypatch):
     monkeypatch.setattr(field, "_MODULUS_CACHE", {})
     (p, w), t, modulus = EXTENSIONS["GF(16)^20"]
-    assert _search_modulus(FieldSpec(p, w), t) == modulus
+    assert field._checked_modulus(FieldSpec(p, w), t, None) == modulus
 
 
 @pytest.mark.parametrize("key", sorted(field._FROZEN),
@@ -162,7 +163,7 @@ def test_frozen_modulus_is_the_search(key):
     assert K.modulus == base_modulus
     searched = extension._find_modulus(K, t)
     assert field._monic(q, t, field._FROZEN[key]) == searched
-    assert _search_modulus(K, t) == searched
+    assert field._checked_modulus(K, t, None) == searched
 
 
 def test_search_outside_the_table(monkeypatch, search_calls):
@@ -587,6 +588,38 @@ def test_extension_inverse_matches_pow(name):
     samples += [rng.randrange(1, L.order) for _ in range(12)]
     for a in samples:
         assert L.inv(a) == L.pow(a, L.order - 2), (name, a)
+
+
+# the benchmark's and the README's secure shapes, and two list bases
+INVERSE_TOWERS = {"GF(16)^20": ((2, 4), 20), "GF(256)^6": ((2, 8), 6),
+                  "GF(25)^3": ((5, 2), 3), "GF(8)^4": ((2, 3), 4)}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_TOWERS))
+def test_extension_inverse_matches_euclid(name):
+    (p, w), t = INVERSE_TOWERS[name]
+    base = FieldSpec(p, w)
+    L = ExtensionSpec(base, t)
+    naive = NaiveExtension(NaiveField(p, w, base.modulus), L.modulus)
+    rng = random.Random(name)
+    samples = [1, base.order - 1, base.order, L.order - 1]
+    samples += [rng.randrange(1, L.order) for _ in range(12)]
+    for a in samples:
+        assert L.inv(a) == extension_inverse(naive, a), (name, a)
+
+
+@pytest.mark.parametrize("name", ["GF(16)^20", "GF(256)^6"])
+def test_packed_inverse_runs_no_list_polynomials(name, monkeypatch):
+    (p, w), t = INVERSE_TOWERS[name]
+    L = ExtensionSpec(FieldSpec(p, w), t)
+
+    def refuse(*args):
+        raise AssertionError("a list polynomial helper ran")
+    for helper in ("_pmul", "_pmod", "_psub", "_ptrim"):
+        monkeypatch.setattr(extension, helper, refuse)
+    rng = random.Random(name)
+    for a in [1, L.order - 1] + [rng.randrange(1, L.order) for _ in range(8)]:
+        assert L.mul(a, L.inv(a)) == 1, (name, a)
 
 
 # the stored moduli, two small packed towers with canonical moduli and

@@ -208,7 +208,7 @@ def test_check_all_builds_no_extension(monkeypatch):
 
     def no_search(*args):
         raise AssertionError("modulus search during check_all")
-    monkeypatch.setattr(extension, "_search_modulus", no_search)
+    monkeypatch.setattr(extension, "_find_modulus", no_search)
 
     # GF(256)^6 is frozen: building it would search nothing
     def no_extension(*args):

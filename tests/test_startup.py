@@ -289,8 +289,7 @@ from rsl.cli import main
 
 def refuse(*args):
     raise AssertionError("sieve or modulus search")
-for name in ("_sieve_irreducible", "_sieve_lists", "_find_modulus",
-             "_search_modulus"):
+for name in ("_sieve_irreducible", "_sieve_lists", "_find_modulus"):
     setattr(extension, name, refuse)
 vault = sys.argv[1]
 codes = [main(["fail-repair", "--cluster", vault, "--node", "2"]),
