@@ -13,7 +13,9 @@ digits over the base field F.  The code only scales by coefficients in F
 and adds, so it runs over F on the B digit stripes: _stripes() and
 _symbols() split and pack base-q digits, q = |F|, at the share-file and
 event-log boundary, from q and B alone; on a plain cluster a symbol is
-one digit and they are the identity.  load() makes every check that
+one digit and they are the identity.  A share travels as the codec's
+vector, bytes over a field with the packed kernel, from read_share()
+through the codec to write_share().  load() makes every check that
 building ExtensionSpec and SecureScheme from meta.json's secure section
 makes, but builds no L: encode builds it to wrap, and
 ClusterState.scheme on first use, for reconstruct's unwrap and
@@ -38,7 +40,7 @@ from .errors import (IntegrityError, PayloadTooLarge, SearchLimit, SelfRepair,
                      UnknownNode, WrongHelperCount, WrongNodeCount)
 from .field import FieldSpec, _checked_modulus
 from .product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
-                             Stored, check_precode)
+                             Stored, _vector, check_precode)
 
 LAYOUT_VERSION = 1
 
@@ -134,12 +136,15 @@ def _hex_below(text, order: int) -> bool:
 def _replace_bytes(path: Path, blob: bytes):
     """Write blob to path through a temporary file and os.replace, so
     that path holds either its old bytes or all of the new ones."""
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = f"{path}.tmp"
     try:
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
         os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @contextmanager
@@ -195,19 +200,18 @@ class ClusterState:
 
     # -- symbols and their F digit stripes
 
-    def _stripes(self, symbols) -> list[int]:
+    def _stripes(self, symbols):
         """Digit s of every symbol, constant digit first, for s = 0 ..
-        t-1 in turn; each symbol must be below order."""
-        for x in symbols:
-            if not 0 <= x < self.order:
-                power = "" if self._secure is None else f"^{self._t}"
-                raise ValueError(
-                    f"{x} out of range for {self.code.field!r}{power}")
+        t-1 in turn; on a plain cluster, the symbols themselves."""
+        if self._t == 1:
+            return symbols
         q = self._q
         return [x // q**s % q for s in range(self._t) for x in symbols]
 
-    def _symbols(self, stripes) -> list[int]:
+    def _symbols(self, stripes):
         """The symbols whose digit stripes _stripes() lists."""
+        if self._t == 1:
+            return stripes
         count = len(stripes) // self._t
         out = stripes[:count]
         for s in range(1, self._t):
@@ -323,13 +327,16 @@ class ClusterState:
         return self.path / f"share_{node}.bin"
 
     def write_share(self, node: int, stripes):
+        symbols = self._symbols(stripes)
         width = element_width(self)
-        blob = b"".join(s.to_bytes(width, "little")
-                        for s in self._symbols(stripes))
+        blob = (bytes(symbols) if width == 1 else
+                b"".join(s.to_bytes(width, "little") for s in symbols))
         _replace_bytes(self.share_path(node), blob)
 
-    def read_share(self, node: int) -> list[int]:
-        """The node's share as the code's digit stripes."""
+    def read_share(self, node: int):
+        """The node's share as the code's digit stripes, a vector of the
+        kind the codec returns: bytes over a field with the packed kernel,
+        else a list."""
         width = element_width(self)
         try:
             blob = self.share_path(node).read_bytes()
@@ -340,13 +347,24 @@ class ClusterState:
             raise IntegrityError(
                 f"share_{node}.bin has {len(blob)} bytes, "
                 f"expected {alpha * width}")
-        return self._stripes([int.from_bytes(blob[i:i + width], "little")
-                              for i in range(0, len(blob), width)])
+        symbols = (blob if width == 1 else
+                   [int.from_bytes(blob[i:i + width], "little")
+                    for i in range(0, len(blob), width)])
+        # a plain cluster's symbols are the stripes, which _vector checks
+        if self._secure is not None:
+            for x in symbols:
+                if x >= self.order:
+                    raise ValueError(f"{x} out of range for "
+                                     f"{self.code.field!r}^{self._t}")
+        return _vector(self.code.field, self._stripes(symbols))
 
     # -- event log
 
     def events(self) -> list[dict]:
-        lines = (self.path / "events.jsonl").read_bytes().splitlines()
+        try:
+            lines = (self.path / "events.jsonl").read_bytes().splitlines()
+        except FileNotFoundError:
+            raise IntegrityError("events.jsonl is missing") from None
         out = []
         for number, line in enumerate(lines, 1):
             if not line.strip():
@@ -539,7 +557,7 @@ class ClusterState:
             for h in e["helpers"]:
                 sent = [int(s, 16) for s in e["symbols"][str(h)]]
                 want = code.repair_symbol(h, f, expected[h - 1])
-                if sent != self._symbols(want):
+                if sent != list(self._symbols(want)):
                     log_ok = False
                     log_detail = (f"epoch {e['epoch']}: helper {h} symbols "
                                   f"disagree with its share")

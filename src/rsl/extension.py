@@ -27,6 +27,7 @@ import itertools
 from .errors import DivideByZero, SearchLimit
 from .field import (Field, FieldSpec, _byte_map, _checked_modulus, _monic,
                     _Packed)
+from .matrix import _combine
 
 # -- polynomials as coefficient lists (ascending degree) over a calculator K
 
@@ -325,7 +326,7 @@ class ExtensionSpec(Field):
     element of the same integer encoding.
     """
 
-    __slots__ = ("base", "t", "_rem")
+    __slots__ = ("base", "t", "_rem", "_frob")
 
     def __init__(self, base: FieldSpec, t: int, modulus=None):
         if not isinstance(base, FieldSpec):
@@ -335,7 +336,7 @@ class ExtensionSpec(Field):
         self.t = self._degree = t
         self.order = base.order**t
         self.char = base.p
-        self._gen = None
+        self._gen = self._frob = None
         packed = self._packed = _kernel(base)
         self._rem = (None if packed is None
                      else packed.reducer(self._pack(self.modulus)))
@@ -379,12 +380,22 @@ class ExtensionSpec(Field):
         """a raised to the |base|^i power; fixes the base elements.
 
         On the packed path that is i*w squarings, each a packed square
-        and one reduction; elsewhere it is pow().
+        and one reduction.  Elsewhere it is i steps of the base-linear map
+        x -> x^q, q = |base|: the sum over x's digits x_s of x_s * (y^s)^q,
+        a region product over the t images of the basis, built by pow()
+        on first use as multiplier() builds its images.
         """
         self.element(a)
         i %= self.t
         if self._packed is None:
-            return self.pow(a, self.base.order**i) if i else a
+            if self._frob is None:
+                q = self.base.order
+                self._frob = [self.coeffs(self.pow(q**s, q))
+                              for s in range(self.t)]
+            for _ in range(i):
+                a = self._pack(_combine(self.base, self.coeffs(a), self._frob,
+                                        self.t))
+            return a
         square, rem = self._packed.square, self._rem
         for _ in range(i * self.base.w):
             a = rem(square(a))

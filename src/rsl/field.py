@@ -190,8 +190,11 @@ _GF2, _GF16, _GF256 = (0, 1), (1, 1, 0, 0, 1), (1, 1, 0, 1, 1, 0, 0, 0, 1)
 _FROZEN = {(2, _GF2, 4): 0x3, (2, _GF2, 8): 0x1b,
            (16, _GF16, 6): 0x12d, (16, _GF16, 20): 0x1089,
            (256, _GF256, 6): 0x10131}
-# the canonical moduli this process knows, each irreducible: the frozen
-# table, then what _checked_modulus, its one reader and writer, has found
+# the moduli this process knows irreducible, read and written only by
+# _checked_modulus: per (q, base modulus, t) the canonical one, the frozen
+# table's and then each _find_modulus finds; and per (q, base modulus,
+# modulus) each given one the sieve passed, so a cluster's stored modulus
+# is sieved once, when load() checks it, and not again when L is built
 _MODULUS_CACHE: dict = {key: _monic(key[0], key[2], v)
                         for key, v in _FROZEN.items()}
 
@@ -199,9 +202,10 @@ _MODULUS_CACHE: dict = {key: _monic(key[0], key[2], v)
 def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
     """The modulus of K[x]/(f) at degree t: the canonical one when none is
     given, else the given one, checked to hold t + 1 elements of K, to be
-    monic and, for t >= 2, irreducible over K: a known canonical modulus
-    is, and any other goes through rsl.extension's sieve.  It owns
-    _MODULUS_CACHE, recording each canonical modulus _find_modulus finds."""
+    monic and, for t >= 2, irreducible over K: a modulus _MODULUS_CACHE
+    knows is, and any other goes through rsl.extension's sieve.  It owns
+    _MODULUS_CACHE, recording each canonical modulus _find_modulus finds
+    and each modulus the sieve passes."""
     if t < 1:
         raise ValueError("extension degree must be >= 1")
     if modulus is None:
@@ -219,9 +223,12 @@ def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
     if modulus[-1] != 1:
         raise ValueError("modulus must be monic")
     if t >= 2 and modulus != _MODULUS_CACHE.get((K.order, K.modulus, t)):
-        from .extension import _sieve_irreducible
-        if not _sieve_irreducible(K, list(modulus)):
-            raise Reducible(f"modulus {list(modulus)} factors over {K!r}")
+        key = (K.order, K.modulus, modulus)
+        if key not in _MODULUS_CACHE:
+            from .extension import _sieve_irreducible
+            if not _sieve_irreducible(K, list(modulus)):
+                raise Reducible(f"modulus {list(modulus)} factors over {K!r}")
+            _MODULUS_CACHE[key] = modulus
     return modulus
 
 

@@ -136,13 +136,14 @@ def _echelon(field, rows, width):
     return pivots, [tuple(x.to_bytes(width, "little")) for x in out]
 
 
-def _combine(field, coeffs, vectors, length: int) -> list[int]:
+def _combine(field, coeffs, vectors, length: int):
     """sum_i coeffs[i] * vectors[i], vectors of length elements.
 
     Where the field has a packed kernel this is a matrix-region product
-    (Plank, Greenan and Miller, FAST 2013): one bytes.translate scales a
-    whole vector by a nonzero coefficient, and XOR adds.  Every other
-    field keeps the scalar loop, which is also the tests' reference.
+    (Plank, Greenan and Miller, FAST 2013) on vectors of element bytes:
+    one bytes.translate scales a whole vector by a nonzero coefficient,
+    XOR adds, and the sum is bytes.  Every other field keeps the scalar
+    loop on lists, which is also the tests' reference.
     """
     packed = field.packed()
     if packed is not None:
@@ -151,7 +152,7 @@ def _combine(field, coeffs, vectors, length: int) -> list[int]:
             if c:
                 acc ^= int.from_bytes(bytes(v).translate(packed.tables[c]),
                                       "little")
-        return list(acc.to_bytes(length, "little"))
+        return acc.to_bytes(length, "little")
     add, mul = field.add, field.mul
     out = [0] * length
     for c, v in zip(coeffs, vectors):

@@ -25,10 +25,15 @@ entropy.observed_entropy() ranks the rows of copy 0 alone, on one_copy().
 The codec takes any positive whole number of codewords at once, read off
 the input length; codeword s holds copies s*m .. s*m + m - 1.  A secure
 cluster runs it on the B base-field digit stripes of its symbols.
-Encode, repair symbols, the rebuilt share and repair rows are sums of
-scaled vectors, rsl.matrix's region product _combine: over GF(2^w),
-w | 8, one bytes.translate per nonzero coefficient scales a whole vector,
-such as one message position across every codeword.
+
+Over GF(2^w), w | 8, where the field has the packed kernel, every vector
+the codec takes or returns is bytes, one element per byte, checked whole
+(_vector); other fields keep lists, the tests' reference.  Encode is the
+region product Psi M: each of M's d rows, gathered across every copy
+into a share's slot layout, is scaled by psi_i[r] for node i.  Repair
+symbols, the rebuilt share and repair rows are sums of scaled vectors
+too.  All go through rsl.matrix's _combine, where on packed fields one
+bytes.translate scales a whole vector.
 
 Every stored or transmitted symbol is a linear functional of the message,
 exposed as its coefficient row: observation_rows() lists the rows one
@@ -118,6 +123,37 @@ def _codewords(counts, unit: int, what: str) -> int:
     return counts[0] // unit
 
 
+def _vector(field, v):
+    """v, a sequence of elements of field, as the codec carries it: bytes
+    where field has the packed kernel, else a list.  Only a vector that
+    holds a non-element is walked, so that element()'s error names the
+    first one."""
+    if field.packed() is None:
+        return [field.element(x) for x in v]
+    try:
+        data = v if type(v) is bytes else (
+            bytes(v) if set(map(type, v)) <= {int} else None)
+    except ValueError:  # an int outside 0..255
+        data = None
+    if data is None or field.order < 256 and data.translate(
+            None, bytes(range(field.order))):
+        for x in v:
+            field.element(x)
+        data = bytes(v)  # int subclasses, which element() accepts
+    return data
+
+
+def _gather(field, parts, step: int):
+    """The vector, of _vector's kind, whose entries j, j + step, j + 2*step,
+    ... are those of parts[j], for step parts of one length."""
+    packed = field.packed() is not None
+    size = len(parts[0]) * step
+    out = bytearray(size) if packed else [0] * size
+    for j, part in enumerate(parts):
+        out[j::step] = part
+    return bytes(out) if packed else out
+
+
 class ProductMatrixCode:
     """An (n, k, d=2k-2) exact-repair code instance over a field."""
 
@@ -136,14 +172,25 @@ class ProductMatrixCode:
                     f"need {params.n} points, got {len(points)}")
             if 0 in points or len(set(points)) != params.n:
                 raise ValueError("points must be distinct and nonzero")
+        psi = Matrix.vandermonde(field, points, params.d).rows
+        if len({row[a0] for row in psi}) != params.n:
+            raise DegenerateLambda("alpha0-th powers of the points collide")
+        self._adopt(params, field, points, psi)
+
+    def _adopt(self, params: CodeParams, field, points, psi):
+        """Set up the code on checked points and their psi rows."""
+        a0 = params.base_alpha
         self.params = params
         self.field = field
         self.points = tuple(points)
-        self.psi = Matrix.vandermonde(field, self.points, params.d).rows
-        self.phi = tuple(psi[:a0] for psi in self.psi)
-        self.lam = tuple(psi[a0] for psi in self.psi)  # x^alpha0 per point
-        if len(set(self.lam)) != params.n:
-            raise DegenerateLambda("alpha0-th powers of the points collide")
+        self.psi = psi
+        self.phi = tuple(row[:a0] for row in psi)
+        self.lam = tuple(row[a0] for row in psi)  # x^alpha0 per point
+        # entry (r, a) of M = (S1 over S2) sits at _cells[r][a] of a copy's
+        # block of B0 message symbols
+        self._cells = tuple(tuple(self.message_index(0, r // a0, r % a0, a)
+                                  for a in range(a0))
+                            for r in range(params.d))
         self.ranks = {}  # selector tuple -> rank, see entropy.observed_entropy
         self._rows = {}  # stored_row / repair_row arguments -> row
         self._variants = {}  # params -> code, see _variant()
@@ -188,26 +235,24 @@ class ProductMatrixCode:
 
     # -- codec
 
-    def encode(self, message) -> list[list[int]]:
+    def encode(self, message) -> list:
         """All n shares, alpha symbols per codeword, copies consecutive.
 
-        Slot copy*alpha0 + a of a node is its copy-0 stored row for slot
-        a (on one_copy(), as observed_entropy() ranks it) applied to
-        copy's block of B0 message symbols.
+        Node i's share is the region product psi_i^T M: row r of M, entry
+        a of every copy, gathered into the slots a, a + alpha0, ... of a
+        share, is scaled by psi_i[r].  Slot copy*alpha0 + a is so the
+        copy-0 stored row for slot a (on one_copy(), as observed_entropy()
+        ranks it) applied to copy's block of B0 message symbols.
         """
-        p = self.params
-        message = [self.field.element(x) for x in message]
+        p, field = self.params, self.field
+        message = _vector(field, message)
         count = p.m * _codewords([len(message)], p.message_length, "message")
-        one, b0 = self.one_copy(), p.base_message_length
-        columns = [message[i::b0] for i in range(b0)]  # symbol i of each
-        shares = []
-        for node in self.nodes:
-            slots = [_combine(self.field, one.stored_row(node, a), columns,
-                              count) for a in range(p.base_alpha)]
-            shares.append([x for block in zip(*slots) for x in block])
-        return shares
+        a0, b0 = p.base_alpha, p.base_message_length
+        rows = [_gather(field, [message[x::b0] for x in cells], a0)
+                for cells in self._cells]
+        return [_combine(field, psi, rows, count * a0) for psi in self.psi]
 
-    def repair_symbol(self, helper: int, failed: int, helper_share) -> list[int]:
+    def repair_symbol(self, helper: int, failed: int, helper_share):
         """The beta symbols per codeword the helper sends to the failed node.
 
         A pure function of (helper, failed, helper's share): helper choice
@@ -218,13 +263,13 @@ class ProductMatrixCode:
         if hi == fi:
             raise SelfRepair(f"node {failed} cannot help repair itself")
         p = self.params
-        share = [self.field.element(x) for x in helper_share]
+        share = _vector(self.field, helper_share)
         copies = p.m * _codewords([len(share)], p.alpha, "share")
         a0 = p.base_alpha
         return _combine(self.field, self.phi[fi],
                         [share[j::a0] for j in range(a0)], copies)
 
-    def repair(self, failed: int, helper_symbols) -> list[int]:
+    def repair(self, failed: int, helper_symbols):
         """Rebuild the failed share from d helpers' repair symbols.
 
         helper_symbols maps helper id -> the beta symbols per codeword it sent.
@@ -237,29 +282,28 @@ class ProductMatrixCode:
         if failed in helpers:
             raise SelfRepair(f"node {failed} cannot help repair itself")
         rows = [self.psi[self._node_index(h)] for h in helpers]
-        system = Matrix._of(self.field, rows)
-        p = self.params
+        field, p = self.field, self.params
+        system = Matrix._of(field, rows)
         a0 = p.base_alpha
-        columns = [[self.field.element(x) for x in helper_symbols[h]]
-                   for h in helpers]
+        columns = [_vector(field, helper_symbols[h]) for h in helpers]
         copies = p.m * _codewords([len(c) for c in columns], p.beta,
                                   "repair symbols of each helper")
-        rhs = Matrix._of(self.field, columns)  # d x copies, copy per column
+        rhs = Matrix._of(field, columns)  # d x copies, copy per column
         # d distinct Vandermonde rows: the system is always invertible
         sol = system.solve(rhs).rows  # rows of M phi_f, per copy
         # slot a is (S1 phi_f)_a + lambda_f * (S2 phi_f)_a in every copy
-        slots = [_combine(self.field, (1, self.lam[fi]),
-                          (sol[a], sol[a0 + a]), copies) for a in range(a0)]
-        return [x for copy in zip(*slots) for x in copy]
+        return _gather(field, [_combine(field, (1, self.lam[fi]),
+                                        (sol[a], sol[a0 + a]), copies)
+                               for a in range(a0)], a0)
 
-    def reconstruct(self, shares) -> list[int]:
+    def reconstruct(self, shares):
         """Recover the message from any k complete shares.
 
         All copies share one decode system: row (node, a) is the node's
         stored row for slot a on one_copy(), over copy 0's B0 = k*alpha0
         message symbols, and right-hand column c holds slot c*alpha0 + a.
         """
-        p = self.params
+        p, field = self.params, self.field
         nodes = sorted(shares)
         if len(nodes) != p.k:
             raise WrongNodeCount(f"need exactly k={p.k} shares, got {len(nodes)}")
@@ -267,8 +311,7 @@ class ProductMatrixCode:
             self._node_index(node)
         a0, b0 = p.base_alpha, p.base_message_length
         one = self.one_copy()
-        shares = [[self.field.element(x) for x in shares[node]]
-                  for node in nodes]
+        shares = [_vector(field, shares[node]) for node in nodes]
         copies = p.m * _codewords([len(s) for s in shares], p.alpha,
                                   "each share")
         rows, values = [], []
@@ -276,11 +319,11 @@ class ProductMatrixCode:
             for a in range(a0):
                 rows.append(one.stored_row(node, a))
                 values.append(share[a::a0])
-        system = Matrix._of(self.field, rows, ncols=b0)
+        system = Matrix._of(field, rows, ncols=b0)
         # k distinct nodes always give rank B0, so solve() finds the one
         # solution; column c is copy c's block of the message_index layout
-        sol = system.solve(Matrix._of(self.field, values, ncols=copies))
-        return [row[c] for c in range(copies) for row in sol.rows]
+        sol = system.solve(Matrix._of(field, values, ncols=copies))
+        return _gather(field, sol.rows, b0)
 
     # -- observation rows: each built once per instance, on first use
 
@@ -294,17 +337,11 @@ class ProductMatrixCode:
         if not 0 <= slot < p.alpha:
             raise BadSelector(f"slot {slot} not in 0..{p.alpha - 1}")
         copy, a = divmod(slot, p.base_alpha)
-        add, mul = self.field.add, self.field.mul
         row = [0] * p.message_length
-        phi, lam = self.phi[i], self.lam[i]
-        for j in range(p.base_alpha):
-            c = phi[j]
-            if c == 0:
-                continue
-            i1 = self.message_index(copy, 0, j, a)
-            row[i1] = add(row[i1], c)
-            i2 = self.message_index(copy, 1, j, a)
-            row[i2] = add(row[i2], mul(lam, c))
+        base = copy * p.base_message_length
+        # psi_i = (phi_i | lambda_i * phi_i) against column a of M
+        for c, cells in zip(self.psi[i], self._cells):
+            row[base + cells[a]] = c
         row = self._rows[node, slot] = tuple(row)
         return row
 
@@ -378,9 +415,12 @@ class ProductMatrixCode:
         return self if self.params.m == 1 else self._variant(m=1)
 
     def _variant(self, **change) -> "ProductMatrixCode":
+        """The code at changed params on this code's first n points, whose
+        psi rows, and so distinct alpha0-th powers, it takes as they are."""
         p = self.params.replace(**change)
         if p not in self._variants:
-            self._variants[p] = type(self)(p, self.field, self.points[:p.n])
+            code = self._variants[p] = object.__new__(type(self))
+            code._adopt(p, self.field, self.points[:p.n], self.psi[:p.n])
         return self._variants[p]
 
     def __repr__(self):

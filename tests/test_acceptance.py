@@ -75,7 +75,7 @@ def test_criterion_1_codec_correctness():
         shares = code.encode(message)
         for group in itertools.combinations(code.nodes, 3):
             got = code.reconstruct({i: shares[i - 1] for i in group})
-            assert got == message, group
+            assert list(got) == message, group
         for failed in code.nodes:
             helpers = [i for i in code.nodes if i != failed]
             symbols = {h: code.repair_symbol(h, failed, shares[h - 1])

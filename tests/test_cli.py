@@ -1099,7 +1099,7 @@ _DAMAGED_LOGS = {
              "'failed', 'helpers', 'symbols'"),
     "bytes": (b"\xff\n",
               "events.jsonl line 2 is not valid JSON (torn write?)"),
-    "missing": (None, "No such file or directory"),
+    "missing": (None, "events.jsonl is missing"),
 }
 
 
@@ -1128,6 +1128,22 @@ def test_verify_reports_a_damaged_event_log(tmp_path, capsys, damage):
     assert detail in lines[2]
     assert [line.split()[1] for line in lines[4:]] == harness.PROPERTY_IDS
     assert len(harness.PROPERTY_IDS) == 14
+
+
+def test_missing_event_log_is_named_without_the_path(tmp_path, capsys):
+    # the same text from all three commands, and none names where the
+    # cluster lies; exit code 1
+    assert _encode(tmp_path) == 0
+    cluster = str(tmp_path / "c")
+    assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    (tmp_path / "c" / "events.jsonl").unlink()
+    capsys.readouterr()
+    for argv in (["fail-repair", "--cluster", cluster, "--node", "2"],
+                 ["attack", "--cluster", cluster, "--repair", "1", "--json"],
+                 ["verify", "--cluster", cluster]):
+        assert main(argv) == 1, argv
+        assert _log_refusal(argv, capsys) == "events.jsonl is missing\n", argv
+    assert not (tmp_path / "c" / "events.jsonl").exists()
 
 
 def test_undecodable_cluster_files_name_the_file(tmp_path, capsys):
@@ -1204,6 +1220,24 @@ def test_fail_repair_sieves_each_stored_modulus_once(tmp_path, monkeypatch,
     assert sieve_calls == [
         (FieldSpec(2, 1), tuple(meta["field"]["modulus"])),
         (FieldSpec(2, 3), tuple(meta["secure"]["extension"]["modulus"]))]
+
+
+@pytest.mark.parametrize("argv", [["reconstruct"], ["verify"]])
+def test_secure_call_sieves_a_stored_modulus_once(tmp_path, capsys,
+                                                  monkeypatch, sieve_calls,
+                                                  argv):
+    # GF(16)^12 is outside the frozen table: load() sieves it, and building
+    # L for the unwrap (and verify's checks) reuses that verdict
+    cluster = _golden_cluster(tmp_path, "secure-m2")
+    meta = json.loads((tmp_path / "secure-m2" / "meta.json").read_text())
+    monkeypatch.setattr(field, "_MODULUS_CACHE",
+                        {key: field._MODULUS_CACHE[key]
+                         for key in field._FROZEN})
+    sieve_calls.clear()
+    capsys.readouterr()
+    assert main([*argv, "--cluster", cluster]) == 0
+    assert sieve_calls == [
+        (GF16, tuple(meta["secure"]["extension"]["modulus"]))]
 
 
 @pytest.mark.parametrize("name", ["plain", "secure-gf8"])

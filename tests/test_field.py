@@ -723,6 +723,22 @@ def test_frobenius_is_the_power(p, w, t):
             assert L.frobenius(a, i) == L.pow(a, q**i), (a, i)
 
 
+@pytest.mark.parametrize("p,w,t", [(2, 3, 4), (5, 2, 3)],
+                         ids=["GF(8)^4", "GF(25)^3"])
+def test_list_frobenius_applies_its_basis_images(p, w, t, monkeypatch):
+    # on a base without the kernel, the images of the basis are raised to
+    # the q-th power once; every later step only scales and adds them
+    L = ExtensionSpec(FieldSpec(p, w), t)
+    q = L.base.order
+    want = {(a, i): L.pow(a, q**i) for a in _samples(L) for i in range(t + 1)}
+    L.frobenius(1)
+
+    def refuse(*args):
+        raise AssertionError("frobenius took a power")
+    monkeypatch.setattr(ExtensionSpec, "pow", refuse)
+    assert {key: L.frobenius(*key) for key in want} == want
+
+
 @KERNEL_EXTENSIONS
 def test_multiplier_is_mul(p, w, t):
     L = ExtensionSpec(FieldSpec(p, w), t)

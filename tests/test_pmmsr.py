@@ -135,7 +135,7 @@ def test_encode_matches_naive_layout():
         for node in code.nodes:
             expected = naive_share(code.field, code.params, code.points,
                                    node, msg)
-            assert shares[node - 1] == expected
+            assert list(shares[node - 1]) == expected
 
 
 def test_encode_validation():
@@ -161,7 +161,7 @@ def test_repair_symbol_matches_naive_dot():
                 want = naive_repair_symbol(code.field, code.params,
                                            code.points, shares[helper - 1],
                                            failed)
-                assert got == want
+                assert list(got) == want
                 assert len(got) == code.params.beta
 
 
@@ -226,7 +226,7 @@ def test_reconstruct_all_subsets():
         shares = code.encode(msg)
         for group in itertools.combinations(code.nodes, code.params.k):
             picked = {i: shares[i - 1] for i in group}
-            assert code.reconstruct(picked) == msg
+            assert list(code.reconstruct(picked)) == msg
 
 
 def _reconstruct_full_system(code, shares):
@@ -251,7 +251,7 @@ def test_reconstruct_shared_system_matches_full_system(field, n, k, m):
     shares = code.encode(msg)
     group = sorted(random.Random(f"{field!r} {m}").sample(list(code.nodes), k))
     picked = {i: shares[i - 1] for i in group}
-    assert code.reconstruct(picked) == msg
+    assert list(code.reconstruct(picked)) == msg
     assert _reconstruct_full_system(code, picked) == msg
 
 
@@ -306,11 +306,11 @@ def test_observation_rows_match_actual_symbols():
 
         for node in code.nodes:
             rows = code.observation_rows(Stored((node,)))
-            assert [dot(row) for row in rows] == shares[node - 1]
+            assert [dot(row) for row in rows] == list(shares[node - 1])
         for helper, failed in itertools.permutations(code.nodes, 2):
             sent = code.repair_symbol(helper, failed, shares[helper - 1])
             rows = code.observation_rows(RepairFromTo((helper,), (failed,)))
-            assert [dot(row) for row in rows] == sent, (shape, m, helper,
+            assert [dot(row) for row in rows] == list(sent), (shape, m, helper,
                                                         failed)
 
 
@@ -377,7 +377,7 @@ def test_share_slices_are_copy_major():
     shares = code.encode(msg)
     a0 = code.params.base_alpha
     for share in shares:
-        assert share[:a0] == [0] * a0  # copy 0 untouched
+        assert list(share[:a0]) == [0] * a0  # copy 0 untouched
     sym = code.repair_symbol(1, 2, shares[0])
     assert sym[0] == 0
 
@@ -522,7 +522,7 @@ def test_region_codec_matches_the_scalar_loop(field, n, k, m):
                 for c, x in zip(one.stored_row(node, a), block):
                     acc = field.add(acc, field.mul(c, x))
                 want.append(acc)
-        assert shares[node - 1] == want, node
+        assert list(shares[node - 1]) == want, node
         # the repair symbols: per copy, its slots dotted with phi_f
         a0, share = p.base_alpha, shares[node - 1]
         for failed in code.nodes:
@@ -533,12 +533,13 @@ def test_region_codec_matches_the_scalar_loop(field, n, k, m):
                     for x, y in zip(share[c:c + a0], code.phi[failed - 1]):
                         acc = field.add(acc, field.mul(x, y))
                     sent.append(acc)
-                assert code.repair_symbol(node, failed, share) == sent
+                assert list(code.repair_symbol(node, failed, share)) == sent
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
 def test_combine_matches_the_scalar_sum(w):
-    # GF(2) hosts no code, so the region product is checked bare
+    # GF(2) hosts no code, so the region product is checked bare; it
+    # sums element bytes into bytes
     from rsl.product_matrix import _combine
     field = FieldSpec(2, w)
     rng = random.Random(w)
@@ -551,4 +552,145 @@ def test_combine_matches_the_scalar_sum(w):
         for c, v in zip(coeffs, vectors):
             for j, y in enumerate(v):
                 want[j] = field.add(want[j], field.mul(c, y))
-        assert _combine(field, coeffs, vectors, length) == want
+        got = _combine(field, coeffs, vectors, length)
+        assert type(got) is bytes and list(got) == want
+
+
+# -- the codec on element bytes: over GF(2^w), w | 8, every vector it
+# returns is bytes and equals the list loop's, which runs with packed()
+# patched to None
+
+BYTES_CODES = pytest.mark.parametrize("field,n,k,m", [
+    (FieldSpec(2, 2), 3, 2, 2), (GF16, 6, 3, 2), (GF256, 17, 9, 4),
+], ids=["GF(4)", "GF(16)", "GF(256)"])
+
+
+def _codec_run(code, message, failed, group):
+    """encode, repair_symbol, repair and reconstruct on one message."""
+    shares = code.encode(message)
+    helpers = [h for h in code.nodes if h != failed][:code.params.d]
+    sent = {h: code.repair_symbol(h, failed, shares[h - 1]) for h in helpers}
+    return (shares, [sent[h] for h in helpers], code.repair(failed, sent),
+            code.reconstruct({i: shares[i - 1] for i in group}))
+
+
+@BYTES_CODES
+@pytest.mark.parametrize("codewords", [1, 3])
+def test_bytes_codec_matches_the_list_reference(field, n, k, m, codewords,
+                                                monkeypatch):
+    code = _code(n=n, k=k, d=2 * k - 2, m=m, field=field)
+    rng = random.Random(f"{field!r} {codewords}")
+    message = [rng.randrange(field.order)
+               for _ in range(codewords * code.params.message_length)]
+    failed = rng.choice(list(code.nodes))
+    group = sorted(rng.sample(list(code.nodes), k))
+    shares, sent, rebuilt, decoded = fast = _codec_run(code, message, failed,
+                                                       group)
+    for vector in (*shares, *sent, rebuilt, decoded):
+        assert type(vector) is bytes
+    assert list(decoded) == message and rebuilt == shares[failed - 1]
+    # bytes in, the cluster's kind, give the same bytes out
+    assert _codec_run(code, bytes(message), failed, group) == fast
+    monkeypatch.setattr(FieldSpec, "packed", lambda self: None)
+    slow = _codec_run(_code(n=n, k=k, d=2 * k - 2, m=m, field=field),
+                      message, failed, group)
+    assert slow == ([list(s) for s in shares], [list(s) for s in sent],
+                    list(rebuilt), message)
+
+
+@pytest.mark.parametrize("field", [GF25, FieldSpec(2, 3)],
+                         ids=["GF(25)", "GF(8)"])
+def test_fields_without_the_kernel_keep_lists(field):
+    code = _code(n=5, m=2, field=field)
+    rng = random.Random(repr(field))
+    message = [rng.randrange(field.order)
+               for _ in range(2 * code.params.message_length)]
+    shares, sent, rebuilt, decoded = _codec_run(code, message, 4, [1, 3, 5])
+    for vector in (*shares, *sent, rebuilt, decoded):
+        assert type(vector) is list
+    assert decoded == message and rebuilt == shares[3]
+    # bytes in give the same lists out
+    assert _codec_run(code, bytes(message), 4, [1, 3, 5])[0] == shares
+
+
+# a vector holding these, at its third place, fails with element()'s
+# error for the value, on packed fields through bytes() or translate
+BAD_SYMBOLS = {"GF(16) 16": (GF16, 16), "GF(16) 255": (GF16, 255),
+               "GF(256) 256": (GF256, 256), "GF(256) -1": (GF256, -1),
+               "GF(256) True": (GF256, True), "GF(256) 1.0": (GF256, 1.0),
+               "GF(25) 25": (GF25, 25)}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SYMBOLS))
+def test_a_bad_symbol_keeps_its_error_text_at_every_entry(name):
+    field, bad = BAD_SYMBOLS[name]
+    try:
+        field.element(bad)
+    except (TypeError, ValueError) as exc:
+        want = (type(exc), str(exc))
+    code = _code(field=field)
+    shares = code.encode(_message(code))
+    sent = {h: code.repair_symbol(h, 1, shares[h - 1]) for h in (2, 3, 4, 5)}
+
+    def spoil(vector):
+        # the first bad value is named, though a worse one follows it
+        vector = list(vector)
+        vector[2:4] = [bad, 1 << 20]
+        return vector
+    calls = [
+        lambda: code.encode(spoil(_message(code))),
+        lambda: code.repair_symbol(2, 1, spoil(shares[1]) + [0] * 2),
+        lambda: code.repair(1, {**sent, 3: spoil([0, 0])}),
+        lambda: code.reconstruct({1: shares[0], 2: spoil(shares[1]) + [0] * 2,
+                                  3: shares[2]}),
+    ]
+    for call in calls:
+        with pytest.raises((TypeError, ValueError)) as caught:
+            call()
+        assert (caught.type, str(caught.value)) == want, name
+    if field.order < 256 and bad < 256:  # a bad byte in a bytes vector
+        with pytest.raises(ValueError, match=f"^{bad} out of range"):
+            code.repair_symbol(2, 1, bytes(spoil(shares[1])[:3] + [0]))
+
+
+# -- rows: a variant adopts its parent's psi rows, and stored rows come
+# from the per-code table of message positions
+
+
+def _stored_row_by_message_index(code, node, slot):
+    """The stored row as message_index lays it out, entry by entry."""
+    p, f = code.params, code.field
+    copy, a = divmod(slot, p.base_alpha)
+    phi, lam = code.phi[node - 1], code.lam[node - 1]
+    row = [0] * p.message_length
+    for j in range(p.base_alpha):
+        row[code.message_index(copy, 0, j, a)] = phi[j]
+        row[code.message_index(copy, 1, j, a)] = f.mul(lam, phi[j])
+    return tuple(row)
+
+
+@pytest.mark.parametrize("field,n,k,m", [(GF16, 7, 3, 2), (GF256, 17, 9, 4),
+                                         (GF25, 8, 3, 3)],
+                         ids=["GF(16)", "GF(256)", "GF(25)"])
+def test_variants_adopt_psi_and_rows_match_a_fresh_build(field, n, k, m,
+                                                         monkeypatch):
+    code = _code(n=n, k=k, d=2 * k - 2, m=m, field=field)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a variant rebuilt psi")
+    monkeypatch.setattr(Matrix, "vandermonde", refuse)
+    variants = [code.truncate(), code.one_copy(),
+                code.truncate().one_copy()]
+    monkeypatch.undo()
+    for variant in variants:
+        p = variant.params
+        assert type(variant) is ProductMatrixCode
+        fresh = ProductMatrixCode(p, field, code.points[:p.n])
+        assert (variant.points, variant.psi, variant.phi, variant.lam) == (
+            fresh.points, fresh.psi, fresh.phi, fresh.lam)
+        for node in variant.nodes:
+            for slot in range(p.alpha):
+                row = variant.stored_row(node, slot)
+                assert row == fresh.stored_row(node, slot)
+                assert row == _stored_row_by_message_index(fresh, node, slot)
+    assert code.truncate() is variants[0] and code.one_copy() is variants[1]
