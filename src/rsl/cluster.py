@@ -36,8 +36,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import (IntegrityError, PayloadTooLarge, SearchLimit, SelfRepair,
-                     UnknownNode, WrongHelperCount, WrongNodeCount)
+from .errors import (IntegrityError, PayloadTooLarge, SearchLimit, UnknownNode,
+                     WrongNodeCount)
 from .field import FieldSpec, _checked_modulus
 from .product_matrix import (CodeParams, ProductMatrixCode, RepairFromTo,
                              Stored, _vector, check_precode)
@@ -360,28 +360,37 @@ class ClusterState:
 
     # -- event log
 
-    def events(self) -> list[dict]:
+    def _log_lines(self) -> list[bytes]:
         try:
-            lines = (self.path / "events.jsonl").read_bytes().splitlines()
+            return (self.path / "events.jsonl").read_bytes().splitlines()
         except FileNotFoundError:
             raise IntegrityError("events.jsonl is missing") from None
-        out = []
-        for number, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise IntegrityError(
-                    f"events.jsonl line {number} is not valid JSON "
-                    f"(torn write?)") from None
-            where = f"events.jsonl line {number}"
-            out.append(self._check_event(_require(event, _EVENT_KEYS, where),
-                                         where))
-        return out
 
-    def _check_event(self, event: dict, where: str) -> dict:
-        """event, once its nodes and symbols fit this cluster's code."""
+    def events(self) -> list[dict]:
+        """Every event of the log, each line checked in full."""
+        return [self._event(number, line)
+                for number, line in enumerate(self._log_lines(), 1)
+                if line.strip()]
+
+    def _last_epoch(self) -> int:
+        """The epoch of the log's last event, or 0 for an empty log; only
+        that line is decoded and checked, as events() checks each one."""
+        lines = self._log_lines()
+        number = len(lines)
+        while number and not lines[number - 1].strip():
+            number -= 1
+        return self._event(number, lines[number - 1])["epoch"] if number else 0
+
+    def _event(self, number: int, line: bytes) -> dict:
+        """The event on the log's line number, once it is a JSON object
+        whose keys, nodes and symbols fit this cluster's code."""
+        where = f"events.jsonl line {number}"
+        try:
+            event = json.loads(line.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise IntegrityError(
+                f"{where} is not valid JSON (torn write?)") from None
+        _require(event, _EVENT_KEYS, where)
         p, nodes = self.code.params, self.code.nodes
         if event["event"] != "repair":
             raise IntegrityError(f"{where} 'event' must be \"repair\", got "
@@ -421,13 +430,8 @@ class ClusterState:
         if helpers is None:
             helpers = [x for x in code.nodes if x != failed][:code.params.d]
         helpers = sorted(set(helpers))
-        if len(helpers) != code.params.d:
-            raise WrongHelperCount(
-                f"need exactly d={code.params.d} helpers, got {len(helpers)}")
-        if failed in helpers:
-            raise SelfRepair(f"node {failed} cannot help repair itself")
         with _lock(self.path):
-            events = self.events()
+            epoch = self._last_epoch() + 1
             before = self.read_share(failed)
             sent = {h: code.repair_symbol(h, failed, self.read_share(h))
                     for h in helpers}
@@ -437,7 +441,6 @@ class ClusterState:
                     f"repair of node {failed} did not reproduce its share; "
                     f"a helper share is corrupt")
             self.write_share(failed, rebuilt)
-            epoch = events[-1]["epoch"] + 1 if events else 1
             event = {"epoch": epoch, "event": "repair", "failed": failed,
                      "helpers": helpers,
                      "symbols": {str(h): [format(s, "#x")
@@ -500,11 +503,9 @@ class ClusterState:
 
         if self.scheme is not None:
             from . import secrecy
-            from .extension import _find_modulus
             ext = self.scheme.ext
-            # searched again, never read from the frozen table
             try:
-                canonical = _find_modulus(ext.base, ext.t)
+                canonical = _checked_modulus(ext.base, ext.t, None)
                 ok = canonical == ext.modulus
                 record("extension", ok,
                        f"{ext!r} modulus is the canonical one" if ok

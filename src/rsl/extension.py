@@ -285,7 +285,7 @@ def _sieve_lists(K, f) -> bool:
     return True
 
 
-# candidates _find_modulus tests (on the packed path, one Ben-Or test
+# candidates the search tests (on the packed path, one Ben-Or test
 # each) before it gives up: GF(256)^30 needs 23,030; GF(256)^20, whose
 # sparse candidates are reducible by whole families, needs far more
 _SEARCH_LIMIT = 30_000
@@ -297,9 +297,8 @@ def _find_modulus(K, degree: int) -> tuple[int, ...]:
     Candidates are ordered by the integer encoding of their low coefficients
     in base |K|, so the result is a deterministic function of (K, degree).
     This search is the definition of the canonical modulus; it caches
-    nothing (rsl.field._checked_modulus records what it finds), and
-    verify_cluster runs it to check a stored modulus.  It raises
-    SearchLimit after _SEARCH_LIMIT candidates.
+    nothing, and rsl.field._checked_modulus, its one caller, records what
+    it finds.  It raises SearchLimit after _SEARCH_LIMIT candidates.
     """
     q = K.order
     packed = _kernel(K)

@@ -185,14 +185,14 @@ def _monic(q: int, degree: int, v: int) -> tuple[int, ...]:
 # and GF(256)^6, the README example over the default field, which alone
 # takes seconds to search.  Keyed like the cache, by (q, base modulus, t),
 # so only the canonical base hits; each value is the packed v of _monic,
-# and the tests check every entry against _find_modulus.
+# and the tests check every entry against the search.
 _GF2, _GF16, _GF256 = (0, 1), (1, 1, 0, 0, 1), (1, 1, 0, 1, 1, 0, 0, 0, 1)
 _FROZEN = {(2, _GF2, 4): 0x3, (2, _GF2, 8): 0x1b,
            (16, _GF16, 6): 0x12d, (16, _GF16, 20): 0x1089,
            (256, _GF256, 6): 0x10131}
 # the moduli this process knows irreducible, read and written only by
 # _checked_modulus: per (q, base modulus, t) the canonical one, the frozen
-# table's and then each _find_modulus finds; and per (q, base modulus,
+# table's and then each one the search finds; and per (q, base modulus,
 # modulus) each given one the sieve passed, so a cluster's stored modulus
 # is sieved once, when load() checks it, and not again when L is built
 _MODULUS_CACHE: dict = {key: _monic(key[0], key[2], v)
@@ -204,8 +204,8 @@ def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
     given, else the given one, checked to hold t + 1 elements of K, to be
     monic and, for t >= 2, irreducible over K: a modulus _MODULUS_CACHE
     knows is, and any other goes through rsl.extension's sieve.  It owns
-    _MODULUS_CACHE, recording each canonical modulus _find_modulus finds
-    and each modulus the sieve passes."""
+    _MODULUS_CACHE, recording each modulus the search finds or the sieve
+    passes; the specs and verify_cluster() ask it, and only it searches."""
     if t < 1:
         raise ValueError("extension degree must be >= 1")
     if modulus is None:

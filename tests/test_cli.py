@@ -507,6 +507,13 @@ def test_error_exit_codes(tmp_path, capsys):
         assert log.read_bytes() == before
 
 
+def _frozen_moduli_only(monkeypatch):
+    """Leave the moduli a fresh process knows: the frozen table alone."""
+    monkeypatch.setattr(field, "_MODULUS_CACHE",
+                        {key: field._MODULUS_CACHE[key]
+                         for key in field._FROZEN})
+
+
 def _edit_meta(cluster, edit):
     path = cluster / "meta.json"
     meta = json.loads(path.read_text())
@@ -624,14 +631,30 @@ def test_verify_cluster_checks_extension(tmp_path, capsys):
     assert "FAIL cluster.extension" in capsys.readouterr().out
 
 
-def test_verify_cluster_searches_the_modulus_once(tmp_path, search_calls):
-    # load takes the stored modulus; only cluster.extension searches, and
-    # it reads nothing from the frozen table
-    assert _encode(tmp_path, extra=["--field", "2,4", "--secure", "0,1",
-                                    "--seed", "42"]) == 0
-    search_calls.clear()
-    assert main(["verify", "--cluster", str(tmp_path / "c")]) == 0
-    assert search_calls == [(GF16, 6)]
+def test_verify_cluster_searches_the_modulus_once(tmp_path, monkeypatch,
+                                                  search_calls):
+    # cluster.extension asks rsl.field for the canonical modulus: the
+    # frozen table answers GF(16)^6, GF(16)^20 and GF(256)^6, and a
+    # GF(16)^12 outside it is searched once, as in a fresh process
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"xy")
+    for shape, searched in (
+            (["--n", "5", "--k", "3", "--d", "4", "--field", "2,4",
+              "--secure", "0,1"], []),
+            (["--n", "9", "--k", "5", "--d", "8", "--field", "2,4",
+              "--secure", "1,1"], []),
+            (["--n", "5", "--k", "3", "--d", "4", "--secure", "0,1"], []),
+            (["--n", "7", "--k", "3", "--d", "4", "--m", "2", "--field", "2,4",
+              "--secure", "1,1"], [(GF16, 12)])):
+        cluster = tmp_path / "-".join(shape)
+        assert main(["encode", "--cluster", str(cluster), *shape,
+                     "--seed", "42", str(src)]) == 0, shape
+        _frozen_moduli_only(monkeypatch)
+        search_calls.clear()
+        checks = {c["check"]: c
+                  for c in ClusterState.load(cluster).verify_cluster()}
+        assert checks["extension"]["passed"], shape
+        assert search_calls == searched, shape
 
 
 # (field, n, k, m, shape) at the frozen GF(16)^6, GF(16)^20 and GF(256)^6
@@ -641,10 +664,7 @@ def test_verify_cluster_searches_the_modulus_once(tmp_path, search_calls):
 def test_secure_encode_at_table_shapes_searches_nothing(tmp_path, capsys,
                                                         monkeypatch, fld, n,
                                                         k, m, shape):
-    # the cache a fresh process starts with: the frozen table alone
-    monkeypatch.setattr(field, "_MODULUS_CACHE",
-                        {key: field._MODULUS_CACHE[key]
-                         for key in field._FROZEN})
+    _frozen_moduli_only(monkeypatch)
     FieldSpec(*map(int, fld.split(",")))  # its own modulus, over GF(2)
 
     def no_search(*args):
@@ -1091,6 +1111,51 @@ def test_unknown_event_kind_is_refused(tmp_path, capsys):
     assert log.read_bytes() == before
 
 
+def test_fail_repair_takes_helper_checks_from_the_codec(tmp_path, capsys):
+    # too few helpers and the failed node among them: the codec's repair
+    # names the self-repair first, and nothing is written
+    assert _encode(tmp_path) == 0
+    root = tmp_path / "c"
+    files = {path.name: path.read_bytes() for path in root.iterdir()}
+    capsys.readouterr()
+    for helpers, err in (("1,2,3", "node 1 cannot help repair itself"),
+                         ("2,3,4", "need exactly d=4 helpers, got 3")):
+        assert main(["fail-repair", "--cluster", str(root), "--node", "1",
+                     "--helpers", helpers]) == 1, helpers
+        assert capsys.readouterr() == ("", f"error: {err}\n"), helpers
+    assert {path.name: path.read_bytes() for path in root.iterdir()} == files
+
+
+def test_fail_repair_decodes_only_the_last_event(tmp_path, capsys,
+                                                 monkeypatch):
+    # fail-repair needs the last epoch alone: on a 200-event log it decodes
+    # one line, so damage above it is left to verify and attack to report
+    assert _encode(tmp_path) == 0
+    cluster = str(tmp_path / "c")
+    assert main(["fail-repair", "--cluster", cluster, "--node", "1"]) == 0
+    log = tmp_path / "c" / "events.jsonl"
+    event = json.loads(log.read_text())
+    lines = [json.dumps(dict(event, epoch=e)) for e in range(1, 201)]
+    lines[99] = '{"epoch":100,"eve'
+    log.write_text("\n".join(lines) + "\n\n")
+    decoded = []
+    parse = ClusterState._event
+
+    def counted(self, number, line):
+        decoded.append(number)
+        return parse(self, number, line)
+    monkeypatch.setattr(ClusterState, "_event", counted)
+    assert main(["fail-repair", "--cluster", cluster, "--node", "2"]) == 0
+    assert decoded == [200]
+    assert json.loads(log.read_text().splitlines()[-1])["epoch"] == 201
+    capsys.readouterr()
+    for argv in (["attack", "--cluster", cluster, "--repair", "1"],
+                 ["verify", "--cluster", cluster]):
+        assert main(argv) == 1, argv
+        assert _log_refusal(argv, capsys) == (
+            "events.jsonl line 100 is not valid JSON (torn write?)\n"), argv
+
+
 # a damaged event log: what the events check reports for it
 _DAMAGED_LOGS = {
     "torn": (b'{"epoch":2,"eve',
@@ -1211,10 +1276,7 @@ def test_fail_repair_sieves_each_stored_modulus_once(tmp_path, monkeypatch,
     # stores GF(8)'s modulus twice, as the field and as L's base
     cluster = _golden_cluster(tmp_path, "secure-gf8")
     meta = json.loads((tmp_path / "secure-gf8" / "meta.json").read_text())
-    # as in a fresh process, which knows only the frozen moduli
-    monkeypatch.setattr(field, "_MODULUS_CACHE",
-                        {key: field._MODULUS_CACHE[key]
-                         for key in field._FROZEN})
+    _frozen_moduli_only(monkeypatch)
     sieve_calls.clear()
     assert main(["fail-repair", "--cluster", cluster, "--node", "3"]) == 0
     assert sieve_calls == [
@@ -1230,9 +1292,7 @@ def test_secure_call_sieves_a_stored_modulus_once(tmp_path, capsys,
     # L for the unwrap (and verify's checks) reuses that verdict
     cluster = _golden_cluster(tmp_path, "secure-m2")
     meta = json.loads((tmp_path / "secure-m2" / "meta.json").read_text())
-    monkeypatch.setattr(field, "_MODULUS_CACHE",
-                        {key: field._MODULUS_CACHE[key]
-                         for key in field._FROZEN})
+    _frozen_moduli_only(monkeypatch)
     sieve_calls.clear()
     capsys.readouterr()
     assert main([*argv, "--cluster", cluster]) == 0
@@ -1267,9 +1327,7 @@ def test_verify_cluster_reads_each_share_once_and_decodes_once(
 
 def test_modulus_search_limit_exits_1(tmp_path, capsys, monkeypatch):
     # GF(16)^4, the n=3 k=2 m=2 message length, is not frozen
-    monkeypatch.setattr(field, "_MODULUS_CACHE",
-                        {key: field._MODULUS_CACHE[key]
-                         for key in field._FROZEN})
+    _frozen_moduli_only(monkeypatch)
     extra = ["--n", "3", "--k", "2", "--d", "2", "--m", "2",
              "--field", "2,4", "--secure", "1,0", "--seed", "1"]
     src = tmp_path / "payload.bin"
@@ -1287,6 +1345,8 @@ def test_modulus_search_limit_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(extension, "_SEARCH_LIMIT", limit)
     assert main(encode) == 0
     monkeypatch.setattr(extension, "_SEARCH_LIMIT", 1)
+    # as in a fresh process, which does not know the modulus encode found
+    _frozen_moduli_only(monkeypatch)
     capsys.readouterr()
     assert main(["verify", "--cluster", str(tmp_path / "c")]) == 1
     out = capsys.readouterr().out
