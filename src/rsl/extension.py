@@ -9,12 +9,11 @@ verify_cluster), and from rsl.field when a modulus is not in its frozen
 table; loading a cluster whose stored moduli the table certifies does
 not load it.
 
-Polynomials run on coefficient lists, except over GF(2^w) with w in
-{1, 2, 4, 8}, where _PackedPoly works on the integer of w-bit digits with
-rsl.field's byte tables.  The sieve, the search and ExtensionSpec's mul,
-inv, frobenius and multiplier take that path, so coefficient lists serve
-only bases without that kernel, such as GF(8) or GF(25), and are the
-reference the tests check against.
+Polynomials run on coefficient lists, the tests' reference, except in
+the sieve and the search over GF(2^w), w in {1, 2, 4, 8}, where
+_PackedPoly packs them with rsl.field's byte tables.  ExtensionSpec
+multiplies no polynomials: its operations are maps linear over the base,
+on FieldSpec.packed() tables where the base has them, else digit lists.
 The search gives up with SearchLimit after _SEARCH_LIMIT candidates, so
 a shape whose sparse candidates are all reducible, such as GF(256)^20,
 fails in seconds instead of running for hours.
@@ -117,8 +116,9 @@ def _ppowmod(K, base, e: int, m):
 
 class _PackedPoly(_Packed):
     """Polynomials over K = GF(2^w), w dividing 8, packed as in _Packed,
-    whose tables this shares.  Squaring (coefficient-wise in
-    characteristic 2) is two translates and a byte interleave."""
+    whose tables this shares, for the sieve and the search.  Squaring
+    (coefficient-wise in characteristic 2) is two translates and a byte
+    interleave, and reducer() folds a square back below the modulus."""
 
     __slots__ = ("sq_lo", "sq_hi")
 
@@ -135,21 +135,6 @@ class _PackedPoly(_Packed):
         out[0::2] = data.translate(self.sq_lo)
         out[1::2] = data.translate(self.sq_hi)
         return int.from_bytes(out, "little")
-
-    def product(self, a: int, b: int) -> int:
-        """a*b unreduced: one translate of a per nonzero digit of b."""
-        w, tables = self.w, self.tables
-        data = a.to_bytes((a.bit_length() + 7) >> 3, "little")
-        mask = (1 << w) - 1
-        acc = shift = 0
-        while b:
-            c = b & mask
-            if c:
-                acc ^= int.from_bytes(data.translate(tables[c]),
-                                      "little") << shift
-            b >>= w
-            shift += w
-        return acc
 
     def _rem_terms(self, a: int, monic: bytes, n: int) -> int:
         """a modulo the monic degree-n polynomial whose bytes are given,
@@ -322,10 +307,11 @@ class ExtensionSpec(Field):
     """GF(q^t) built over a FieldSpec with q = p^w.
 
     Its digit field is the base, so a base element is the extension
-    element of the same integer encoding.
+    element of the same integer encoding.  Every product and Frobenius
+    step is a map linear over the base, which _linear applies.
     """
 
-    __slots__ = ("base", "t", "_rem", "_frob")
+    __slots__ = ("base", "t", "_tail", "_frob")
 
     def __init__(self, base: FieldSpec, t: int, modulus=None):
         if not isinstance(base, FieldSpec):
@@ -336,9 +322,8 @@ class ExtensionSpec(Field):
         self.order = base.order**t
         self.char = base.p
         self._gen = self._frob = None
-        packed = self._packed = _kernel(base)
-        self._rem = (None if packed is None
-                     else packed.reducer(self._pack(self.modulus)))
+        self._packed = base.packed()
+        self._tail = self._pack(self.modulus[:t])
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "t": self.t,
@@ -349,11 +334,7 @@ class ExtensionSpec(Field):
     def mul(self, a: int, b: int) -> int:
         if not 0 <= a < self.order > b >= 0:
             self._operands(a, b)
-        if a == 0 or b == 0:
-            return 0
-        if self._packed is not None:
-            return self._rem(self._packed.product(a, b))
-        return self._list_mul(a, b)
+        return self.multiplier(b)(a) if a and b else 0
 
     def inv(self, a: int) -> int:
         """a^-1 by the norm (Lidl and Niederreiter, Finite Fields, ch. 2):
@@ -368,6 +349,40 @@ class ExtensionSpec(Field):
             rest = self.mul(rest, conjugate)
         return self.mul(rest, self.base.inv(self.mul(a, rest)))
 
+    def scale(self, c: int, x: int) -> int:
+        """c*x for c in the base: each digit of x times c."""
+        self.base.element(c)
+        self.element(x)
+        packed = self._packed
+        if packed is None:
+            return self._pack(self.base.mul(c, d) for d in self.coeffs(x))
+        data = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+        return int.from_bytes(data.translate(packed.tables[c]), "little")
+
+    def _linear(self, images):
+        """The map x -> sum of x_s * images[s] over x's digits x_s: a
+        translate of an image's bytes per nonzero digit where the base is
+        packed, else one _combine over digit lists."""
+        packed, element = self._packed, self.element
+        if packed is None:
+            base, t, coeffs = self.base, self.t, self.coeffs
+            vectors = [coeffs(v) for v in images]
+            return lambda x: self._pack(_combine(base, coeffs(x), vectors, t))
+        w, tables, from_bytes = packed.w, packed.tables, int.from_bytes
+        mask, size = (1 << w) - 1, (self.t * w + 7) >> 3
+        images = [v.to_bytes(size, "little") for v in images]
+
+        def apply(x: int) -> int:
+            element(x)
+            acc = 0
+            for image in images:
+                c = x & mask
+                if c:
+                    acc ^= from_bytes(image.translate(tables[c]), "little")
+                x >>= w
+            return acc
+        return apply
+
     # -- structure
 
     @property
@@ -378,65 +393,36 @@ class ExtensionSpec(Field):
     def frobenius(self, a: int, i: int = 1) -> int:
         """a raised to the |base|^i power; fixes the base elements.
 
-        On the packed path that is i*w squarings, each a packed square
-        and one reduction.  Elsewhere it is i steps of the base-linear map
-        x -> x^q, q = |base|: the sum over x's digits x_s of x_s * (y^s)^q,
-        a region product over the t images of the basis, built by pow()
-        on first use as multiplier() builds its images.
+        That is i steps of x -> x^q, q = |base|, linear with images
+        (y^s)^q = (y^q)^s, built on first use from one pow().
         """
         self.element(a)
         i %= self.t
-        if self._packed is None:
-            if self._frob is None:
-                q = self.base.order
-                self._frob = [self.coeffs(self.pow(q**s, q))
-                              for s in range(self.t)]
-            for _ in range(i):
-                a = self._pack(_combine(self.base, self.coeffs(a), self._frob,
-                                        self.t))
-            return a
-        square, rem = self._packed.square, self._rem
-        for _ in range(i * self.base.w):
-            a = rem(square(a))
+        if i and self._frob is None:
+            images, times = [1], self.multiplier(
+                self.pow(self.root, self.base.order))
+            for _ in range(self.t - 1):
+                images.append(times(images[-1]))
+            self._frob = self._linear(images)
+        for _ in range(i):
+            a = self._frob(a)
         return a
 
     def multiplier(self, z: int):
         """The map x -> x*z, for one z and many x; each x must be an element.
 
-        x*z is linear over the base in x, so on the packed path it is the
-        sum over x's digits x_s of x_s * (z*y^s): one translate per
-        nonzero digit of the t images z*y^s, and no reduction.  Elsewhere
-        the map is mul.
+        x*z is linear in x, with images z*y^s: each is the one before
+        shifted up a digit, whose top digit c folds back as c*y^t =
+        -c*tail, tail the modulus below its leading term.
         """
         self.element(z)
-        packed = self._packed
-        if packed is None:
-            return lambda x: self.mul(self.element(x), z)
-        w, tables, element = packed.w, packed.tables, self.element
-        mask, size = (1 << w) - 1, (self.t * w + 7) >> 3
-        from_bytes = int.from_bytes
-        top, low = (self.t - 1) * w, (1 << self.t * w) - 1
-        tail = (self._pack(self.modulus) & low).to_bytes(size, "little")
-        images = []
-        for _ in range(self.t):
-            images.append(z.to_bytes(size, "little"))
-            # z*y, whose top digit c folds back as c*x^t = c*tail
-            c, z = z >> top, z << w & low
-            if c:
-                z ^= from_bytes(tail.translate(tables[c]), "little")
-
-        def times(x: int) -> int:
-            element(x)
-            acc = 0
-            for image in images:
-                c = x & mask
-                if c:
-                    acc ^= from_bytes(image.translate(tables[c]), "little")
-                x >>= w
-                if not x:
-                    break
-            return acc
-        return times
+        q, tail = self.base.order, self._tail
+        top, images = q ** (self.t - 1), [z]
+        for _ in range(self.t - 1):
+            c, z = divmod(z, top)
+            z = self.sub(z * q, self.scale(c, tail)) if c else z * q
+            images.append(z)
+        return self._linear(images)
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionSpec)

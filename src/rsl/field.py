@@ -147,8 +147,8 @@ class _Packed:
     base-q digits that extension elements already use.  Scaling by a
     constant c is one bytes.translate through tables[c], and addition is
     XOR (Plank, Greenan and Miller, "Screaming Fast Galois Field
-    Arithmetic", FAST 2013).  rsl.extension adds the polynomial
-    operations on top.
+    Arithmetic", FAST 2013).  rsl.extension runs the modulus sieve and
+    search, and every operation of an extension, on these tables.
     """
 
     __slots__ = ("w", "tables", "inv")
@@ -236,8 +236,8 @@ class Field:
     """Shared calculator surface for FieldSpec and ExtensionSpec: both are
     K[x]/(modulus) of degree t over a digit field K (GF(p) is its own, at
     t = 1), with elements the integers of t base-|K| digits, constant term
-    first.  The digit codec, digitwise add/sub/neg and the list multiplier
-    work on that form for both; each class keeps its own faster mul."""
+    first.  The digit codec and digitwise add/sub/neg work on that form
+    for both; each class keeps its own mul."""
 
     __slots__ = ("modulus", "order", "char", "_digit_field", "_degree",
                  "_gen", "_packed")
@@ -311,15 +311,6 @@ class Field:
             return (-a) % self.char
         return self._pack(map(self._digit_field.neg, self.coeffs(a)))
 
-    def _list_mul(self, a: int, b: int) -> int:
-        """a*b on digit lists: the product over K reduced by the modulus.
-        Only fields whose modulus rsl.extension sieved or searched for, or
-        extensions, get here, so the import finds it loaded."""
-        from .extension import _pmod, _pmul
-        K = self._digit_field
-        return self._pack(_pmod(K, _pmul(K, self.coeffs(a), self.coeffs(b)),
-                                self.modulus))
-
     def pow(self, a: int, e: int) -> int:
         if not 0 <= a < self.order:
             self._operands(a)
@@ -379,7 +370,8 @@ class FieldSpec(Field):
         """The packed kernel, built on first use, when whole coefficients
         fit in a byte: p = 2 and w in {1, 2, 4, 8}.  It serves the rows
         matrix.py eliminates, the codec's region products and, through
-        rsl.extension, polynomials over this field."""
+        rsl.extension, the modulus sieve and search and the arithmetic of
+        extensions of this field."""
         if self._packed is None and self.p == 2 and 8 % self.w == 0:
             self._packed = _Packed(self)
         return self._packed
@@ -422,7 +414,11 @@ class FieldSpec(Field):
                 acc ^= self._mod_int << (top - self.w)
                 top = acc.bit_length() - 1
             return acc
-        return self._list_mul(a, b)
+        # odd p, w > 1: lists; the modulus check loaded rsl.extension
+        from .extension import _pmod, _pmul
+        K = self._digit_field
+        return self._pack(_pmod(K, _pmul(K, self.coeffs(a), self.coeffs(b)),
+                                self.modulus))
 
     # -- structure
 

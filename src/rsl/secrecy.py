@@ -23,7 +23,8 @@ Moore matrix of the h_s = sum_j a_sj y^j, whose first ell columns have
 rank min(rank_F A, ell): the view is independent of D iff rank_F A <=
 ell, which perfect() checks over F alone.  unwrap() inverts the
 Moore matrix in closed form, through the basis of L dual to the y^j
-(Lidl and Niederreiter, ch. 2), for the secret rows alone.
+(Lidl and Niederreiter, ch. 2), for the secret rows alone, scaling the
+message by the modulus coefficients, which lie in F (ExtensionSpec.scale).
 """
 
 from __future__ import annotations
@@ -192,12 +193,12 @@ class SecureScheme:
             raise LengthMismatch(
                 f"message needs {B} symbols, got {len(message)}")
         base, f = ext.base, ext.modulus
-        mul, add = ext.mul, ext.add
+        mul, add, scale = ext.mul, ext.add, ext.scale
         e = [0] * B
         for k in range(1, B + 1):
             if f[k]:
                 for j in range(k):
-                    e[k - 1 - j] = add(e[k - 1 - j], mul(f[k], message[j]))
+                    e[k - 1 - j] = add(e[k - 1 - j], scale(f[k], message[j]))
         derivative = ext.from_coeffs(base.mul(k % base.p, f[k])
                                      for k in range(1, B + 1))
         z = ext.frobenius(ext.root, self.ell)

@@ -13,6 +13,8 @@ from rsl.errors import (DivideByZero, LengthMismatch, NotPrime, Reducible,
                         SearchLimit)
 from rsl.extension import ExtensionSpec, _sieve_irreducible, _sieve_lists
 from rsl.field import FieldSpec
+from rsl.product_matrix import CodeParams, ProductMatrixCode
+from rsl.secrecy import scheme_make
 
 from oracles import (NaiveExtension, NaiveField, extension_inverse,
                      irreducible_over_prime, prime_factors,
@@ -74,7 +76,8 @@ def test_sieve_irreducible_matches_trial_division(p, max_degree):
             assert _sieve_irreducible(zp, f) == irreducible_over_prime(f, p), f
 
 
-# -- the packed kernel over GF(2^w), w in {1, 2, 4, 8}, against the list path
+# -- the packed sieve and search over GF(2^w), w in {1, 2, 4, 8}, against
+# the list path
 
 
 def _digits(v, q, n):
@@ -644,6 +647,10 @@ def test_extension_mul_matches_naive(name):
               for _ in range(15)]
     for a, b in pairs:
         assert L.mul(a, b) == naive.mul(a, b), (name, a, b)
+    # naive, not mul (which is the multiplier), is scale's reference
+    xs = edges + [b for _, b in pairs[-3:]]
+    for c in range(q):
+        assert [L.scale(c, x) for x in xs] == [naive.mul(c, x) for x in xs], c
     for bad in (L.order, -1):
         with pytest.raises(ValueError):
             L.mul(bad, 1)
@@ -698,8 +705,9 @@ def test_extension_validation():
         ExtensionSpec(GF16, 2, modulus=(1, 0, 1))
 
 
-# -- Frobenius by packed squarings and the fixed-z multiplier: packed over
-# GF(2), GF(4), GF(16) and GF(256), on lists over GF(8) and GF(25)
+# -- Frobenius and the fixed-z multiplier, maps linear over the base: on
+# byte tables over GF(2), GF(4), GF(16) and GF(256), on digit lists over
+# GF(8) and GF(25)
 
 KERNEL_EXTENSIONS = pytest.mark.parametrize("p,w,t", [
     (2, 1, 7), (2, 2, 5), (2, 4, 6), (2, 8, 6), (2, 3, 4), (5, 2, 3),
@@ -723,11 +731,12 @@ def test_frobenius_is_the_power(p, w, t):
             assert L.frobenius(a, i) == L.pow(a, q**i), (a, i)
 
 
-@pytest.mark.parametrize("p,w,t", [(2, 3, 4), (5, 2, 3)],
-                         ids=["GF(8)^4", "GF(25)^3"])
+@pytest.mark.parametrize("p,w,t", [(2, 3, 4), (5, 2, 3), (2, 4, 6), (2, 8, 6)],
+                         ids=["GF(8)^4", "GF(25)^3", "GF(16)^6", "GF(256)^6"])
 def test_list_frobenius_applies_its_basis_images(p, w, t, monkeypatch):
-    # on a base without the kernel, the images of the basis are raised to
-    # the q-th power once; every later step only scales and adds them
+    # on digit lists and on byte tables alike, y^q is taken by one power
+    # and the images (y^q)^s of the basis built from it once; every later
+    # step only scales and adds them
     L = ExtensionSpec(FieldSpec(p, w), t)
     q = L.base.order
     want = {(a, i): L.pow(a, q**i) for a in _samples(L) for i in range(t + 1)}
@@ -752,6 +761,45 @@ def test_multiplier_is_mul(p, w, t):
             times(1.0)
     with pytest.raises(ValueError):
         L.multiplier(-1)
+
+
+# the benchmark's and the README's secure shapes and two list towers,
+# each with the code its wrap needs; t = B = k(k-1)m is never 3, so
+# GF(25)^3 runs the arithmetic alone
+LINEAR_TOWERS = {"GF(16)^20": ((2, 4), 20, ((9, 5, 8), (1, 1))),
+                 "GF(256)^6": ((2, 8), 6, ((5, 3, 4), (0, 1))),
+                 "GF(25)^3": ((5, 2), 3, None),
+                 "GF(25)^6": ((5, 2), 6, ((5, 3, 4), (0, 1)))}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_TOWERS))
+def test_extension_arithmetic_builds_no_polynomial_kernel(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a packed polynomial kernel was built")
+    monkeypatch.setattr(extension, "_PackedPoly", refuse)
+    (p, w), t, code_shape = LINEAR_TOWERS[name]
+    base = FieldSpec(p, w)
+    L = ExtensionSpec(base, t)
+    naive = NaiveExtension(NaiveField(p, w, base.modulus), L.modulus)
+    q = base.order
+    xs = _samples(L, count=4)
+    for z in xs:
+        times = L.multiplier(z)
+        assert [times(x) for x in xs] == [naive.mul(x, z) for x in xs], z
+        assert [L.mul(x, z) for x in xs] == [naive.mul(x, z) for x in xs], z
+        assert L.frobenius(z) == L.pow(z, q), z
+        assert L.scale(q - 1, z) == naive.mul(q - 1, z), z
+        if z:
+            assert naive.mul(z, L.inv(z)) == 1, z
+    if code_shape is not None:
+        params, (l1, l2) = code_shape
+        scheme = scheme_make(ProductMatrixCode(CodeParams(*params), base),
+                             l1, l2)
+        assert scheme.ext == L
+        rng = random.Random(name)
+        secret = [rng.randrange(L.order) for _ in range(scheme.secret_size)]
+        randomness = [rng.randrange(L.order) for _ in range(scheme.ell)]
+        assert scheme.unwrap(scheme.wrap(secret, randomness)) == secret
 
 
 def test_modulus_search_gives_up_at_its_limit(monkeypatch):
