@@ -539,7 +539,7 @@ class ClusterState:
             record("replay", not bad,
                    f"shares differ from re-encode at nodes {bad}" if bad
                    else "all shares match the re-encode")
-        except Exception as exc:
+        except ValueError as exc:  # RslError; a programming error propagates
             record("replay", False, str(exc))
             return checks
 
@@ -572,6 +572,6 @@ class ClusterState:
         try:
             self._payload(message)
             record("agreement", True, "k-subset payload unframes")
-        except Exception as exc:
+        except ValueError as exc:
             record("agreement", False, str(exc))
         return checks

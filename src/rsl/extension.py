@@ -2,18 +2,17 @@
 
 Only the secrecy precode leaves the base field F: it runs over L =
 GF(q^B).  So this module holds what secure clusters alone run, on top
-of rsl.field: polynomials over a field, the irreducibility sieve, the
-canonical modulus search and ExtensionSpec.  It loads where L is built,
-in scheme_make and ClusterState.scheme (for wrap, unwrap and
-verify_cluster), and from rsl.field when a modulus is not in its frozen
-table; loading a cluster whose stored moduli the table certifies does
-not load it.
+of rsl.field: the irreducibility sieve, the canonical modulus search and
+ExtensionSpec.  It loads where L is built, in scheme_make and
+ClusterState.scheme (for wrap, unwrap and verify_cluster), and from
+rsl.field when a modulus is not in its frozen table; loading a cluster
+whose stored moduli the table certifies does not load it.
 
-Polynomials run on coefficient lists, the tests' reference, except in
-the sieve and the search over GF(2^w), w in {1, 2, 4, 8}, where
-_PackedPoly packs them with rsl.field's byte tables.  ExtensionSpec
-multiplies no polynomials: its operations are maps linear over the base,
-on FieldSpec.packed() tables where the base has them, else digit lists.
+The sieve and the search over GF(2^w), w in {1, 2, 4, 8}, run on
+_PackedPoly, packed polynomials on rsl.field's byte tables; elsewhere
+the sieve powers in the ring Field(K, f) and takes gcds on coefficient
+lists.  ExtensionSpec multiplies by Field.mul, and its fixed-operand
+maps, linear over the base, run on FieldSpec.packed() tables or lists.
 The search gives up with SearchLimit after _SEARCH_LIMIT candidates, so
 a shape whose sparse candidates are all reducible, such as GF(256)^20,
 fails in seconds instead of running for hours.
@@ -28,26 +27,13 @@ from .field import (Field, FieldSpec, _byte_map, _checked_modulus, _monic,
                     _Packed)
 from .matrix import _combine
 
-# -- polynomials as coefficient lists (ascending degree) over a calculator K
+# -- the gcd of polynomials as coefficient lists (ascending degree) over K
 
 
 def _ptrim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _pmul(K, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = K.add(out[i + j], K.mul(ca, cb))
-    return _ptrim(out)
 
 
 def _pmod(K, a, m):
@@ -68,16 +54,6 @@ def _pmod(K, a, m):
     return _ptrim(a)
 
 
-def _psub(K, a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = K.sub(out[i], c)
-    return _ptrim(out)
-
-
 def _pgcd(K, a, b):
     a, b = list(a), list(b)
     while b:
@@ -86,29 +62,6 @@ def _pgcd(K, a, b):
         lead_inv = K.inv(a[-1])
         a = [K.mul(c, lead_inv) for c in a]
     return a
-
-
-def _psquare(K, a):
-    """a**2, using the freshman's-dream shortcut in characteristic 2."""
-    if K.char != 2 or not a:
-        return _pmul(K, a, a)
-    out = [0] * (2 * len(a) - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[2 * i] = K.mul(c, c)
-    return _ptrim(out)
-
-
-def _ppowmod(K, base, e: int, m):
-    """base**e reduced modulo m, by square and multiply."""
-    result = [1]
-    acc = _pmod(K, base, m)
-    while e:
-        if e & 1:
-            result = _pmod(K, _pmul(K, result, acc), m)
-        acc = _pmod(K, _psquare(K, acc), m)
-        e >>= 1
-    return result
 
 
 # -- packed polynomials over GF(2^w) for w in {1, 2, 4, 8}
@@ -259,13 +212,13 @@ def _sieve_irreducible(K, f) -> bool:
 
 
 def _sieve_lists(K, f) -> bool:
-    """The Ben-Or steps on coefficient lists; any K, f as in the caller."""
-    q = K.order
-    x = [0, 1]
-    h = x
+    """The Ben-Or steps for any K, f as in the caller: x^(q^i) by pow in
+    the ring K[x]/(f), which needs no irreducible f; gcds on lists."""
+    ring = Field(K, tuple(f))
+    x = h = K.order  # the class of x: digit 1 in place 1
     for _ in range((len(f) - 1) // 2):
-        h = _ppowmod(K, h, q, f)
-        if _pgcd(K, _psub(K, h, x), f) != [1]:
+        h = ring.pow(h, K.order)
+        if _pgcd(K, ring.coeffs(ring.sub(h, x)), f) != [1]:
             return False
     return True
 
@@ -307,23 +260,17 @@ class ExtensionSpec(Field):
     """GF(q^t) built over a FieldSpec with q = p^w.
 
     Its digit field is the base, so a base element is the extension
-    element of the same integer encoding.  Every product and Frobenius
-    step is a map linear over the base, which _linear applies.
+    element of the same integer encoding.  It multiplies by Field.mul;
+    frobenius, multiplier and scale are maps linear over the base.
     """
 
-    __slots__ = ("base", "t", "_tail", "_frob")
+    __slots__ = ("base", "t", "_frob")
 
     def __init__(self, base: FieldSpec, t: int, modulus=None):
         if not isinstance(base, FieldSpec):
             raise TypeError("extension base must be a FieldSpec")
-        self.modulus = _checked_modulus(base, t, modulus)
-        self.base = self._digit_field = base
-        self.t = self._degree = t
-        self.order = base.order**t
-        self.char = base.p
-        self._gen = self._frob = None
-        self._packed = base.packed()
-        self._tail = self._pack(self.modulus[:t])
+        super().__init__(base, _checked_modulus(base, t, modulus))
+        self.base, self.t, self._frob = base, t, None
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "t": self.t,
@@ -331,10 +278,7 @@ class ExtensionSpec(Field):
 
     # -- arithmetic
 
-    def mul(self, a: int, b: int) -> int:
-        if not 0 <= a < self.order > b >= 0:
-            self._operands(a, b)
-        return self.multiplier(b)(a) if a and b else 0
+    mul = Field.mul  # own binding: the benchmark tracer patches vars(cls)
 
     def inv(self, a: int) -> int:
         """a^-1 by the norm (Lidl and Niederreiter, Finite Fields, ch. 2):
@@ -353,7 +297,7 @@ class ExtensionSpec(Field):
         """c*x for c in the base: each digit of x times c."""
         self.base.element(c)
         self.element(x)
-        packed = self._packed
+        packed = self.base.packed()
         if packed is None:
             return self._pack(self.base.mul(c, d) for d in self.coeffs(x))
         data = x.to_bytes((x.bit_length() + 7) >> 3, "little")
@@ -363,7 +307,7 @@ class ExtensionSpec(Field):
         """The map x -> sum of x_s * images[s] over x's digits x_s: a
         translate of an image's bytes per nonzero digit where the base is
         packed, else one _combine over digit lists."""
-        packed, element = self._packed, self.element
+        packed, element = self.base.packed(), self.element
         if packed is None:
             base, t, coeffs = self.base, self.t, self.coeffs
             vectors = [coeffs(v) for v in images]

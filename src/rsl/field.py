@@ -5,17 +5,18 @@ in rsl.extension) are one construction, K[x]/(f) for a digit field K and
 a monic irreducible f of degree t.  An element is the integer whose t
 base-|K| digits are its residue coefficients, constant term first, so
 for p = 2 the encoding is plain bit packing and a base field embeds as
-the integers below q.  Field holds what both classes share.  A spec is
-an immutable calculator, and specs built from the same parameters
-compare equal.  A FieldSpec of order <= 2^16 gets log/exp tables.
+the integers below q.  Field builds that ring for any monic f, with the
+one product both classes multiply by.  A spec is an immutable
+calculator, and specs built from the same parameters compare equal.  A
+FieldSpec of order <= 2^16 puts log/exp tables in front of that product.
 
 This module holds what plain storage runs: Field, FieldSpec and, over
 GF(2^w) with w in {1, 2, 4, 8}, the byte tables of _Packed, which scale
-a byte of whole digits by one bytes.translate, for matrix elimination
-and the codec's region products.  rsl.extension holds the rest:
-polynomial arithmetic, the irreducibility sieve, the canonical modulus
-search and ExtensionSpec.  It loads on first use; field.ExtensionSpec
-still resolves here.
+a byte of whole digits by one bytes.translate, for Field.mul, matrix
+elimination and the codec's region products.  rsl.extension holds the
+rest: the irreducibility sieve, the canonical modulus search and
+ExtensionSpec.  It loads on first use; field.ExtensionSpec still
+resolves here.
 
 A spec built without a modulus takes the canonical one, the smallest
 irreducible by encoding.  The table _FROZEN lists it for GF(16) and
@@ -147,8 +148,8 @@ class _Packed:
     base-q digits that extension elements already use.  Scaling by a
     constant c is one bytes.translate through tables[c], and addition is
     XOR (Plank, Greenan and Miller, "Screaming Fast Galois Field
-    Arithmetic", FAST 2013).  rsl.extension runs the modulus sieve and
-    search, and every operation of an extension, on these tables.
+    Arithmetic", FAST 2013).  Field.mul, by spread(), and rsl.extension's
+    sieve, search and linear maps run on these tables.
     """
 
     __slots__ = ("w", "tables", "inv")
@@ -168,6 +169,29 @@ class _Packed:
             self.tables = [bytes(_byte_map(w, lambda s, d: K.mul(c, d) << s))
                            for c in range(K.order)]
         self.inv = [0] + [K.inv(c) for c in range(1, K.order)]
+
+    def spread(self, x: int, y: int) -> int:
+        """x*y as packed polynomials, unreduced: y shifted to each nonzero
+        digit c of x, translated by c unless c = 1."""
+        acc, w = 0, self.w
+        if w == 1:  # every nonzero digit is 1: y shifted per set bit of x
+            while x:
+                low = x & -x
+                acc ^= y * low
+                x ^= low
+            return acc
+        tables, from_bytes = self.tables, int.from_bytes
+        data = y.to_bytes((y.bit_length() + 7) >> 3, "little")
+        mask, shift = (1 << w) - 1, 0
+        while x:
+            c = x & mask
+            if c == 1:
+                acc ^= y << shift
+            elif c:
+                acc ^= from_bytes(data.translate(tables[c]), "little") << shift
+            x >>= w
+            shift += w
+        return acc
 
 
 # -- canonical moduli
@@ -233,14 +257,20 @@ def _checked_modulus(K, t: int, modulus) -> tuple[int, ...]:
 
 
 class Field:
-    """Shared calculator surface for FieldSpec and ExtensionSpec: both are
-    K[x]/(modulus) of degree t over a digit field K (GF(p) is its own, at
-    t = 1), with elements the integers of t base-|K| digits, constant term
-    first.  The digit codec and digitwise add/sub/neg work on that form
-    for both; each class keeps its own mul."""
+    """The residue ring K[x]/(modulus) for a digit field K and any monic
+    modulus of degree t, a field when the modulus is irreducible (Lidl and
+    Niederreiter, Finite Fields, ch. 2).  Elements are the integers of t
+    base-|K| digits, constant term first; the digit codec, digitwise
+    add/sub/neg, pow and mul, the ring's one product, work on that form."""
 
     __slots__ = ("modulus", "order", "char", "_digit_field", "_degree",
-                 "_gen", "_packed")
+                 "_gen", "_tail")
+
+    def __init__(self, K, modulus):
+        t = self._degree = len(modulus) - 1
+        self.modulus, self._digit_field = modulus, K
+        self.order, self.char, self._gen = K.order**t, K.char, None
+        self._tail = self._pack(modulus[:t])  # y^t = -tail
 
     def element(self, x: int) -> int:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -258,7 +288,7 @@ class Field:
         return range(self.order)
 
     def packed(self) -> _Packed | None:
-        """The packed kernel over this field (see FieldSpec.packed); an
+        """The packed kernel (see FieldSpec.packed); a ring or an
         ExtensionSpec has none, so matrices over it eliminate on lists."""
         return None
 
@@ -326,6 +356,36 @@ class Field:
             e >>= 1
         return result
 
+    def mul(self, a: int, b: int) -> int:
+        """The product of the digit polynomials, folded back through y^t =
+        -tail: by spread() where K has packed tables, else a schoolbook
+        product on digit lists, folded from the top."""
+        if not 0 <= a < self.order > b >= 0:
+            self._operands(a, b)
+        if a == 0 or b == 0:
+            return 0
+        K, t = self._digit_field, self._degree
+        packed = K.packed()
+        if packed is not None:  # characteristic 2: -tail = tail
+            spread, bits = packed.spread, t * packed.w
+            acc = spread(a, b)
+            while high := acc >> bits:
+                acc = acc & ((1 << bits) - 1) ^ spread(self._tail, high)
+            return acc
+        out, ys, tail = [0] * (2 * t - 1), self.coeffs(b), self.modulus[:t]
+        for i, x in enumerate(self.coeffs(a)):
+            if x:
+                for j, y in enumerate(ys, i):
+                    if y:
+                        out[j] = K.add(out[j], K.mul(x, y))
+        for i in range(2 * t - 2, t - 1, -1):
+            c = out[i]
+            if c:
+                for j, m in enumerate(tail, i - t):
+                    if m:
+                        out[j] = K.sub(out[j], K.mul(c, m))
+        return self._pack(out[:t])
+
     def generator(self) -> int:
         """Smallest (by encoding) generator of the multiplicative group."""
         if self._gen is None:
@@ -341,7 +401,7 @@ class Field:
 class FieldSpec(Field):
     """GF(p^w) with modulus coefficients ascending, monic, over GF(p)."""
 
-    __slots__ = ("p", "w", "_mod_int", "_exp", "_log")
+    __slots__ = ("p", "w", "_exp", "_log", "_packed")
 
     def __init__(self, p: int, w: int, modulus=None):
         if p >= _MR_LIMIT:
@@ -349,13 +409,12 @@ class FieldSpec(Field):
                            f"decided only below {_MR_LIMIT}")
         if not _is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
-        self._digit_field = self if w == 1 else FieldSpec(p, 1)
-        self.p = self.char = p
-        self.w = self._degree = w
-        self.order = p**w
-        self.modulus = _checked_modulus(self._digit_field, w, modulus)
-        self._mod_int = self._pack(self.modulus)
-        self._gen = self._exp = self._log = self._packed = None
+        # GF(p) is its own digit field, whose modulus check reads order
+        self.p = self.char = self.order = p
+        self.w = w
+        K = self if w == 1 else FieldSpec(p, 1)
+        super().__init__(K, _checked_modulus(K, w, modulus))
+        self._exp = self._log = self._packed = None
         if w > 1 and self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -369,9 +428,9 @@ class FieldSpec(Field):
     def packed(self) -> _Packed | None:
         """The packed kernel, built on first use, when whole coefficients
         fit in a byte: p = 2 and w in {1, 2, 4, 8}.  It serves the rows
-        matrix.py eliminates, the codec's region products and, through
-        rsl.extension, the modulus sieve and search and the arithmetic of
-        extensions of this field."""
+        matrix.py eliminates, the codec's region products, Field.mul over
+        this field and, through rsl.extension, the modulus sieve and
+        search and the linear maps of its extensions."""
         if self._packed is None and self.p == 2 and 8 % self.w == 0:
             self._packed = _Packed(self)
         return self._packed
@@ -385,7 +444,7 @@ class FieldSpec(Field):
             if a == 0 or b == 0:
                 return 0
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._raw_mul(a, b)
+        return a * b % self.p if self.w == 1 else Field.mul(self, a, b)
 
     def inv(self, a: int) -> int:
         if not 0 < a < self.order:
@@ -399,27 +458,6 @@ class FieldSpec(Field):
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.order - 2)
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.w == 1:
-            return a * b % self.p
-        if self.p == 2:
-            acc = 0
-            while b:
-                if b & 1:
-                    acc ^= a
-                b >>= 1
-                a <<= 1
-            top = acc.bit_length() - 1
-            while top >= self.w:
-                acc ^= self._mod_int << (top - self.w)
-                top = acc.bit_length() - 1
-            return acc
-        # odd p, w > 1: lists; the modulus check loaded rsl.extension
-        from .extension import _pmod, _pmul
-        K = self._digit_field
-        return self._pack(_pmod(K, _pmul(K, self.coeffs(a), self.coeffs(b)),
-                                self.modulus))
-
     # -- structure
 
     def _build_tables(self):
@@ -428,7 +466,7 @@ class FieldSpec(Field):
         exp = [1] * n
         log = [0] * self.order
         for i in range(1, n):
-            exp[i] = self._raw_mul(exp[i - 1], g)
+            exp[i] = Field.mul(self, g, exp[i - 1])
             log[exp[i]] = i
         self._exp = exp
         self._log = log

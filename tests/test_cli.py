@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import os
 import shlex
 import time
 from pathlib import Path
@@ -108,6 +109,31 @@ def test_fail_repair_and_attack_json(tmp_path, capsys):
     assert report["rank_growth"] == 0
     assert report["epochs"] == [1, 2]
     assert report["match"] is True
+
+
+def test_fail_repair_cleans_up_when_the_share_write_fails(tmp_path, capsys,
+                                                          monkeypatch):
+    # os.replace fails once the repaired share is in its temporary file:
+    # the command stops with one error line and leaves the cluster as it
+    # was, with no temporary file and no lock
+    _encode(tmp_path)
+    root = tmp_path / "c"
+    before = {path.name: path.read_bytes() for path in root.iterdir()}
+    assert "events.jsonl" in before and "share_1.bin" in before
+    written = []
+
+    def refuse(src, dst):
+        written.append(Path(src).read_bytes())
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert main(["fail-repair", "--cluster", str(root), "--node", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert written == [before["share_1.bin"]]
+    assert not list(root.glob("*.tmp")) and not (root / ".lock").exists()
+    assert {path.name: path.read_bytes() for path in root.iterdir()} == before
 
 
 def test_attack_human_readable(tmp_path, capsys):

@@ -511,6 +511,18 @@ def test_verify_cluster_catches_corruption(tmp_path):
     assert not all(checks.values())
 
 
+def test_verify_cluster_propagates_programming_errors(tmp_path, monkeypatch):
+    # replay and agreement record data faults, each an RslError and so a
+    # ValueError; a bug in the codec surfaces instead of a FAIL line
+    state = _plain(tmp_path, n=6)
+
+    def broken(*args):
+        raise TypeError("reconstruct is broken")
+    monkeypatch.setattr(ProductMatrixCode, "reconstruct", broken)
+    with pytest.raises(TypeError, match="reconstruct is broken"):
+        state.verify_cluster()
+
+
 def test_verify_cluster_catches_missing_share(tmp_path):
     state = _plain(tmp_path)
     state.share_path(2).unlink()

@@ -443,14 +443,22 @@ def test_generator_of_a_safe_prime_field():
 
 
 def test_untabled_field_consistent_with_naive():
-    # order 2^17 is past the table threshold, so mul runs the raw path
-    f = FieldSpec(2, 17)
-    nf = NaiveField(2, 17, f.modulus)
-    assert irreducible_over_prime(list(f.modulus), 2)
-    for a, b in [(3, 5), (70000, 12345), (131071, 131071), (1, 99999)]:
-        assert f.mul(a, b) == nf.mul(a, b)
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
+    # orders 2^17 and up are past the table threshold, so mul runs the
+    # residue ring's product over GF(2)
+    for w in (17, 22, 127):
+        f = FieldSpec(2, w)
+        nf = NaiveField(2, w, f.modulus)
+        if w < 64:  # trial division to degree w/2
+            assert irreducible_over_prime(list(f.modulus), 2)
+        rng = random.Random(f"GF(2^{w})")
+        pairs = [(3, 5), (70000, 12345), (131071, 131071), (1, 99999),
+                 (f.order - 1, f.order - 1)]
+        pairs += [(rng.randrange(f.order), rng.randrange(f.order))
+                  for _ in range(8)]
+        for a, b in pairs:
+            assert f.mul(a, b) == nf.mul(a, b), (w, a, b)
+            if a:
+                assert nf.mul(a, f.inv(a)) == 1, (w, a)
 
 
 def test_untabled_odd_field_consistent_with_naive():
@@ -471,6 +479,46 @@ def test_untabled_odd_field_consistent_with_naive():
         assert f.neg(a) == nf.neg(a), a
         if a:
             assert nf.mul(a, f.inv(a)) == 1, a
+
+
+# K[x]/(f) for monic f, irreducible or not: x^4 + 1 = (x + 1)^4 in
+# characteristic 2 and (x + 1)^4 over GF(3) and GF(5) written out, x^4,
+# and a tail of degree t - 1, whose fold takes several rounds
+RINGS = {
+    "GF(2)": ((2, 1), [(1, 1, 0, 0, 1), (1, 0, 0, 0, 1), (0, 0, 0, 0, 1),
+                       (1, 1, 1, 1, 1, 1, 1, 1, 1)]),
+    "GF(3)": ((3, 1), [(1, 0, 1), (1, 1, 0, 1, 1), (0, 0, 0, 0, 1),
+                       (1, 2, 0, 2, 2, 1)]),
+    "GF(16)": ((2, 4), [(13, 2, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1),
+                        (0, 0, 0, 0, 1), (7, 0, 3, 15, 12, 1)]),
+    "GF(25)": ((5, 2), [(5, 0, 1), (1, 4, 1, 4, 1), (0, 0, 0, 0, 1),
+                        (3, 0, 7, 24, 1)]),
+    "GF(256)": ((2, 8), [(49, 1, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1),
+                         (0, 0, 0, 0, 1), (0x53, 0, 0xca, 0xff, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_residue_ring_product_matches_oracle(name):
+    (p, w), moduli = RINGS[name]
+    K = FieldSpec(p, w)
+    for f in moduli:
+        ring, t = field.Field(K, f), len(f) - 1
+        naive = (NaiveField(p, t, f) if w == 1 else
+                 NaiveExtension(NaiveField(p, w, K.modulus), f))
+        assert ring.order == naive.order == K.order**t
+        rng = random.Random(f"{name} {f}")
+        edges = [0, 1, K.order - 1, K.order, ring.order - 1]
+        pairs = [(a, b) for a in edges for b in edges]
+        pairs += [(rng.randrange(ring.order), rng.randrange(ring.order))
+                  for _ in range(20)]
+        for a, b in pairs:
+            assert ring.mul(a, b) == naive.mul(a, b), (f, a, b)
+        for a in edges + [b for _, b in pairs[-4:]]:
+            power = 1
+            for e in range(9):
+                assert ring.pow(a, e) == power, (f, a, e)
+                power = naive.mul(power, a)
 
 
 def test_coeffs_roundtrip():
@@ -618,7 +666,7 @@ def test_packed_inverse_runs_no_list_polynomials(name, monkeypatch):
 
     def refuse(*args):
         raise AssertionError("a list polynomial helper ran")
-    for helper in ("_pmul", "_pmod", "_psub", "_ptrim"):
+    for helper in ("_pmod", "_pgcd", "_ptrim"):
         monkeypatch.setattr(extension, helper, refuse)
     rng = random.Random(name)
     for a in [1, L.order - 1] + [rng.randrange(1, L.order) for _ in range(8)]:
@@ -637,7 +685,7 @@ def test_extension_mul_matches_naive(name):
     base = FieldSpec(p, w)
     L = ExtensionSpec(base, t, modulus)
     # GF(8) digits straddle bytes, so its tower takes the list path
-    assert (L._packed is not None) == (p == 2 and 8 % w == 0)
+    assert (L.base.packed() is not None) == (p == 2 and 8 % w == 0)
     naive = NaiveExtension(NaiveField(p, w, base.modulus), L.modulus)
     q = base.order
     rng = random.Random(name)
@@ -724,7 +772,7 @@ def _samples(L, count=12):
 @KERNEL_EXTENSIONS
 def test_frobenius_is_the_power(p, w, t):
     L = ExtensionSpec(FieldSpec(p, w), t)
-    assert (L._packed is not None) == (p == 2 and 8 % w == 0)
+    assert (L.base.packed() is not None) == (p == 2 and 8 % w == 0)
     q = L.base.order
     for a in _samples(L):
         for i in range(t + 1):
