@@ -26,9 +26,8 @@ _HOME = {
     "SecureScheme": "secrecy", "Stored": "product_matrix",
     "achieved_secure_size": "secrecy", "attack_report": "secrecy",
     "bounds_table": "capacity", "capacity_csv": "capacity",
-    "check_all": "harness", "conditional_entropy": "entropy",
-    "cutset_bound": "capacity", "joint_entropy": "entropy",
-    "leakage": "secrecy", "mutual_information": "entropy", "pi": "capacity",
+    "check_all": "harness", "cutset_bound": "capacity",
+    "joint_entropy": "entropy", "leakage": "secrecy", "pi": "capacity",
     "report_jsonl": "harness", "run_property": "harness",
     "scheme_make": "secrecy", "secrecy_capacity": "capacity",
     "verify_perfect": "secrecy", "worst_case_leakage": "secrecy",

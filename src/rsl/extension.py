@@ -332,7 +332,7 @@ class ExtensionSpec(Field):
     @property
     def root(self) -> int:
         """The class of x, a root of the modulus that generates the field."""
-        return self.base.order if self.t > 1 else self.base.neg(self.modulus[0])
+        return self.base.order if self.t > 1 else self.base.sub(0, self.modulus[0])
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a raised to the |base|^i power; fixes the base elements.

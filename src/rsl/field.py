@@ -156,6 +156,9 @@ class _Packed:
 
     def __init__(self, K):
         w = self.w = K.w
+        if w == 1:  # GF(2) scales by 0 and by 1, with no arithmetic
+            self.tables, self.inv = [bytes(256), bytes(range(256))], [0, 1]
+            return
         if w == 8:
             # c*x = exp[log c + log x]: the logs of all bytes, 255 for
             # x = 0, translated through the exp table rotated by log c
@@ -261,7 +264,7 @@ class Field:
     modulus of degree t, a field when the modulus is irreducible (Lidl and
     Niederreiter, Finite Fields, ch. 2).  Elements are the integers of t
     base-|K| digits, constant term first; the digit codec, digitwise
-    add/sub/neg, pow and mul, the ring's one product, work on that form."""
+    add and sub, pow and mul, the ring's one product, work on that form."""
 
     __slots__ = ("modulus", "order", "char", "_digit_field", "_degree",
                  "_gen", "_tail")
@@ -333,13 +336,6 @@ class Field:
             return (a - b) % self.char
         return self._pack(map(self._digit_field.sub,
                               self.coeffs(a), self.coeffs(b)))
-
-    def neg(self, a: int) -> int:
-        if self.char == 2:
-            return a
-        if self.order == self.char:
-            return (-a) % self.char
-        return self._pack(map(self._digit_field.neg, self.coeffs(a)))
 
     def pow(self, a: int, e: int) -> int:
         if not 0 <= a < self.order:
@@ -461,15 +457,24 @@ class FieldSpec(Field):
     # -- structure
 
     def _build_tables(self):
-        g = self.generator()
-        n = self.order - 1
-        exp = [1] * n
-        log = [0] * self.order
-        for i in range(1, n):
-            exp[i] = Field.mul(self, g, exp[i - 1])
-            log[exp[i]] = i
-        self._exp = exp
-        self._log = log
+        g, n = self.generator(), self.order - 1
+        exp, log = [1] * n, [0] * self.order
+        if self.p == 2:
+            # e -> g*e is GF(2)-linear in e's bits: a table per byte of e,
+            # built from the images of its w bits, steps it
+            images = [Field.mul(self, g, 1 << i) for i in range(self.w)]
+            images += [0] * (16 - self.w)
+            lo = _byte_map(1, lambda s, d: images[s])
+            hi = _byte_map(1, lambda s, d: images[s + 8])
+            e = 1
+            for i in range(1, n):
+                e = exp[i] = lo[e & 0xFF] ^ hi[e >> 8]
+                log[e] = i
+        else:
+            for i in range(1, n):
+                exp[i] = Field.mul(self, g, exp[i - 1])
+                log[exp[i]] = i
+        self._exp, self._log = exp, log
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)

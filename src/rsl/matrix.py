@@ -13,8 +13,8 @@ per byte into an integer, column j in byte j: scaling a row is one
 bytes.translate and adding is one XOR.  Every other field, extensions
 included, runs _reduce_list on element lists; both give the same reduced
 rows.  The step alone is extend_row_space(), the incremental reducer
-behind Matrix.rank() and worst-case leakage; solve, rref and inverse add
-one back-substitution.  The region product _combine serves Matrix @ and
+behind Matrix.rank() and worst-case leakage; solve and inverse add one
+back-substitution.  The region product _combine serves Matrix @ and
 the codec.
 """
 
@@ -211,21 +211,6 @@ class Matrix:
             rows.append(row[:ncols])
         return cls(field, rows, ncols=ncols)
 
-    @classmethod
-    def vstack(cls, matrices) -> "Matrix":
-        matrices = list(matrices)
-        if not matrices:
-            raise ValueError("vstack of nothing")
-        first = matrices[0]
-        rows = []
-        for m in matrices:
-            if m.field != first.field:
-                raise FieldMismatch("stacking matrices over different fields")
-            if m.ncols != first.ncols:
-                raise LengthMismatch("stacking matrices of different widths")
-            rows.extend(m.rows)
-        return cls._of(first.field, rows, ncols=first.ncols)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -241,12 +226,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(extend_row_space(self.field, (), self.rows, self.ncols))
-
-    def rref(self) -> "Matrix":
-        out = _echelon(self.field, self.rows, self.ncols)[1]
-        return Matrix._of(
-            self.field, out + [(0,) * self.ncols] * (self.nrows - len(out)),
-            ncols=self.ncols)
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """One solution of self @ x = rhs, free variables set to zero."""

@@ -3,11 +3,18 @@
 Everything here is deliberately naive: coefficient-list polynomial
 arithmetic, trial-division irreducibility, span counting for rank,
 dot products straight off the code's documented layout.  Slow but
-obviously correct, and sharing no code with the package under test.
+obviously correct, and sharing no code with the package under test,
+apart from the matrix helpers at the end: stacking, the entropy
+identities as differences of ranks, and the reduced row echelon form
+that solve() back-substitutes, which the tests check by its shape.
 """
 
 import functools
 import itertools
+
+from rsl import matrix
+from rsl.errors import FieldMismatch
+from rsl.matrix import Matrix
 
 
 # -- polynomials over GF(p), coefficient lists low degree first
@@ -308,3 +315,35 @@ def naive_repair_symbol(field, params, points, helper_share, failed):
                                            phi[j]))
         out.append(acc)
     return out
+
+
+# -- matrices of observations, and the reduced form solve() eliminates to
+
+def vstack(matrices):
+    """The rows of matrices, one after another: one field, one width."""
+    first, *rest = matrices
+    if any(m.field != first.field for m in rest):
+        raise FieldMismatch("stacking matrices over different fields")
+    return Matrix(first.field, [row for m in matrices for row in m.rows],
+                  ncols=first.ncols)
+
+
+def conditional_entropy(a, given):
+    """H(a | given) = H(a, given) - H(given), entropies as ranks."""
+    return vstack((a, given)).rank() - given.rank()
+
+
+def mutual_information(a, b, given=None):
+    """I(a; b) or I(a; b | given) = H(a | given) - H(a | b, given)."""
+    if given is None:
+        given = Matrix(a.field, (), ncols=a.ncols)
+    return (conditional_entropy(a, given)
+            - conditional_entropy(a, vstack((b, given))))
+
+
+def rref(a):
+    """The reduced row echelon form of a, zero rows last: the nonzero rows
+    matrix._echelon returns, padded to a's shape."""
+    out = matrix._echelon(a.field, a.rows, a.ncols)[1]
+    return Matrix(a.field, out + [(0,) * a.ncols] * (a.nrows - len(out)),
+                  ncols=a.ncols)

@@ -21,7 +21,6 @@ from rsl import (
     Stored,
     bounds_table,
     capacity_csv,
-    conditional_entropy,
     joint_entropy,
     run_property,
     secrecy_capacity,
@@ -37,6 +36,8 @@ from rsl.secrecy import (
     verify_perfect,
     worst_case_leakage,
 )
+
+from oracles import conditional_entropy
 
 GF16 = FieldSpec(2, 4)
 

@@ -237,6 +237,41 @@ def test_packed_tables_are_the_gf2_linear_build(w):
     assert K.packed().tables == [linear(c) for c in range(K.order)]
 
 
+def _refuse(*args):
+    raise AssertionError("field arithmetic ran")
+
+
+def test_gf2_packed_tables_need_no_arithmetic(monkeypatch):
+    # scaling by 0 and by 1: the tables and inverses are written out
+    for name in ("mul", "inv"):
+        monkeypatch.setattr(FieldSpec, name, _refuse)
+    packed = FieldSpec(2, 1).packed()
+    assert packed.tables == [bytes(256), bytes(range(256))]
+    assert packed.inv == [0, 1]
+
+
+@pytest.mark.parametrize("w", range(2, 17))
+def test_binary_log_tables_step_by_bytes(w, monkeypatch):
+    # the tables one product per entry builds, g^i = g * g^(i-1); over
+    # GF(2^w) a rebuild multiplies only to find the images of w bits
+    f = FieldSpec(2, w)
+    g, n = f.generator(), f.order - 1
+    exp = [1] * n
+    for i in range(1, n):
+        exp[i] = field.Field.mul(f, g, exp[i - 1])
+    log = [0] * f.order
+    for i, e in enumerate(exp):
+        log[e] = i
+    assert (f._exp, f._log) == (exp, log)
+    calls = []
+    mul = field.Field.mul
+    monkeypatch.setattr(field.Field, "mul",
+                        lambda *args: calls.append(args) or mul(*args))
+    f._build_tables()
+    assert (f._exp, f._log) == (exp, log)
+    assert len(calls) <= w
+
+
 def test_packed_kernel_only_where_coefficients_fit_a_byte():
     for p, w in [(2, 1), (2, 2), (2, 4), (2, 8)]:
         assert FieldSpec(p, w).packed() is not None
@@ -311,7 +346,7 @@ def test_add_matches_naive(p, w):
             assert f.add(a, b) == nf.add(a, b)
             assert f.sub(f.add(a, b), b) == a
     for a in range(f.order):
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, f.sub(0, a)) == 0
 
 
 def test_field_axioms_gf16():
@@ -462,8 +497,8 @@ def test_untabled_field_consistent_with_naive():
 
 
 def test_untabled_odd_field_consistent_with_naive():
-    # order 3^11 = 177,147 is past the table threshold, so add, sub and
-    # neg run digit by digit and mul on digit lists
+    # order 3^11 = 177,147 is past the table threshold, so add and sub
+    # run digit by digit and mul on digit lists
     f = FieldSpec(3, 11)
     nf = NaiveField(3, 11, f.modulus)
     assert irreducible_over_prime(list(f.modulus), 3)
@@ -476,7 +511,7 @@ def test_untabled_odd_field_consistent_with_naive():
         assert f.mul(a, b) == nf.mul(a, b), (a, b)
         assert f.add(a, b) == nf.add(a, b), (a, b)
         assert f.sub(a, b) == nf.add(a, nf.neg(b)), (a, b)
-        assert f.neg(a) == nf.neg(a), a
+        assert f.sub(0, a) == nf.neg(a), a
         if a:
             assert nf.mul(a, f.inv(a)) == 1, a
 

@@ -30,16 +30,10 @@ _PATCHED = ("; perfbench/tracer.py patches it out of the class namespace, "
             "vars(Matrix)[name]")
 _PROTOCOL = "a Python protocol method"
 ALLOWED = {
-    # the README's "rank, solve, inverse, RREF over any of those fields"
-    "matrix.Matrix.rref": _DOCUMENTED,
+    # the README's "rank, solve and inverse over any of those fields"
     "matrix.Matrix.inverse": _DOCUMENTED + _PATCHED,
     "matrix.Matrix.identity": "inverse() solves for it",
     "matrix.Matrix.__matmul__": "the README's matrix products" + _PATCHED,
-    "matrix.Matrix.vstack": "conditional_entropy stacks with it",
-    "entropy.conditional_entropy": _DOCUMENTED,
-    "entropy.mutual_information": _DOCUMENTED,
-    "field.Field.neg": "negation beside add and sub; ExtensionSpec.root "
-                       "takes it at degree 1, which no cluster has",
     "field.Field.packed": "an extension's answer to matrix elimination, "
                           "which no command runs over an extension",
     "field.Field._operands": "raises for a non-element given to the "

@@ -273,11 +273,15 @@ def test_every_public_name_resolves():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        rsl.no_such_name
+    # conditional_entropy and mutual_information are test oracles, in
+    # tests/oracles.py, and not library names
+    for name in ("no_such_name", "conditional_entropy", "mutual_information"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(rsl, name)
+        assert name not in rsl.__all__
+        with pytest.raises(ImportError):
+            exec(f"from rsl import {name}", {})
     assert not hasattr(rsl, "check_al")
-    with pytest.raises(ImportError):
-        exec("from rsl import no_such_name", {})
 
 
 # argv: vault; fail-repair and reconstruct with every path to a sieve or
