@@ -156,9 +156,6 @@ class _Packed:
 
     def __init__(self, K):
         w = self.w = K.w
-        if w == 1:  # GF(2) scales by 0 and by 1, with no arithmetic
-            self.tables, self.inv = [bytes(256), bytes(range(256))], [0, 1]
-            return
         if w == 8:
             # c*x = exp[log c + log x]: the logs of all bytes, 255 for
             # x = 0, translated through the exp table rotated by log c

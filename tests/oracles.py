@@ -13,7 +13,6 @@ import functools
 import itertools
 
 from rsl import matrix
-from rsl.errors import FieldMismatch
 from rsl.matrix import Matrix
 
 
@@ -321,9 +320,7 @@ def naive_repair_symbol(field, params, points, helper_share, failed):
 
 def vstack(matrices):
     """The rows of matrices, one after another: one field, one width."""
-    first, *rest = matrices
-    if any(m.field != first.field for m in rest):
-        raise FieldMismatch("stacking matrices over different fields")
+    first = matrices[0]
     return Matrix(first.field, [row for m in matrices for row in m.rows],
                   ncols=first.ncols)
 

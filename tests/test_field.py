@@ -237,19 +237,6 @@ def test_packed_tables_are_the_gf2_linear_build(w):
     assert K.packed().tables == [linear(c) for c in range(K.order)]
 
 
-def _refuse(*args):
-    raise AssertionError("field arithmetic ran")
-
-
-def test_gf2_packed_tables_need_no_arithmetic(monkeypatch):
-    # scaling by 0 and by 1: the tables and inverses are written out
-    for name in ("mul", "inv"):
-        monkeypatch.setattr(FieldSpec, name, _refuse)
-    packed = FieldSpec(2, 1).packed()
-    assert packed.tables == [bytes(256), bytes(range(256))]
-    assert packed.inv == [0, 1]
-
-
 @pytest.mark.parametrize("w", range(2, 17))
 def test_binary_log_tables_step_by_bytes(w, monkeypatch):
     # the tables one product per entry builds, g^i = g * g^(i-1); over
